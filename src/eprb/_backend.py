@@ -40,9 +40,6 @@ SAMPLER_CUBE = _impl.SAMPLER_CUBE
 
 KIND_SIGN = _impl.KIND_SIGN
 KIND_LINEAR = _impl.KIND_LINEAR
-KIND_COIN = _impl.KIND_COIN
-KIND_CONSTANT = _impl.KIND_CONSTANT
-KIND_FIXED = _impl.KIND_FIXED
 
 MAX_DIM = _impl.MAX_DIM
 MAX_DEGREE = _impl.MAX_DEGREE

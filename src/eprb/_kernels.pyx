@@ -4,6 +4,8 @@
 Twin of ``_pykernels.py``: same arithmetic, same operation order, same libm
 calls, so results agree bit for bit with the pure-Python backend. Compiled
 with -O2 only (no fast-math, no FMA contraction) to keep IEEE semantics.
+The same two model kernels as the twin: KIND_SIGN and KIND_LINEAR. The C
+file is generated from this one at build time and is not kept in the tree.
 """
 
 from libc.math cimport INFINITY, cos, sin, sqrt
@@ -22,9 +24,6 @@ SAMPLER_CUBE = 1
 
 KIND_SIGN = 1
 KIND_LINEAR = 2
-KIND_COIN = 3
-KIND_CONSTANT = 4
-KIND_FIXED = 5
 
 MAX_DIM = 64
 MAX_DEGREE = 16
@@ -38,9 +37,6 @@ cdef int _SAMPLER_SPHERE = 0
 cdef int _SAMPLER_CUBE = 1
 cdef int _KIND_SIGN = 1
 cdef int _KIND_LINEAR = 2
-cdef int _KIND_COIN = 3
-cdef int _KIND_CONSTANT = 4
-cdef int _KIND_FIXED = 5
 cdef double _PROB_SLACK = 1e-9
 
 
@@ -130,19 +126,12 @@ def reduce_product(kind, params, ax, ay, az, bx, by, bz,
     cdef uint64_t seed_c = <uint64_t> (seed & MASK64)
     cdef int64_t start_c = start
     cdef int64_t count_c = count
-    cdef double p[8]
-    cdef int n_params = len(params)
-    cdef int k
     if dim_c < 1 or dim_c > 64:
         raise ValueError(f"sampler dimension {dim} outside 1..64")
-    if kind_c in (_KIND_SIGN, _KIND_LINEAR, _KIND_CONSTANT) and sampler_c != _SAMPLER_SPHERE and dim_c < 3:
-        raise ValueError("model dots a 3-vector against the draw; sampler dimension must be >= 3")
-    if kind_c not in (_KIND_SIGN, _KIND_LINEAR, _KIND_COIN, _KIND_CONSTANT, _KIND_FIXED):
+    if kind_c != _KIND_SIGN and kind_c != _KIND_LINEAR:
         raise ValueError(f"unknown model kind code {kind}")
-    if n_params > 8:
-        raise ValueError("too many packed parameters")
-    for k in range(n_params):
-        p[k] = params[k]
+    if sampler_c != _SAMPLER_SPHERE and dim_c < 3:
+        raise ValueError("model dots a 3-vector against the draw; sampler dimension must be >= 3")
 
     cdef double ax_c = ax, ay_c = ay, az_c = az
     cdef double bx_c = bx, by_c = by, bz_c = bz
@@ -157,41 +146,11 @@ def reduce_product(kind, params, ax, ay, az, bx, by, bz,
     cdef double bad_value = 0.0
 
     with nogil:
-        if kind_c == _KIND_COIN:
-            for i in range(start_c, start_c + count_c):
-                x = 0.0
-                s += x
-                s2 += x * x
-                if x < mn:
-                    mn = x
-                if x > mx:
-                    mx = x
-        elif kind_c == _KIND_FIXED:
-            for i in range(start_c, start_c + count_c):
-                x = p[0] * p[1]
-                s += x
-                s2 += x * x
-                if x < mn:
-                    mn = x
-                if x > mx:
-                    mx = x
-        elif kind_c == _KIND_SIGN:
+        if kind_c == _KIND_SIGN:
             for i in range(start_c, start_c + count_c):
                 _lambda_fill(sampler_c, dim_c, seed_c, <uint64_t> i, lam)
                 d1 = ax_c * lam[0] + ay_c * lam[1] + az_c * lam[2]
                 d2 = bx_c * lam[0] + by_c * lam[1] + bz_c * lam[2]
-                x = _sign(d1) * (-_sign(d2))
-                s += x
-                s2 += x * x
-                if x < mn:
-                    mn = x
-                if x > mx:
-                    mx = x
-        elif kind_c == _KIND_CONSTANT:
-            for i in range(start_c, start_c + count_c):
-                _lambda_fill(sampler_c, dim_c, seed_c, <uint64_t> i, lam)
-                d1 = p[0] * lam[0] + p[1] * lam[1] + p[2] * lam[2]
-                d2 = p[3] * lam[0] + p[4] * lam[1] + p[5] * lam[2]
                 x = _sign(d1) * (-_sign(d2))
                 s += x
                 s2 += x * x
@@ -245,10 +204,10 @@ def reduce_joint(kind, params, ax, ay, az, bx, by, bz,
     cdef int64_t count_c = count
     if dim_c < 1 or dim_c > 64:
         raise ValueError(f"sampler dimension {dim} outside 1..64")
-    if kind_c == _KIND_LINEAR and sampler_c != _SAMPLER_SPHERE and dim_c < 3:
-        raise ValueError("model dots a 3-vector against the draw; sampler dimension must be >= 3")
-    if kind_c not in (_KIND_LINEAR, _KIND_COIN):
+    if kind_c != _KIND_LINEAR:
         raise ValueError(f"model kind code {kind} has no joint-table fast path")
+    if sampler_c != _SAMPLER_SPHERE and dim_c < 3:
+        raise ValueError("model dots a 3-vector against the draw; sampler dimension must be >= 3")
 
     cdef double ax_c = ax, ay_c = ay, az_c = az
     cdef double bx_c = bx, by_c = by, bz_c = bz
@@ -266,62 +225,43 @@ def reduce_joint(kind, params, ax, ay, az, bx, by, bz,
     cdef double bad_value = 0.0
 
     with nogil:
-        if kind_c == _KIND_COIN:
-            for i in range(start_c, start_c + count_c):
-                x0 = 0.25
-                x1 = 0.25
-                x2 = 0.25
-                x3 = 0.25
-                s0 += x0; q0 += x0 * x0
-                if x0 < mn0: mn0 = x0
-                if x0 > mx0: mx0 = x0
-                s1 += x1; q1 += x1 * x1
-                if x1 < mn1: mn1 = x1
-                if x1 > mx1: mx1 = x1
-                s2a += x2; q2 += x2 * x2
-                if x2 < mn2: mn2 = x2
-                if x2 > mx2: mx2 = x2
-                s3 += x3; q3 += x3 * x3
-                if x3 < mn3: mn3 = x3
-                if x3 > mx3: mx3 = x3
-        else:
-            for i in range(start_c, start_c + count_c):
-                _lambda_fill(sampler_c, dim_c, seed_c, <uint64_t> i, lam)
-                d1 = ax_c * lam[0] + ay_c * lam[1] + az_c * lam[2]
-                d2 = bx_c * lam[0] + by_c * lam[1] + bz_c * lam[2]
-                p1_plus = 0.5 * (1.0 + d1)
-                p1_minus = 0.5 * (1.0 - d1)
-                p2_plus = 0.5 * (1.0 - d2)
-                p2_minus = 0.5 * (1.0 + d2)
-                if not (lo <= p1_plus <= hi and lo <= p1_minus <= hi
-                        and lo <= p2_plus <= hi and lo <= p2_minus <= hi):
-                    status = 1
-                    bad_index = i
-                    if not lo <= p1_plus <= hi:
-                        bad_value = p1_plus
-                    elif not lo <= p1_minus <= hi:
-                        bad_value = p1_minus
-                    elif not lo <= p2_plus <= hi:
-                        bad_value = p2_plus
-                    else:
-                        bad_value = p2_minus
-                    break
-                x0 = p1_plus * p2_plus
-                x1 = p1_minus * p2_minus
-                x2 = p1_plus * p2_minus
-                x3 = p1_minus * p2_plus
-                s0 += x0; q0 += x0 * x0
-                if x0 < mn0: mn0 = x0
-                if x0 > mx0: mx0 = x0
-                s1 += x1; q1 += x1 * x1
-                if x1 < mn1: mn1 = x1
-                if x1 > mx1: mx1 = x1
-                s2a += x2; q2 += x2 * x2
-                if x2 < mn2: mn2 = x2
-                if x2 > mx2: mx2 = x2
-                s3 += x3; q3 += x3 * x3
-                if x3 < mn3: mn3 = x3
-                if x3 > mx3: mx3 = x3
+        for i in range(start_c, start_c + count_c):
+            _lambda_fill(sampler_c, dim_c, seed_c, <uint64_t> i, lam)
+            d1 = ax_c * lam[0] + ay_c * lam[1] + az_c * lam[2]
+            d2 = bx_c * lam[0] + by_c * lam[1] + bz_c * lam[2]
+            p1_plus = 0.5 * (1.0 + d1)
+            p1_minus = 0.5 * (1.0 - d1)
+            p2_plus = 0.5 * (1.0 - d2)
+            p2_minus = 0.5 * (1.0 + d2)
+            if not (lo <= p1_plus <= hi and lo <= p1_minus <= hi
+                    and lo <= p2_plus <= hi and lo <= p2_minus <= hi):
+                status = 1
+                bad_index = i
+                if not lo <= p1_plus <= hi:
+                    bad_value = p1_plus
+                elif not lo <= p1_minus <= hi:
+                    bad_value = p1_minus
+                elif not lo <= p2_plus <= hi:
+                    bad_value = p2_plus
+                else:
+                    bad_value = p2_minus
+                break
+            x0 = p1_plus * p2_plus
+            x1 = p1_minus * p2_minus
+            x2 = p1_plus * p2_minus
+            x3 = p1_minus * p2_plus
+            s0 += x0; q0 += x0 * x0
+            if x0 < mn0: mn0 = x0
+            if x0 > mx0: mx0 = x0
+            s1 += x1; q1 += x1 * x1
+            if x1 < mn1: mn1 = x1
+            if x1 > mx1: mx1 = x1
+            s2a += x2; q2 += x2 * x2
+            if x2 < mn2: mn2 = x2
+            if x2 > mx2: mx2 = x2
+            s3 += x3; q3 += x3 * x3
+            if x3 < mn3: mn3 = x3
+            if x3 > mx3: mx3 = x3
 
     return ((s0, s1, s2a, s3), (q0, q1, q2, q3),
             (mn0, mn1, mn2, mn3), (mx0, mx1, mx2, mx3),

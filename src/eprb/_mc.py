@@ -10,6 +10,7 @@ compiled kernels release the GIL, which is what makes threads worthwhile.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 
 CHUNK_SIZE = 4096
@@ -24,18 +25,34 @@ def _run_group(job, group):
     return [job(start, count) for start, count in group]
 
 
+def pool_size(workers, nchunks):
+    """Threads to run ``nchunks`` chunks on for a request of ``workers``.
+
+    Never more than the CPUs this process may run on, nor than the chunks,
+    so a large ``--workers`` costs nothing. Raises ValueError below 1.
+    """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        cpus = os.cpu_count() or 1
+    return max(1, min(workers, cpus, nchunks))
+
+
 def run_chunk_jobs(job, n, workers=1):
     """Run ``job(start, count)`` over every chunk, in chunk order.
 
     Results come back as a list ordered by chunk index regardless of
     ``workers``. Exceptions surface in chunk order too: the serial path
     stops at the first failing chunk, and the threaded path raises the
-    earliest-submitted group's error first.
+    earliest-submitted group's error first. ``workers`` below 1 is a
+    ValueError; above the pool size (see ``pool_size``) it is clamped.
     """
     ranges = chunk_ranges(n)
-    if workers <= 1 or len(ranges) == 1:
+    nworkers = pool_size(workers, len(ranges))
+    if nworkers == 1:
         return _run_group(job, ranges)
-    nworkers = min(workers, len(ranges))
     # Contiguous groups keep error ordering aligned with chunk order.
     per = -(-len(ranges) // nworkers)
     groups = [ranges[k:k + per] for k in range(0, len(ranges), per)]
@@ -92,49 +109,39 @@ def _finalize(s, s2, mn, mx, n):
     return mean, math.sqrt(var / n)
 
 
-def scalar_job_from_index_fn(value_at):
-    """Wrap a per-index value function into a chunk job.
+def accumulate(xs):
+    """(sum, sum_sq, min, max) of the values in ``xs``, added in order.
 
-    The accumulation order matches the compiled kernels: serial sum,
-    sum of squares, running min/max.
+    The accumulation order matches the kernels: serial sum, sum of squares,
+    running min/max.
     """
-
-    def job(start, count):
-        s = 0.0
-        s2 = 0.0
-        mn = math.inf
-        mx = -math.inf
-        for i in range(start, start + count):
-            x = value_at(i)
-            s += x
-            s2 += x * x
-            if x < mn:
-                mn = x
-            if x > mx:
-                mx = x
-        return s, s2, mn, mx
-
-    return job
+    s = 0.0
+    s2 = 0.0
+    mn = math.inf
+    mx = -math.inf
+    for x in xs:
+        s += x
+        s2 += x * x
+        if x < mn:
+            mn = x
+        if x > mx:
+            mx = x
+    return s, s2, mn, mx
 
 
-def vec4_job_from_index_fn(values_at):
-    """Same as scalar_job_from_index_fn for 4-tuples of values."""
-
-    def job(start, count):
-        s = [0.0, 0.0, 0.0, 0.0]
-        s2 = [0.0, 0.0, 0.0, 0.0]
-        mn = [math.inf] * 4
-        mx = [-math.inf] * 4
-        for i in range(start, start + count):
-            xs = values_at(i)
-            for k in range(4):
-                x = xs[k]
-                s[k] += x
-                s2[k] += x * x
-                if x < mn[k]:
-                    mn[k] = x
-                if x > mx[k]:
-                    mx[k] = x
-        return tuple(s), tuple(s2), tuple(mn), tuple(mx)
-
-    return job
+def accumulate4(rows):
+    """Same as accumulate for 4-tuples of values, entry by entry."""
+    s = [0.0, 0.0, 0.0, 0.0]
+    s2 = [0.0, 0.0, 0.0, 0.0]
+    mn = [math.inf] * 4
+    mx = [-math.inf] * 4
+    for xs in rows:
+        for k in range(4):
+            x = xs[k]
+            s[k] += x
+            s2[k] += x * x
+            if x < mn[k]:
+                mn[k] = x
+            if x > mx[k]:
+                mx[k] = x
+    return tuple(s), tuple(s2), tuple(mn), tuple(mx)

@@ -7,6 +7,12 @@ cross-checks live in ``tests/test_backends.py``. This module is the slow
 path, kept for installs without a C toolchain and as the readable statement
 of the arithmetic contract.
 
+There are two model kernels: KIND_SIGN, the product sign(a . lam) times
+-sign(b . lam), and KIND_LINEAR, the linear stochastic model with its
+probability-range check. Other models are evaluated per draw in
+``eprb.correlation``, and models whose per-draw value does not depend on
+the draw need no kernel at all.
+
 Hidden-variable draws are counter-addressed: component ``j`` of sample ``i``
 is a pure function of ``(seed, i, j)`` obtained by absorbing each word into
 a SplitMix64-style avalanche mix. Nothing is streamed, so any partition of
@@ -30,9 +36,6 @@ SAMPLER_CUBE = 1
 
 KIND_SIGN = 1
 KIND_LINEAR = 2
-KIND_COIN = 3
-KIND_CONSTANT = 4
-KIND_FIXED = 5
 
 MAX_DIM = 64
 MAX_DEGREE = 16
@@ -105,12 +108,14 @@ def reduce_product(kind, params, ax, ay, az, bx, by, bz,
     Returns ``(sum, sum_sq, min, max, status, bad_index, bad_value)``.
     ``status`` is nonzero when a stochastic model produced a probability
     outside [0, 1] beyond PROB_SLACK; the offending sample index and value
-    are reported and the reduction stops there.
+    are reported and the reduction stops there. ``params`` is unused by
+    both kinds; callers pass ``()``.
     """
     if dim < 1 or dim > MAX_DIM:
         raise ValueError(f"sampler dimension {dim} outside 1..{MAX_DIM}")
-    if (kind in (KIND_SIGN, KIND_LINEAR, KIND_CONSTANT)
-            and sampler_kind != SAMPLER_SPHERE and dim < 3):
+    if kind != KIND_SIGN and kind != KIND_LINEAR:
+        raise ValueError(f"unknown model kind code {kind}")
+    if sampler_kind != SAMPLER_SPHERE and dim < 3:
         raise ValueError("model dots a 3-vector against the draw; sampler dimension must be >= 3")
     s = 0.0
     s2 = 0.0
@@ -122,28 +127,7 @@ def reduce_product(kind, params, ax, ay, az, bx, by, bz,
     lo = -PROB_SLACK
     hi = 1.0 + PROB_SLACK
 
-    if kind == KIND_COIN:
-        # Both parties are fair coins: every mean-outcome product is 0.
-        for i in range(start, start + count):
-            x = 0.0
-            s += x
-            s2 += x * x
-            if x < mn:
-                mn = x
-            if x > mx:
-                mx = x
-    elif kind == KIND_FIXED:
-        alpha = params[0]
-        beta = params[1]
-        for i in range(start, start + count):
-            x = alpha * beta
-            s += x
-            s2 += x * x
-            if x < mn:
-                mn = x
-            if x > mx:
-                mx = x
-    elif kind == KIND_SIGN:
+    if kind == KIND_SIGN:
         for i in range(start, start + count):
             lam = lambda_at(sampler_kind, dim, seed, i)
             d1 = ax * lam[0] + ay * lam[1] + az * lam[2]
@@ -155,20 +139,7 @@ def reduce_product(kind, params, ax, ay, az, bx, by, bz,
                 mn = x
             if x > mx:
                 mx = x
-    elif kind == KIND_CONSTANT:
-        ux, uy, uz, vx, vy, vz = params[0], params[1], params[2], params[3], params[4], params[5]
-        for i in range(start, start + count):
-            lam = lambda_at(sampler_kind, dim, seed, i)
-            d1 = ux * lam[0] + uy * lam[1] + uz * lam[2]
-            d2 = vx * lam[0] + vy * lam[1] + vz * lam[2]
-            x = _sign(d1) * (-_sign(d2))
-            s += x
-            s2 += x * x
-            if x < mn:
-                mn = x
-            if x > mx:
-                mx = x
-    elif kind == KIND_LINEAR:
+    else:
         for i in range(start, start + count):
             lam = lambda_at(sampler_kind, dim, seed, i)
             d1 = ax * lam[0] + ay * lam[1] + az * lam[2]
@@ -199,8 +170,6 @@ def reduce_product(kind, params, ax, ay, az, bx, by, bz,
                 mn = x
             if x > mx:
                 mx = x
-    else:
-        raise ValueError(f"unknown model kind code {kind}")
 
     return (s, s2, mn, mx, status, bad_index, bad_value)
 
@@ -215,7 +184,9 @@ def reduce_joint(kind, params, ax, ay, az, bx, by, bz,
     """
     if dim < 1 or dim > MAX_DIM:
         raise ValueError(f"sampler dimension {dim} outside 1..{MAX_DIM}")
-    if kind == KIND_LINEAR and sampler_kind != SAMPLER_SPHERE and dim < 3:
+    if kind != KIND_LINEAR:
+        raise ValueError(f"model kind code {kind} has no joint-table fast path")
+    if sampler_kind != SAMPLER_SPHERE and dim < 3:
         raise ValueError("model dots a 3-vector against the draw; sampler dimension must be >= 3")
     s = [0.0, 0.0, 0.0, 0.0]
     s2 = [0.0, 0.0, 0.0, 0.0]
@@ -227,42 +198,32 @@ def reduce_joint(kind, params, ax, ay, az, bx, by, bz,
     lo = -PROB_SLACK
     hi = 1.0 + PROB_SLACK
 
-    if kind == KIND_COIN:
-        for i in range(start, start + count):
-            x0 = 0.25
-            x1 = 0.25
-            x2 = 0.25
-            x3 = 0.25
-            _acc4(s, s2, mn, mx, x0, x1, x2, x3)
-    elif kind == KIND_LINEAR:
-        for i in range(start, start + count):
-            lam = lambda_at(sampler_kind, dim, seed, i)
-            d1 = ax * lam[0] + ay * lam[1] + az * lam[2]
-            d2 = bx * lam[0] + by * lam[1] + bz * lam[2]
-            p1_plus = 0.5 * (1.0 + d1)
-            p1_minus = 0.5 * (1.0 - d1)
-            p2_plus = 0.5 * (1.0 - d2)
-            p2_minus = 0.5 * (1.0 + d2)
-            if not (lo <= p1_plus <= hi and lo <= p1_minus <= hi
-                    and lo <= p2_plus <= hi and lo <= p2_minus <= hi):
-                status = STATUS_BAD_PROBABILITY
-                bad_index = i
-                if not lo <= p1_plus <= hi:
-                    bad_value = p1_plus
-                elif not lo <= p1_minus <= hi:
-                    bad_value = p1_minus
-                elif not lo <= p2_plus <= hi:
-                    bad_value = p2_plus
-                else:
-                    bad_value = p2_minus
-                break
-            x0 = p1_plus * p2_plus
-            x1 = p1_minus * p2_minus
-            x2 = p1_plus * p2_minus
-            x3 = p1_minus * p2_plus
-            _acc4(s, s2, mn, mx, x0, x1, x2, x3)
-    else:
-        raise ValueError(f"model kind code {kind} has no joint-table fast path")
+    for i in range(start, start + count):
+        lam = lambda_at(sampler_kind, dim, seed, i)
+        d1 = ax * lam[0] + ay * lam[1] + az * lam[2]
+        d2 = bx * lam[0] + by * lam[1] + bz * lam[2]
+        p1_plus = 0.5 * (1.0 + d1)
+        p1_minus = 0.5 * (1.0 - d1)
+        p2_plus = 0.5 * (1.0 - d2)
+        p2_minus = 0.5 * (1.0 + d2)
+        if not (lo <= p1_plus <= hi and lo <= p1_minus <= hi
+                and lo <= p2_plus <= hi and lo <= p2_minus <= hi):
+            status = STATUS_BAD_PROBABILITY
+            bad_index = i
+            if not lo <= p1_plus <= hi:
+                bad_value = p1_plus
+            elif not lo <= p1_minus <= hi:
+                bad_value = p1_minus
+            elif not lo <= p2_plus <= hi:
+                bad_value = p2_plus
+            else:
+                bad_value = p2_minus
+            break
+        x0 = p1_plus * p2_plus
+        x1 = p1_minus * p2_minus
+        x2 = p1_plus * p2_minus
+        x3 = p1_minus * p2_plus
+        _acc4(s, s2, mn, mx, x0, x1, x2, x3)
 
     return (tuple(s), tuple(s2), tuple(mn), tuple(mx), status, bad_index, bad_value)
 

@@ -164,6 +164,8 @@ def _model_and_sampler(ns: argparse.Namespace):
             raise _UsageError(f"--params is not valid JSON: {exc}") from None
         if not isinstance(params, dict):
             raise _UsageError("--params must hold a JSON object")
+    if int(_setting(ns, "workers")) < 1:
+        raise _UsageError(f"--workers must be >= 1, got {_setting(ns, 'workers')}")
     model = build_model(name, params)
     sampler = LambdaSampler(
         kind=str(_setting(ns, "sampler")),

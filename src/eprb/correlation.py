@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import _backend as _k
-from ._mc import combine_scalar, combine_vec4, run_chunk_jobs, scalar_job_from_index_fn, vec4_job_from_index_fn
+from ._mc import accumulate, accumulate4, combine_scalar, combine_vec4, run_chunk_jobs
 from .errors import ContractViolationError
 from .geometry import RiemannPoint, UnitVector3, Z_AXIS, unit_from_plane_angle
 from .hidden_variables import LambdaSampler
@@ -117,10 +117,10 @@ def _raise_bad_probability(bad_index: int, bad_value: float) -> None:
     )
 
 
-def _kernel_parts(reduce_fn, kind, params, a, b, s, n, workers):
+def _kernel_parts(reduce_fn, kind, u, v, s, n, workers):
     def job(start, count):
         return reduce_fn(
-            kind, params, a.x, a.y, a.z, b.x, b.y, b.z,
+            kind, (), u.x, u.y, u.z, v.x, v.y, v.z,
             s.kind_code, s.dim, s.seed, start, count,
         )
 
@@ -131,6 +131,45 @@ def _kernel_parts(reduce_fn, kind, params, a, b, s, n, workers):
         if part[4] != _k.STATUS_OK:
             _raise_bad_probability(part[5], part[6])
     return [part[:4] for part in parts]
+
+
+def _estimate(m, value, a, b, s, n, workers, joint=False):
+    """Mean of ``value(lam)`` over draws 0..n-1 of ``s``: the body shared by
+    every Monte Carlo estimator.
+
+    ``value`` is the model's per-draw product (with ``joint``, the 4-tuple of
+    joint probabilities), contract check included. One of three paths runs,
+    all giving the same bits:
+
+    * a draw-independent model is evaluated once, at draw 0. Its values
+      in the zoo (0, +/-1, 1/4) have exact n-fold sums, so summing every
+      draw would give (x * n) / n = x with stderr 0.0: the stream is not
+      walked;
+    * a model with a kernel runs it chunk by chunk, on its ``kernel_axes``
+      when it has them and on the settings otherwise;
+    * any other model calls ``value`` on every draw.
+
+    Chunks are folded in chunk order, so ``workers`` never changes a bit.
+    Returns (mean, stderr), or four such pairs when ``joint``.
+    """
+    if getattr(m, "draw_independent", False):
+        x = value(s.sample(0))
+        return [(p, 0.0) for p in x] if joint else (x, 0.0)
+    kind = getattr(m, "kernel_kind", None)
+    if kind is not None:
+        u, v = m.kernel_axes or (a, b)
+        reduce_fn = _k.reduce_joint if joint else _k.reduce_product
+        parts = _kernel_parts(reduce_fn, kind, u, v, s, n, workers)
+    else:
+        kind_code, dim, seed = s.kind_code, s.dim, s.seed
+        acc = accumulate4 if joint else accumulate
+
+        def job(start, count):
+            return acc(value(_k.lambda_at(kind_code, dim, seed, i))
+                       for i in range(start, start + count))
+
+        parts = run_chunk_jobs(job, n, workers=workers)
+    return combine_vec4(parts, n) if joint else combine_scalar(parts, n)
 
 
 def estimate_correlation(
@@ -147,20 +186,12 @@ def estimate_correlation(
             f"estimate_correlation needs a deterministic model, got {type(m).__name__}"
         )
     n = _require_n(n)
-    if m.kernel_kind is not None:
-        parts = _kernel_parts(
-            _k.reduce_product, m.kernel_kind, m.kernel_params, a, b, s, n, workers
-        )
-    else:
-        kind_code, dim, seed = s.kind_code, s.dim, s.seed
 
-        def value_at(i: int) -> float:
-            lam = _k.lambda_at(kind_code, dim, seed, i)
-            alpha, beta = evaluate_deterministic(m, a, b, lam)
-            return alpha * beta
+    def value(lam) -> float:
+        alpha, beta = evaluate_deterministic(m, a, b, lam)
+        return alpha * beta
 
-        parts = run_chunk_jobs(scalar_job_from_index_fn(value_at), n, workers=workers)
-    mean, stderr = combine_scalar(parts, n)
+    mean, stderr = _estimate(m, value, a, b, s, n, workers)
     return CorrelationEstimate(value=mean, stderr=stderr, n=n, exact=False)
 
 
@@ -179,20 +210,12 @@ def estimate_stochastic_correlation(
             f"got {type(m).__name__}"
         )
     n = _require_n(n)
-    if m.kernel_kind is not None:
-        parts = _kernel_parts(
-            _k.reduce_product, m.kernel_kind, m.kernel_params, a, b, s, n, workers
-        )
-    else:
-        kind_code, dim, seed = s.kind_code, s.dim, s.seed
 
-        def value_at(i: int) -> float:
-            lam = _k.lambda_at(kind_code, dim, seed, i)
-            mean_a, mean_b = mean_outcomes(m, a, b, lam)
-            return mean_a * mean_b
+    def value(lam) -> float:
+        mean_a, mean_b = mean_outcomes(m, a, b, lam)
+        return mean_a * mean_b
 
-        parts = run_chunk_jobs(scalar_job_from_index_fn(value_at), n, workers=workers)
-    mean, stderr = combine_scalar(parts, n)
+    mean, stderr = _estimate(m, value, a, b, s, n, workers)
     return CorrelationEstimate(value=mean, stderr=stderr, n=n, exact=False)
 
 
@@ -215,33 +238,17 @@ def estimate_joint(
             f"estimate_joint needs a stochastic model, got {type(m).__name__}"
         )
     n = _require_n(n)
-    if m.kernel_kind in (_k.KIND_COIN, _k.KIND_LINEAR):
-        def job(start, count):
-            return _k.reduce_joint(
-                m.kernel_kind, m.kernel_params, a.x, a.y, a.z, b.x, b.y, b.z,
-                s.kind_code, s.dim, s.seed, start, count,
-            )
 
-        raw = run_chunk_jobs(job, n, workers=workers)
-        for part in raw:
-            if part[4] != _k.STATUS_OK:
-                _raise_bad_probability(part[5], part[6])
-        parts = [part[:4] for part in raw]
-    else:
-        kind_code, dim, seed = s.kind_code, s.dim, s.seed
+    def value(lam):
+        p = evaluate_stochastic(m, a, b, lam)
+        return (
+            p.p1_plus * p.p2_plus,
+            p.p1_minus * p.p2_minus,
+            p.p1_plus * p.p2_minus,
+            p.p1_minus * p.p2_plus,
+        )
 
-        def values_at(i: int):
-            lam = _k.lambda_at(kind_code, dim, seed, i)
-            p = evaluate_stochastic(m, a, b, lam)
-            return (
-                p.p1_plus * p.p2_plus,
-                p.p1_minus * p.p2_minus,
-                p.p1_plus * p.p2_minus,
-                p.p1_minus * p.p2_plus,
-            )
-
-        parts = run_chunk_jobs(vec4_job_from_index_fn(values_at), n, workers=workers)
-    pairs = combine_vec4(parts, n)
+    pairs = _estimate(m, value, a, b, s, n, workers, joint=True)
     return JointTable(
         p_pp=pairs[0][0], p_mm=pairs[1][0], p_pm=pairs[2][0], p_mp=pairs[3][0],
         stderr_pp=pairs[0][1], stderr_mm=pairs[1][1],
@@ -330,15 +337,11 @@ def series_correlation(
         value = a_val * (-a_val)
         return CorrelationEstimate(value=value, stderr=0.0, n=0, exact=True)
 
-    kind_code, dim, seed = s.kind_code, s.dim, s.seed
-
-    def value_at(i: int) -> float:
-        lam = _k.lambda_at(kind_code, dim, seed, i)
+    def value(lam) -> float:
         a_val = evaluate_series(pair.alpha_at(lam), a, b)
         return a_val * (-a_val)
 
-    parts = run_chunk_jobs(scalar_job_from_index_fn(value_at), n, workers=workers)
-    mean, stderr = combine_scalar(parts, n)
+    mean, stderr = _estimate(pair, value, a, b, s, n, workers)
     return CorrelationEstimate(value=mean, stderr=stderr, n=n, exact=False)
 
 
@@ -445,8 +448,6 @@ def correlation_sweep(
     if steps < 2:
         raise ValueError(f"steps must be >= 2, got {steps}")
     oracle = make_correlation_oracle(model, s, n, workers=workers)
-    from .geometry import unit_from_plane_angle
-
     rows = []
     for k in range(steps):
         theta = (k * math.pi) / (steps - 1)

@@ -9,12 +9,11 @@ the worker count.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from . import _backend as _k
-from ._mc import chunk_ranges, combine_scalar, run_chunk_jobs
+from ._mc import accumulate, chunk_ranges, combine_scalar, run_chunk_jobs
 
 __all__ = [
     "SAMPLER_KINDS",
@@ -133,19 +132,7 @@ def integrate(
 
     def job(start: int, count: int):
         lams = _k.lambda_batch(kind_code, dim, seed, start, count)
-        s = 0.0
-        s2 = 0.0
-        mn = math.inf
-        mx = -math.inf
-        for lam in lams:
-            x = float(f(lam))
-            s += x
-            s2 += x * x
-            if x < mn:
-                mn = x
-            if x > mx:
-                mx = x
-        return (s, s2, mn, mx)
+        return accumulate(float(f(lam)) for lam in lams)
 
     parts = run_chunk_jobs(job, n, workers=workers)
     mean, stderr = combine_scalar(parts, n)

@@ -10,9 +10,12 @@ Four families, mirroring the way such models are usually classified:
   side is exactly the negative of the other.
 
 Every zoo member is constructible by name through ``build_model`` and is
-immutable after construction. Models that match a compiled kernel advertise
-it via ``kernel_kind``/``kernel_params``; estimators use that fast path when
-present and fall back to calling the evaluator per draw.
+immutable after construction. Class hooks steer the estimators, which
+otherwise call the evaluator on every draw: ``kernel_kind`` names the kernel
+(sign or linear) that computes the model's per-draw product, on
+``kernel_axes`` when set and on the settings otherwise; ``draw_independent``
+marks a model whose per-draw product never changes, so one evaluation gives
+the estimate.
 """
 
 from __future__ import annotations
@@ -104,15 +107,19 @@ def _dot3(v: UnitVector3, lam: Sequence[float]) -> float:
 class DeterministicModel:
     """Base for models whose outcomes are exactly +/-1 per draw.
 
-    Subclasses implement ``outcomes``. ``kernel_kind``/``kernel_params``
-    name the compiled fast path when one exists; None means estimators call
-    ``outcomes`` per draw.
+    Subclasses implement ``outcomes``. ``kernel_kind`` names the kernel
+    that reproduces ``outcomes`` bit for bit, dotting the draw with
+    ``kernel_axes`` (the settings when None); None means estimators call
+    ``outcomes`` per draw. ``draw_independent`` promises that the outcome
+    product is the same on every draw, so one evaluation gives the estimate.
+    A subclass that changes ``outcomes`` must reset the hooks it inherits.
     """
 
     psi_label: str = "singlet"
     locality_class: LocalityClass = LocalityClass.LOCAL
     kernel_kind: Optional[int] = None
-    kernel_params: tuple[float, ...] = ()
+    kernel_axes: Optional[tuple[UnitVector3, UnitVector3]] = None
+    draw_independent: bool = False
 
     def outcomes(
         self, a: UnitVector3, b: UnitVector3, lam: Sequence[float]
@@ -123,14 +130,16 @@ class DeterministicModel:
 class StochasticModel:
     """Base for factorized stochastic models.
 
-    Subclasses implement ``probabilities``; the kernel hooks mean the same
-    thing as on DeterministicModel.
+    Subclasses implement ``probabilities``; the estimator hooks mean the
+    same thing as on DeterministicModel, for the product of the per-draw
+    outcome averages and for each joint-table entry.
     """
 
     psi_label: str = "singlet"
     locality_class: LocalityClass = LocalityClass.LOCAL
     kernel_kind: Optional[int] = None
-    kernel_params: tuple[float, ...] = ()
+    kernel_axes: Optional[tuple[UnitVector3, UnitVector3]] = None
+    draw_independent: bool = False
 
     def probabilities(
         self, a: UnitVector3, b: UnitVector3, lam: Sequence[float]
@@ -155,7 +164,7 @@ class CoinModel(StochasticModel):
     """Both parties are fair coins regardless of settings and draw."""
 
     locality_class = LocalityClass.LOCAL
-    kernel_kind = _k.KIND_COIN
+    draw_independent = True
 
     def __init__(self, psi_label: str = "singlet") -> None:
         self.psi_label = psi_label
@@ -195,11 +204,12 @@ class ConstantNonlocalModel(DeterministicModel):
 
     A = sign(u . lam), B = -sign(v . lam) for fixed internal axes u, v. The
     settings are accepted and ignored, which is exactly what makes the
-    four-correlation combination collapse to the trivial bound.
+    four-correlation combination collapse to the trivial bound. It is the
+    sign model evaluated at (u, v), so it runs on the sign kernel.
     """
 
     locality_class = LocalityClass.CONSTANT_NONLOCAL
-    kernel_kind = _k.KIND_CONSTANT
+    kernel_kind = _k.KIND_SIGN
 
     def __init__(
         self,
@@ -210,7 +220,7 @@ class ConstantNonlocalModel(DeterministicModel):
         self.u = u
         self.v = v
         self.psi_label = psi_label
-        self.kernel_params = (u.x, u.y, u.z, v.x, v.y, v.z)
+        self.kernel_axes = (u, v)
 
     def outcomes(self, a, b, lam):
         return (_sign(_dot3(self.u, lam)), -_sign(_dot3(self.v, lam)))
@@ -220,7 +230,7 @@ class FixedOutcomeModel(DeterministicModel):
     """Outcomes fixed once and for all: A = alpha, B = beta."""
 
     locality_class = LocalityClass.CONSTANT_NONLOCAL
-    kernel_kind = _k.KIND_FIXED
+    draw_independent = True
 
     def __init__(
         self, alpha: float = 1.0, beta: float = -1.0, psi_label: str = "singlet"
@@ -232,7 +242,6 @@ class FixedOutcomeModel(DeterministicModel):
         self.alpha = alpha
         self.beta = beta
         self.psi_label = psi_label
-        self.kernel_params = (alpha, beta)
 
     def outcomes(self, a, b, lam):
         return (self.alpha, self.beta)
@@ -295,7 +304,6 @@ class QuantumCorrelationModel:
     psi_label: str
     locality_class = LocalityClass.GENERAL_NONLOCAL
     kernel_kind = None
-    kernel_params: tuple[float, ...] = ()
 
     def __init__(self, psi_label: str = "singlet") -> None:
         self.psi_label = psi_label

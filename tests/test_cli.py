@@ -254,6 +254,18 @@ def test_worker_count_leaves_output_byte_identical(capsys):
     assert out1 == out4
 
 
+def test_workers_below_one_is_exit_one(capsys):
+    # rejected for every model, including those that never run a chunk
+    for model in ("local_sign", "coin", "quantum"):
+        for workers in ("0", "-3"):
+            code, out, err = run_cli(
+                capsys, "correlate", "--model", model, "--a", "0,0,1", "--b", "1,0,0",
+                "--n", "100", "--workers", workers,
+            )
+            assert code == 1 and out == ""
+            assert "--workers must be >= 1" in err
+
+
 def test_module_entry_point():
     out = subprocess.run(
         [sys.executable, "-m", "eprb", "models"], capture_output=True, text=True

@@ -6,8 +6,10 @@ from hypothesis import strategies as st
 
 from eprb import (
     CoinModel,
+    ConstantNonlocalModel,
     ContractViolationError,
     DeterministicEmbedding,
+    FixedOutcomeModel,
     INFINITY,
     LinearStochasticModel,
     LocalSignModel,
@@ -45,6 +47,22 @@ class NoKernelSign(LocalSignModel):
     kernel_kind = None
 
 
+class NoKernelConstant(ConstantNonlocalModel):
+    kernel_kind = None
+
+
+class NoKernelLinear(LinearStochasticModel):
+    kernel_kind = None
+
+
+class PerDrawCoin(CoinModel):
+    draw_independent = False
+
+
+class PerDrawFixed(FixedOutcomeModel):
+    draw_independent = False
+
+
 def test_estimate_correlation_type_check():
     with pytest.raises(ValueError, match="deterministic"):
         estimate_correlation(CoinModel(), Z_AXIS, X_AXIS, sphere_sampler(), 100)
@@ -77,6 +95,46 @@ def test_kernel_and_python_paths_agree_bitwise():
     slow = estimate_correlation(NoKernelSign(), a, b, s, 8192)
     assert fast.value == slow.value
     assert fast.stderr == slow.stderr
+
+    # the constant model is the sign kernel on its own axes (u, v): equal to
+    # its per-draw path and to the sign model measured at (u, v), on sphere
+    # and cube streams, over whole and partial chunks
+    u, v = UnitVector3(0.36, 0.48, 0.8), unit_from_plane_angle(2.2)
+    for stream in (sphere_sampler(seed=4), cube_sampler(dim=3, seed=9)):
+        for n in (2, 4097):
+            fast = estimate_correlation(ConstantNonlocalModel(u, v), a, b, stream, n)
+            slow = estimate_correlation(NoKernelConstant(u, v), a, b, stream, n)
+            sign = estimate_correlation(LocalSignModel(), u, v, stream, n)
+            assert (fast.value, fast.stderr) == (slow.value, slow.stderr)
+            assert (fast.value, fast.stderr) == (sign.value, sign.stderr)
+
+    # the linear kernel, for the product and for the joint table
+    fast = estimate_stochastic_correlation(LinearStochasticModel(), a, b, s, 4097)
+    slow = estimate_stochastic_correlation(NoKernelLinear(), a, b, s, 4097)
+    assert (fast.value, fast.stderr) == (slow.value, slow.stderr)
+    fast = estimate_joint(LinearStochasticModel(), a, b, s, 4097)
+    slow = estimate_joint(NoKernelLinear(), a, b, s, 4097)
+    assert fast == slow
+
+    # draw-independent models are evaluated once; walking every draw would
+    # sum an exactly representable value n times and give the same bits
+    for estimator, model, per_draw, value in (
+        (estimate_stochastic_correlation, CoinModel(), PerDrawCoin(), 0.0),
+        (estimate_correlation, FixedOutcomeModel(1.0, -1.0), PerDrawFixed(1.0, -1.0), -1.0),
+        (estimate_correlation, FixedOutcomeModel(-1.0, -1.0), PerDrawFixed(-1.0, -1.0), 1.0),
+    ):
+        for n in (2, 3, 4097, 100000):
+            est = estimator(model, a, b, s, n)
+            assert est.to_json() == {"value": value, "stderr": 0.0, "n": n, "exact": False}
+        walked = estimator(per_draw, a, b, s, 4097)
+        assert walked == estimator(model, a, b, s, 4097)
+    for n in (2, 3, 4097, 100000):
+        table = estimate_joint(CoinModel(), a, b, s, n).to_json()
+        for key in ("p_pp", "p_mm", "p_pm", "p_mp"):
+            assert table[key] == {"value": 0.25, "stderr": 0.0}
+        assert table["n"] == n
+    walked = estimate_joint(PerDrawCoin(), a, b, s, 4097)
+    assert walked == estimate_joint(CoinModel(), a, b, s, 4097)
 
 
 def test_worker_count_is_invisible():

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eprb import _mc
+from eprb._mc import pool_size, run_chunk_jobs
 from eprb.hidden_variables import (
     LambdaSampler,
     MonteCarloEstimate,
@@ -113,6 +115,25 @@ def test_integrate_worker_count_is_invisible():
     four = integrate(lambda lam: lam[2] * lam[2], s, n=20000, workers=4)
     assert one.mean == four.mean
     assert one.stderr == four.stderr
+
+
+def test_run_chunk_jobs_rejects_workers_below_one():
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        run_chunk_jobs(lambda start, count: count, 10, workers=0)
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        integrate(lambda lam: 1.0, sphere_sampler(), n=10, workers=-1)
+
+
+def test_pool_size_is_clamped_to_cpus_and_chunks(monkeypatch):
+    # the clamp is checked on the computed size; no thread is started
+    monkeypatch.setattr(_mc.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    assert pool_size(1, 100) == 1
+    assert pool_size(2, 100) == 2
+    assert pool_size(10**9, 100) == 3
+    assert pool_size(10**9, 2) == 2
+    assert pool_size(8, 1) == 1
+    with pytest.raises(ValueError):
+        pool_size(0, 100)
 
 
 def test_sphere_component_mean_is_zero():

@@ -148,7 +148,9 @@ def test_constant_model_defaults_and_params():
     m = ConstantNonlocalModel()
     assert m.u.as_tuple() == (1.0, 0.0, 0.0)
     assert m.v.as_tuple() == (0.0, 1.0, 0.0)
-    assert m.kernel_params == (1.0, 0.0, 0.0, 0.0, 1.0, 0.0)
+    # the sign kernel runs on the model's own axes, not on the settings
+    assert m.kernel_kind == LocalSignModel.kernel_kind
+    assert m.kernel_axes == (m.u, m.v)
 
 
 def test_fixed_model_validation_and_outcomes():
