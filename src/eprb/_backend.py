@@ -1,8 +1,10 @@
 """Kernel backend selection.
 
 Prefers the compiled extension (``eprb._kernels``) and falls back to the
-pure-Python twin when it is not built. Both produce bit-identical results;
-the compiled one is just fast. Override with EPRB_BACKEND=compiled|python.
+Python twin (``eprb._pykernels``: numpy chunk kernels, plain-Python
+per-draw functions) when it is not built. Both produce bit-identical
+results; the compiled one is faster. Override with
+EPRB_BACKEND=compiled|python.
 """
 
 from __future__ import annotations
@@ -32,6 +34,10 @@ else:
     raise RuntimeError(
         f"EPRB_BACKEND must be auto, compiled, or python; got {_requested!r}"
     )
+
+# Only the compiled kernels release the GIL for a whole chunk, so only their
+# chunk jobs are worth spreading over threads.
+THREADED_KERNELS = BACKEND_NAME == "compiled"
 
 MASK64 = _impl.MASK64
 

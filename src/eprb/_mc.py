@@ -3,8 +3,11 @@
 Sums are accumulated serially inside fixed-size chunks and the per-chunk
 partial sums are folded in chunk order by a single combiner. Workers only
 ever compute whole chunks, so the float operation sequence, and therefore
-every bit of the result, is independent of how many threads ran. The
-compiled kernels release the GIL, which is what makes threads worthwhile.
+every bit of the result, is independent of how many threads ran. Only the
+compiled kernels release the GIL for a whole chunk, so only their chunk jobs
+are spread over threads; every other job (the numpy kernels, per-draw
+Python code, a Python integrand) runs in chunk order on the calling thread,
+where extra threads would add start-up cost and memory but no speed.
 """
 
 from __future__ import annotations
@@ -15,14 +18,38 @@ from concurrent.futures import ThreadPoolExecutor
 
 CHUNK_SIZE = 4096
 
+# Largest draw count an estimate accepts: the compiled kernels index draws
+# with int64, and it keeps the numpy kernels' uint64 index arithmetic exact.
+MAX_N = 2**63 - 1
 
-def chunk_ranges(n):
-    """Contiguous (start, count) chunks covering range(n)."""
-    return [(s, min(CHUNK_SIZE, n - s)) for s in range(0, n, CHUNK_SIZE)]
+
+def require_n(n):
+    """``n`` as an int, checked to be a draw count an estimate can use."""
+    n = int(n)
+    if n < 2:
+        raise ValueError(f"n must be >= 2 to estimate a standard error, got {n}")
+    if n > MAX_N:
+        raise ValueError(f"n must be <= 2**63 - 1, got {n}")
+    return n
 
 
-def _run_group(job, group):
-    return [job(start, count) for start, count in group]
+def chunk_count(n):
+    """Number of chunks covering range(n)."""
+    return max(0, -(-int(n) // CHUNK_SIZE))
+
+
+def chunk_ranges(n, first=0, last=None):
+    """(start, count) of chunks ``first`` .. ``last - 1`` of range(n),
+    generated lazily; all of them by default."""
+    if last is None:
+        last = chunk_count(n)
+    for c in range(first, last):
+        start = c * CHUNK_SIZE
+        yield start, min(CHUNK_SIZE, n - start)
+
+
+def _run_group(job, n, first, last):
+    return [job(start, count) for start, count in chunk_ranges(n, first, last)]
 
 
 def pool_size(workers, nchunks):
@@ -40,25 +67,27 @@ def pool_size(workers, nchunks):
     return max(1, min(workers, cpus, nchunks))
 
 
-def run_chunk_jobs(job, n, workers=1):
+def run_chunk_jobs(job, n, workers=1, threaded=False):
     """Run ``job(start, count)`` over every chunk, in chunk order.
 
     Results come back as a list ordered by chunk index regardless of
-    ``workers``. Exceptions surface in chunk order too: the serial path
-    stops at the first failing chunk, and the threaded path raises the
+    ``workers``. Only a ``threaded`` job, one that releases the GIL, runs
+    on a thread pool (see ``pool_size``); any other job runs on the calling
+    thread. Exceptions surface in chunk order too: the serial path stops at
+    the first failing chunk, and the threaded path raises the
     earliest-submitted group's error first. ``workers`` below 1 is a
-    ValueError; above the pool size (see ``pool_size``) it is clamped.
+    ValueError whether or not threads would start.
     """
-    ranges = chunk_ranges(n)
-    nworkers = pool_size(workers, len(ranges))
-    if nworkers == 1:
-        return _run_group(job, ranges)
+    nchunks = chunk_count(n)
+    nworkers = pool_size(workers, nchunks)
+    if nworkers == 1 or not threaded:
+        return _run_group(job, n, 0, nchunks)
     # Contiguous groups keep error ordering aligned with chunk order.
-    per = -(-len(ranges) // nworkers)
-    groups = [ranges[k:k + per] for k in range(0, len(ranges), per)]
+    per = -(-nchunks // nworkers)
+    firsts = range(0, nchunks, per)
     parts = []
-    with ThreadPoolExecutor(max_workers=len(groups)) as pool:
-        futures = [pool.submit(_run_group, job, g) for g in groups]
+    with ThreadPoolExecutor(max_workers=len(firsts)) as pool:
+        futures = [pool.submit(_run_group, job, n, k, min(k + per, nchunks)) for k in firsts]
         for fut in futures:
             parts.extend(fut.result())
     return parts

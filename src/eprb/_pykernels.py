@@ -1,11 +1,18 @@
-"""Pure-Python compute kernels.
+"""Python-backend compute kernels: scalar per-draw functions and numpy
+chunk reductions.
 
-Reference implementation of the compiled extension in ``_kernels.pyx``.
-Both backends perform the same floating-point operations in the same order
-and call the same libm routines, so their results agree bit for bit; the
-cross-checks live in ``tests/test_backends.py``. This module is the slow
-path, kept for installs without a C toolchain and as the readable statement
-of the arithmetic contract.
+The twin of the compiled extension in ``_kernels.pyx``, for installs
+without a C toolchain. Both backends perform the same floating-point
+operations in the same order and call the same libm routines, so their
+results agree bit for bit. ``mix64``, ``stream_word``, ``uniform01``,
+``lambda_at`` and ``series_value`` work on one draw in plain Python floats,
+for the per-draw fallback in ``eprb.correlation``. ``lambda_batch``,
+``reduce_product`` and ``reduce_joint`` compute a whole index range (one
+chunk of at most 4096 draws) as uint64/float64 arrays: uint64 products wrap
+mod 2**64 exactly like the masked integer arithmetic, each array operation
+rounds like its scalar counterpart, and sums run left to right. The
+readable per-draw loops they reproduce, and the tests that hold them to
+it, are in ``tests/oracles_ref.py`` and ``tests/test_backends.py``.
 
 There are two model kernels: KIND_SIGN, the product sign(a . lam) times
 -sign(b . lam), and KIND_LINEAR, the linear stochastic model with its
@@ -23,6 +30,10 @@ from __future__ import annotations
 
 from math import cos, inf, sin, sqrt
 
+import numpy as np
+
+from ._mc import CHUNK_SIZE
+
 MASK64 = (1 << 64) - 1
 
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -30,6 +41,14 @@ _MIX_M1 = 0xBF58476D1CE4E5B9
 _MIX_M2 = 0x94D049BB133111EB
 _INV_2_53 = 1.0 / 9007199254740992.0  # 2**-53, exact
 _TWO_PI = 6.283185307179586
+
+# uint64 scalar forms of the mixing constants and shift counts: a uint64
+# array combined with one stays uint64 on numpy 1.x too, where a Python int
+# operand would promote it to float64.
+_GOLDEN_U64 = np.uint64(_GOLDEN)
+_MIX_M1_U64 = np.uint64(_MIX_M1)
+_MIX_M2_U64 = np.uint64(_MIX_M2)
+_SHIFT_U64 = {k: np.uint64(k) for k in (11, 27, 30, 31)}
 
 SAMPLER_SPHERE = 0
 SAMPLER_CUBE = 1
@@ -93,85 +112,124 @@ def lambda_at(sampler_kind, dim, seed, index):
 
 
 def lambda_batch(sampler_kind, dim, seed, start, count):
-    return [lambda_at(sampler_kind, dim, seed, start + k) for k in range(count)]
+    """Draws ``start .. start + count - 1`` as a list of tuples of floats,
+    computed one chunk of arrays at a time."""
+    out = []
+    for lo in range(start, start + count, CHUNK_SIZE):
+        cols = _lambda_columns(sampler_kind, seed, lo, min(CHUNK_SIZE, start + count - lo), dim)
+        out.extend(zip(*(c.tolist() for c in cols)))
+    return out
 
 
-def _sign(d):
-    # Tie convention: sign(0) = +1.
-    return 1.0 if d >= 0.0 else -1.0
+def _mix64_array(x):
+    """mix64 of every entry of a uint64 array, in place."""
+    x ^= x >> _SHIFT_U64[30]
+    x *= _MIX_M1_U64
+    x ^= x >> _SHIFT_U64[27]
+    x *= _MIX_M2_U64
+    x ^= x >> _SHIFT_U64[31]
+    return x
+
+
+def _uniform_columns(seed, start, count, ncomp):
+    """uniform01(seed, i, j) for i in start .. start + count - 1, as one
+    float64 array per component j < ncomp."""
+    base = mix64((seed + _GOLDEN) & MASK64)
+    with np.errstate(over="ignore"):
+        h = np.arange(count, dtype=np.uint64)
+        h += np.uint64((start + 1) & MASK64)
+        h *= _GOLDEN_U64
+        h += np.uint64(base)
+        _mix64_array(h)
+        cols = []
+        for j in range(ncomp):
+            w = h + np.uint64(((j + 1) * _GOLDEN) & MASK64)
+            _mix64_array(w)
+            w >>= _SHIFT_U64[11]
+            cols.append(w.astype(np.float64) * _INV_2_53)
+    return cols
+
+
+def _lambda_columns(sampler_kind, seed, start, count, ncomp):
+    """Components 0 .. ncomp - 1 of draws start .. start + count - 1, one
+    float64 array per component; the same bits as lambda_at."""
+    if sampler_kind == SAMPLER_SPHERE:
+        u0, u1 = _uniform_columns(seed, start, count, 2)
+        z = 2.0 * u0 - 1.0
+        phi = _TWO_PI * u1
+        s = np.sqrt(1.0 - z * z)
+        return [s * np.cos(phi), s * np.sin(phi), z][:ncomp]
+    if sampler_kind == SAMPLER_CUBE:
+        return _uniform_columns(seed, start, count, ncomp)
+    raise ValueError(f"unknown sampler kind code {sampler_kind}")
+
+
+def _accumulate(x):
+    """(sum, sum_sq, min, max) of ``x`` with the per-draw loop's bits.
+
+    cumsum adds left to right like the loop (np.sum would add pairwise);
+    the leading 0.0 + is the loop's starting value, which turns an all
+    -0.0 sum into +0.0. argmin/argmax pick the first extreme like the
+    loop's strict comparisons.
+    """
+    if x.size == 0:
+        return 0.0, 0.0, inf, -inf
+    return (
+        0.0 + float(np.cumsum(x)[-1]),
+        0.0 + float(np.cumsum(x * x)[-1]),
+        float(x[x.argmin()]),
+        float(x[x.argmax()]),
+    )
+
+
+def _settings_dots(ax, ay, az, bx, by, bz, sampler_kind, dim, seed, start, count):
+    """a . lam and b . lam for every draw of the range."""
+    if sampler_kind != SAMPLER_SPHERE and dim < 3:
+        raise ValueError("model dots a 3-vector against the draw; sampler dimension must be >= 3")
+    l0, l1, l2 = _lambda_columns(sampler_kind, seed, start, count, 3)
+    return ax * l0 + ay * l1 + az * l2, bx * l0 + by * l1 + bz * l2
+
+
+def _linear_probabilities(d1, d2, start):
+    """The linear model's outcome probabilities (p1_plus, p1_minus,
+    p2_plus, p2_minus) per draw, cut before the first draw with one outside
+    [0, 1] beyond PROB_SLACK, and the (status, bad_index, bad_value) tail
+    of a kernel result; the first offending probability in that order is
+    the reported value.
+    """
+    probs = (0.5 * (1.0 + d1), 0.5 * (1.0 - d1), 0.5 * (1.0 - d2), 0.5 * (1.0 + d2))
+    # NaN fails both comparisons, as in the per-draw chained test.
+    oks = [(p >= -PROB_SLACK) & (p <= 1.0 + PROB_SLACK) for p in probs]
+    bad = ~(oks[0] & oks[1] & oks[2] & oks[3])
+    if not bad.any():
+        return probs, (STATUS_OK, -1, 0.0)
+    k = int(bad.argmax())
+    value = next(float(p[k]) for p, ok in zip(probs, oks) if not ok[k])
+    return tuple(p[:k] for p in probs), (STATUS_BAD_PROBABILITY, start + k, value)
 
 
 def reduce_product(kind, params, ax, ay, az, bx, by, bz,
                    sampler_kind, dim, seed, start, count):
-    """Serial reduction of per-sample outcome products over one index range.
+    """Reduction of per-sample outcome products over one index range.
 
     Returns ``(sum, sum_sq, min, max, status, bad_index, bad_value)``.
     ``status`` is nonzero when a stochastic model produced a probability
     outside [0, 1] beyond PROB_SLACK; the offending sample index and value
-    are reported and the reduction stops there. ``params`` is unused by
-    both kinds; callers pass ``()``.
+    are reported and the sums cover the draws before it. ``params`` is
+    unused by both kinds; callers pass ``()``.
     """
     if dim < 1 or dim > MAX_DIM:
         raise ValueError(f"sampler dimension {dim} outside 1..{MAX_DIM}")
     if kind != KIND_SIGN and kind != KIND_LINEAR:
         raise ValueError(f"unknown model kind code {kind}")
-    if sampler_kind != SAMPLER_SPHERE and dim < 3:
-        raise ValueError("model dots a 3-vector against the draw; sampler dimension must be >= 3")
-    s = 0.0
-    s2 = 0.0
-    mn = inf
-    mx = -inf
-    status = STATUS_OK
-    bad_index = -1
-    bad_value = 0.0
-    lo = -PROB_SLACK
-    hi = 1.0 + PROB_SLACK
-
+    d1, d2 = _settings_dots(ax, ay, az, bx, by, bz, sampler_kind, dim, seed, start, count)
     if kind == KIND_SIGN:
-        for i in range(start, start + count):
-            lam = lambda_at(sampler_kind, dim, seed, i)
-            d1 = ax * lam[0] + ay * lam[1] + az * lam[2]
-            d2 = bx * lam[0] + by * lam[1] + bz * lam[2]
-            x = _sign(d1) * (-_sign(d2))
-            s += x
-            s2 += x * x
-            if x < mn:
-                mn = x
-            if x > mx:
-                mx = x
-    else:
-        for i in range(start, start + count):
-            lam = lambda_at(sampler_kind, dim, seed, i)
-            d1 = ax * lam[0] + ay * lam[1] + az * lam[2]
-            d2 = bx * lam[0] + by * lam[1] + bz * lam[2]
-            p1_plus = 0.5 * (1.0 + d1)
-            p1_minus = 0.5 * (1.0 - d1)
-            p2_plus = 0.5 * (1.0 - d2)
-            p2_minus = 0.5 * (1.0 + d2)
-            if not (lo <= p1_plus <= hi and lo <= p1_minus <= hi
-                    and lo <= p2_plus <= hi and lo <= p2_minus <= hi):
-                status = STATUS_BAD_PROBABILITY
-                bad_index = i
-                if not lo <= p1_plus <= hi:
-                    bad_value = p1_plus
-                elif not lo <= p1_minus <= hi:
-                    bad_value = p1_minus
-                elif not lo <= p2_plus <= hi:
-                    bad_value = p2_plus
-                else:
-                    bad_value = p2_minus
-                break
-            mean_a = p1_plus - p1_minus
-            mean_b = p2_plus - p2_minus
-            x = mean_a * mean_b
-            s += x
-            s2 += x * x
-            if x < mn:
-                mn = x
-            if x > mx:
-                mx = x
-
-    return (s, s2, mn, mx, status, bad_index, bad_value)
+        # sign(d1) * -sign(d2), with sign(0) = +1
+        x = np.where(d1 >= 0.0, 1.0, -1.0) * np.where(d2 >= 0.0, -1.0, 1.0)
+        return _accumulate(x) + (STATUS_OK, -1, 0.0)
+    (p1_plus, p1_minus, p2_plus, p2_minus), status = _linear_probabilities(d1, d2, start)
+    x = (p1_plus - p1_minus) * (p2_plus - p2_minus)
+    return _accumulate(x) + status
 
 
 def reduce_joint(kind, params, ax, ay, az, bx, by, bz,
@@ -186,73 +244,11 @@ def reduce_joint(kind, params, ax, ay, az, bx, by, bz,
         raise ValueError(f"sampler dimension {dim} outside 1..{MAX_DIM}")
     if kind != KIND_LINEAR:
         raise ValueError(f"model kind code {kind} has no joint-table fast path")
-    if sampler_kind != SAMPLER_SPHERE and dim < 3:
-        raise ValueError("model dots a 3-vector against the draw; sampler dimension must be >= 3")
-    s = [0.0, 0.0, 0.0, 0.0]
-    s2 = [0.0, 0.0, 0.0, 0.0]
-    mn = [inf, inf, inf, inf]
-    mx = [-inf, -inf, -inf, -inf]
-    status = STATUS_OK
-    bad_index = -1
-    bad_value = 0.0
-    lo = -PROB_SLACK
-    hi = 1.0 + PROB_SLACK
-
-    for i in range(start, start + count):
-        lam = lambda_at(sampler_kind, dim, seed, i)
-        d1 = ax * lam[0] + ay * lam[1] + az * lam[2]
-        d2 = bx * lam[0] + by * lam[1] + bz * lam[2]
-        p1_plus = 0.5 * (1.0 + d1)
-        p1_minus = 0.5 * (1.0 - d1)
-        p2_plus = 0.5 * (1.0 - d2)
-        p2_minus = 0.5 * (1.0 + d2)
-        if not (lo <= p1_plus <= hi and lo <= p1_minus <= hi
-                and lo <= p2_plus <= hi and lo <= p2_minus <= hi):
-            status = STATUS_BAD_PROBABILITY
-            bad_index = i
-            if not lo <= p1_plus <= hi:
-                bad_value = p1_plus
-            elif not lo <= p1_minus <= hi:
-                bad_value = p1_minus
-            elif not lo <= p2_plus <= hi:
-                bad_value = p2_plus
-            else:
-                bad_value = p2_minus
-            break
-        x0 = p1_plus * p2_plus
-        x1 = p1_minus * p2_minus
-        x2 = p1_plus * p2_minus
-        x3 = p1_minus * p2_plus
-        _acc4(s, s2, mn, mx, x0, x1, x2, x3)
-
-    return (tuple(s), tuple(s2), tuple(mn), tuple(mx), status, bad_index, bad_value)
-
-
-def _acc4(s, s2, mn, mx, x0, x1, x2, x3):
-    s[0] += x0
-    s2[0] += x0 * x0
-    if x0 < mn[0]:
-        mn[0] = x0
-    if x0 > mx[0]:
-        mx[0] = x0
-    s[1] += x1
-    s2[1] += x1 * x1
-    if x1 < mn[1]:
-        mn[1] = x1
-    if x1 > mx[1]:
-        mx[1] = x1
-    s[2] += x2
-    s2[2] += x2 * x2
-    if x2 < mn[2]:
-        mn[2] = x2
-    if x2 > mx[2]:
-        mx[2] = x2
-    s[3] += x3
-    s2[3] += x3 * x3
-    if x3 < mn[3]:
-        mn[3] = x3
-    if x3 > mx[3]:
-        mx[3] = x3
+    d1, d2 = _settings_dots(ax, ay, az, bx, by, bz, sampler_kind, dim, seed, start, count)
+    (p1_plus, p1_minus, p2_plus, p2_minus), status = _linear_probabilities(d1, d2, start)
+    accs = [_accumulate(x) for x in (p1_plus * p2_plus, p1_minus * p2_minus,
+                                     p1_plus * p2_minus, p1_minus * p2_plus)]
+    return tuple(zip(*accs)) + status
 
 
 def series_value(coeffs, degree, c0, ax, ay, az, bx, by, bz):

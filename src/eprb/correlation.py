@@ -16,7 +16,14 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import _backend as _k
-from ._mc import accumulate, accumulate4, combine_scalar, combine_vec4, run_chunk_jobs
+from ._mc import (
+    accumulate,
+    accumulate4,
+    combine_scalar,
+    combine_vec4,
+    require_n,
+    run_chunk_jobs,
+)
 from .errors import ContractViolationError
 from .geometry import RiemannPoint, UnitVector3, Z_AXIS, unit_from_plane_angle
 from .hidden_variables import LambdaSampler
@@ -103,13 +110,6 @@ class JointTable:
         }
 
 
-def _require_n(n: int) -> int:
-    n = int(n)
-    if n < 2:
-        raise ValueError(f"n must be >= 2 to estimate a standard error, got {n}")
-    return n
-
-
 def _raise_bad_probability(bad_index: int, bad_value: float) -> None:
     raise ContractViolationError(
         f"stochastic model produced probability {bad_value!r} outside [0, 1] "
@@ -124,7 +124,7 @@ def _kernel_parts(reduce_fn, kind, u, v, s, n, workers):
             s.kind_code, s.dim, s.seed, start, count,
         )
 
-    parts = run_chunk_jobs(job, n, workers=workers)
+    parts = run_chunk_jobs(job, n, workers=workers, threaded=_k.THREADED_KERNELS)
     # Chunks stop at their first bad draw; scanning in chunk order makes
     # the reported draw the globally first violation, worker count aside.
     for part in parts:
@@ -185,7 +185,7 @@ def estimate_correlation(
         raise ValueError(
             f"estimate_correlation needs a deterministic model, got {type(m).__name__}"
         )
-    n = _require_n(n)
+    n = require_n(n)
 
     def value(lam) -> float:
         alpha, beta = evaluate_deterministic(m, a, b, lam)
@@ -209,7 +209,7 @@ def estimate_stochastic_correlation(
             f"estimate_stochastic_correlation needs a stochastic model, "
             f"got {type(m).__name__}"
         )
-    n = _require_n(n)
+    n = require_n(n)
 
     def value(lam) -> float:
         mean_a, mean_b = mean_outcomes(m, a, b, lam)
@@ -237,7 +237,7 @@ def estimate_joint(
         raise ValueError(
             f"estimate_joint needs a stochastic model, got {type(m).__name__}"
         )
-    n = _require_n(n)
+    n = require_n(n)
 
     def value(lam):
         p = evaluate_stochastic(m, a, b, lam)
@@ -329,7 +329,7 @@ def series_correlation(
             f"series_correlation needs an anticorrelated series pair, "
             f"got {type(pair).__name__}"
         )
-    n = _require_n(n)
+    n = require_n(n)
     if pair.lambda_independent:
         a_val = evaluate_series(pair.alpha, a, b)
         # Negating every coefficient negates the accumulated sum exactly,

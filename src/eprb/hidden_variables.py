@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from . import _backend as _k
-from ._mc import accumulate, chunk_ranges, combine_scalar, run_chunk_jobs
+from ._mc import accumulate, combine_scalar, require_n, run_chunk_jobs
+from ._mc import chunk_count  # noqa: F401  (public here: chunks of an n-draw estimate)
 
 __all__ = [
     "SAMPLER_KINDS",
@@ -123,9 +124,7 @@ def integrate(
     returning a float. The reduction is chunked so the result is bitwise
     independent of ``workers``.
     """
-    n = int(n)
-    if n < 2:
-        raise ValueError(f"n must be >= 2 to estimate a standard error, got {n}")
+    n = require_n(n)
     kind_code = sampler.kind_code
     dim = sampler.dim
     seed = sampler.seed
@@ -147,8 +146,3 @@ def sphere_sampler(seed: int = 0) -> LambdaSampler:
 def cube_sampler(dim: int, seed: int = 0) -> LambdaSampler:
     """Shorthand for a [0, 1]^dim stream."""
     return LambdaSampler(kind="uniform_cube", dim=dim, seed=seed)
-
-
-def chunk_count(n: int) -> int:
-    """Number of reduction chunks used for an n-draw estimate."""
-    return len(chunk_ranges(int(n)))

@@ -389,7 +389,7 @@ class RealAnalyticCoefficients:
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "constant_term", c0)
         # Kernel calls take the tensor flattened in (i, j, r, s) order.
-        object.__setattr__(self, "_flat", tuple(float(x) for x in table.ravel()))
+        object.__setattr__(self, "_flat", tuple(table.ravel().tolist()))
 
     def negated(self) -> "RealAnalyticCoefficients":
         return RealAnalyticCoefficients(

@@ -1,14 +1,18 @@
 """Reference values computed by deliberately different means than the package.
 
 Quadrature instead of Monte Carlo, a from-scratch word mixer instead of the
-kernel one, brute-force polynomial loops instead of the flattened evaluator,
-a dense numpy scan instead of the pattern search. test_oracles.py pins each
-of these against closed forms before any other module trusts them.
+kernel one, per-draw scalar loops instead of the chunk-array kernels,
+brute-force polynomial loops instead of the flattened evaluator, a dense
+numpy scan instead of the pattern search. test_oracles.py pins each of these
+against closed forms before any other module trusts them; test_backends.py
+holds the kernels to the per-draw loops bit for bit.
 """
 
 import math
 
 import numpy as np
+
+from eprb._pykernels import KIND_SIGN, PROB_SLACK, SAMPLER_SPHERE
 
 MASK = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -42,6 +46,74 @@ def ref_sphere_point(seed: int, i: int) -> tuple:
 
 def ref_cube_point(seed: int, i: int, dim: int) -> tuple:
     return tuple(ref_uniform01(seed, i, j) for j in range(dim))
+
+
+def ref_draw3(sampler_kind: int, seed: int, i: int) -> tuple:
+    """Components 0..2 of draw i, the only ones the model kernels read."""
+    if sampler_kind == SAMPLER_SPHERE:
+        return ref_sphere_point(seed, i)
+    return ref_cube_point(seed, i, 3)
+
+
+def _ref_accumulate(acc: list, x: float) -> None:
+    # acc = [sum, sum_sq, min, max], updated in draw order
+    acc[0] += x
+    acc[1] += x * x
+    if x < acc[2]:
+        acc[2] = x
+    if x > acc[3]:
+        acc[3] = x
+
+
+def _ref_linear_probabilities(lam, a, b):
+    """(p1_plus, p1_minus, p2_plus, p2_minus) of the linear model, and the
+    first of them outside [0, 1] beyond PROB_SLACK, or None."""
+    d1 = a[0] * lam[0] + a[1] * lam[1] + a[2] * lam[2]
+    d2 = b[0] * lam[0] + b[1] * lam[1] + b[2] * lam[2]
+    probs = (0.5 * (1.0 + d1), 0.5 * (1.0 - d1), 0.5 * (1.0 - d2), 0.5 * (1.0 + d2))
+    lo, hi = -PROB_SLACK, 1.0 + PROB_SLACK
+    bad = next((p for p in probs if not lo <= p <= hi), None)
+    return probs, bad
+
+
+def ref_reduce_product(kind, params, ax, ay, az, bx, by, bz,
+                       sampler_kind, dim, seed, start, count):
+    """The reduce_product kernel written as a loop over draws: same
+    arguments, same result tuple (argument checks left out)."""
+    a, b = (ax, ay, az), (bx, by, bz)
+    acc = [0.0, 0.0, math.inf, -math.inf]
+    for i in range(start, start + count):
+        lam = ref_draw3(sampler_kind, seed, i)
+        if kind == KIND_SIGN:
+            d1 = ax * lam[0] + ay * lam[1] + az * lam[2]
+            d2 = bx * lam[0] + by * lam[1] + bz * lam[2]
+            # sign(0) = +1
+            x = (1.0 if d1 >= 0.0 else -1.0) * -(1.0 if d2 >= 0.0 else -1.0)
+        else:
+            (p1p, p1m, p2p, p2m), bad = _ref_linear_probabilities(lam, a, b)
+            if bad is not None:
+                return tuple(acc) + (1, i, bad)
+            x = (p1p - p1m) * (p2p - p2m)
+        _ref_accumulate(acc, x)
+    return tuple(acc) + (0, -1, 0.0)
+
+
+def ref_reduce_joint(kind, params, ax, ay, az, bx, by, bz,
+                     sampler_kind, dim, seed, start, count):
+    """The reduce_joint kernel (linear model, entries ++, --, +-, -+)
+    written as a loop over draws."""
+    a, b = (ax, ay, az), (bx, by, bz)
+    accs = [[0.0, 0.0, math.inf, -math.inf] for _ in range(4)]
+    status = (0, -1, 0.0)
+    for i in range(start, start + count):
+        (p1p, p1m, p2p, p2m), bad = _ref_linear_probabilities(
+            ref_draw3(sampler_kind, seed, i), a, b)
+        if bad is not None:
+            status = (1, i, bad)
+            break
+        for acc, x in zip(accs, (p1p * p2p, p1m * p2m, p1p * p2m, p1m * p2p)):
+            _ref_accumulate(acc, x)
+    return tuple(zip(*accs)) + status
 
 
 def sphere_second_moment(r: int, s: int, nodes: int = 64, n_phi: int = 256) -> float:

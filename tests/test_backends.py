@@ -1,13 +1,106 @@
-"""The compiled extension and the pure-Python kernels must agree bit for bit."""
+"""The kernels must agree bit for bit: the Python backend's numpy chunk
+kernels with the per-draw reference loops in oracles_ref, and the compiled
+extension with the Python backend."""
 
+import itertools
+import math
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from eprb import _backend as bk
 from eprb import _pykernels as py
+from oracles_ref import ref_reduce_joint, ref_reduce_product
+
+SETTINGS = [
+    ((0.6, 0.0, 0.8), (0.0, 0.8, -0.6)),
+    ((0.36, 0.48, 0.8), (0.0, 0.0, 1.0)),
+    ((0.0, 0.0, 0.0), (-0.0, 0.0, 0.0)),  # every dot product 0: the sign(0) = +1 tie
+]
+SAMPLERS = [(py.SAMPLER_SPHERE, 3), (py.SAMPLER_CUBE, 3), (py.SAMPLER_CUBE, 64)]
+COUNTS = (1, 17, 4096)
+STARTS = (0, 2**32 - 7, 2**63 - 5000)
+SEEDS = (0, 2**63, 2**64 - 1)
+
+
+def _kernel_cases():
+    for (a, b), (sampler, dim), count, start, seed in itertools.product(
+        SETTINGS, SAMPLERS, COUNTS, STARTS, SEEDS
+    ):
+        yield (*a, *b, sampler, dim, seed, start, count)
+
+
+def test_numpy_reduce_product_matches_per_draw_reference():
+    for kind in (py.KIND_SIGN, py.KIND_LINEAR):
+        for case in _kernel_cases():
+            args = (kind, ()) + case
+            assert py.reduce_product(*args) == ref_reduce_product(*args), args
+
+
+def test_numpy_reduce_joint_matches_per_draw_reference():
+    for case in _kernel_cases():
+        args = (py.KIND_LINEAR, ()) + case
+        assert py.reduce_joint(*args) == ref_reduce_joint(*args), args
+
+
+def test_numpy_sums_start_from_positive_zero_like_the_loop():
+    # 0.0 + (-0.0) is +0.0: an all -0.0 chunk sums to +0.0, as in the loop
+    s, s2, mn, mx = py._accumulate(np.array([-0.0, -0.0]))
+    assert math.copysign(1.0, s) == 1.0 and math.copysign(1.0, s2) == 1.0
+    assert math.copysign(1.0, mn) == -1.0 and math.copysign(1.0, mx) == -1.0
+
+
+def test_numpy_kernels_report_the_first_bad_probability_like_the_reference():
+    # a linear model on a cube stream leaves [0, 1] a few draws into the
+    # range; one case per probability side: a above 1, a below 0, b below 0,
+    # b above 1. Same status, draw, value and partial sums as the loop.
+    cases = [
+        ((0.577, 0.577, 0.577), (0.0, 0.0, 1.0), True),
+        ((-0.6, -0.6, -0.6), (0.0, 0.0, 1.0), False),
+        ((0.0, 0.6, 0.0), (0.6, 0.6, 0.6), False),
+        ((0.0, 0.6, 0.0), (-0.6, -0.6, -0.6), True),
+    ]
+    for a, b, above_one in cases:
+        for seed in (0, 3, 2**64 - 1):
+            args = (py.KIND_LINEAR, (), *a, *b, py.SAMPLER_CUBE, 3, seed, 100, 4096)
+            got = py.reduce_product(*args)
+            assert got == ref_reduce_product(*args), args
+            assert py.reduce_joint(*args) == ref_reduce_joint(*args), args
+            assert got[4] == py.STATUS_BAD_PROBABILITY
+            assert got[5] > 100  # the partial sums cover at least one draw
+            assert (got[6] > 1.0) == above_one
+
+
+def test_numpy_sphere_draws_equal_the_scalar_draws():
+    # sin/cos tripwire: numpy's vectorised libm must round every lane like
+    # math.sin/math.cos; if this breaks, fix the kernel, never the draws
+    for seed in (0, 7, 123456789, 2**64 - 1):
+        got = py.lambda_batch(py.SAMPLER_SPHERE, 3, seed, 0, 200_000)
+        assert got == [py.lambda_at(py.SAMPLER_SPHERE, 3, seed, i) for i in range(200_000)]
+
+
+def test_numpy_lambda_batch_across_chunk_edges():
+    for sampler, dim in ((py.SAMPLER_SPHERE, 3), (py.SAMPLER_CUBE, 1), (py.SAMPLER_CUBE, 64)):
+        for start, count in ((0, 0), (4000, 5000), (2**63 - 3, 3)):
+            got = py.lambda_batch(sampler, dim, 11, start, count)
+            assert got == [py.lambda_at(sampler, dim, 11, i) for i in range(start, start + count)]
+
+
+def test_numpy_kernels_keep_their_argument_errors():
+    base = (0.0, 0.0, 1.0, 1.0, 0.0, 0.0)
+    with pytest.raises(ValueError, match="outside 1..64"):
+        py.reduce_product(py.KIND_SIGN, (), *base, py.SAMPLER_CUBE, 65, 0, 0, 10)
+    with pytest.raises(ValueError, match="unknown model kind code 7"):
+        py.reduce_product(7, (), *base, py.SAMPLER_SPHERE, 3, 0, 0, 10)
+    with pytest.raises(ValueError, match="no joint-table fast path"):
+        py.reduce_joint(py.KIND_SIGN, (), *base, py.SAMPLER_SPHERE, 3, 0, 0, 10)
+    with pytest.raises(ValueError, match="must be >= 3"):
+        py.reduce_joint(py.KIND_LINEAR, (), *base, py.SAMPLER_CUBE, 2, 0, 0, 10)
+    with pytest.raises(ValueError, match="unknown sampler kind code 9"):
+        py.reduce_product(py.KIND_SIGN, (), *base, 9, 3, 0, 0, 10)
 
 HAVE_COMPILED = bk.BACKEND_NAME == "compiled"
 

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from eprb import correlation
 from eprb.cli import run
 from oracles_ref import TWO_SQRT_TWO
 
@@ -264,6 +265,19 @@ def test_workers_below_one_is_exit_one(capsys):
             )
             assert code == 1 and out == ""
             assert "--workers must be >= 1" in err
+
+
+def test_n_past_the_int64_limit_is_exit_one(capsys, monkeypatch):
+    def no_chunk_runs(*args, **kwargs):
+        raise AssertionError("chunks ran for an n that should have been rejected")
+
+    monkeypatch.setattr(correlation, "run_chunk_jobs", no_chunk_runs)
+    code, out, err = run_cli(
+        capsys, "correlate", "--model", "local_sign", "--a", "0,0,1", "--b", "1,0,0",
+        "--n", str(2**63),
+    )
+    assert code == 1 and out == ""
+    assert "n must be <= 2**63 - 1" in err
 
 
 def test_module_entry_point():

@@ -4,6 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eprb import _backend as _k
+from eprb import _mc
+from eprb import correlation as correlation_module
 from eprb import (
     CoinModel,
     ConstantNonlocalModel,
@@ -27,6 +30,7 @@ from eprb import (
     estimate_joint,
     estimate_stochastic_correlation,
     impose_anticorrelation,
+    integrate,
     make_correlation_oracle,
     quantum_correlation,
     quantum_correlation_complex,
@@ -70,6 +74,49 @@ def test_estimate_correlation_type_check():
         estimate_stochastic_correlation(LocalSignModel(), Z_AXIS, X_AXIS, sphere_sampler(), 100)
     with pytest.raises(ValueError, match="n must be"):
         estimate_correlation(LocalSignModel(), Z_AXIS, X_AXIS, sphere_sampler(), 1)
+
+
+def _no_chunk_runs(*args, **kwargs):
+    raise AssertionError("chunks ran for an n that should have been rejected")
+
+
+def test_estimators_reject_n_past_the_int64_limit(monkeypatch):
+    # rejected before any chunk is run
+    monkeypatch.setattr(correlation_module, "run_chunk_jobs", _no_chunk_runs)
+    pair = impose_anticorrelation(delta_coefficients())
+    calls = [
+        (estimate_correlation, LocalSignModel()),
+        (estimate_correlation, FixedOutcomeModel()),
+        (estimate_stochastic_correlation, LinearStochasticModel()),
+        (estimate_joint, LinearStochasticModel()),
+        (series_correlation, pair),
+    ]
+    for estimator, m in calls:
+        for n in (2**63, 10**30):
+            with pytest.raises(ValueError, match=r"n must be <= 2\*\*63 - 1"):
+                estimator(m, Z_AXIS, X_AXIS, sphere_sampler(), n)
+
+
+def test_threads_start_only_for_compiled_kernel_chunks(monkeypatch):
+    # numpy chunks, per-draw Python draws and integrands hold the GIL, so
+    # they run on the calling thread at any worker count
+    pools = []
+
+    class CountingPool(_mc.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(_mc, "ThreadPoolExecutor", CountingPool)
+    monkeypatch.setattr(_mc.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    s = sphere_sampler(seed=2)
+    n = 3 * 4096
+    integrate(lambda lam: lam[0], s, n, workers=2)
+    estimate_correlation(build_model("nonlocal_sign"), Z_AXIS, X_AXIS, s, n, workers=2)
+    assert pools == []
+    estimate_correlation(LocalSignModel(), Z_AXIS, X_AXIS, s, n, workers=2)
+    estimate_joint(LinearStochasticModel(), Z_AXIS, X_AXIS, s, n, workers=2)
+    assert pools == ([2, 2] if _k.BACKEND_NAME == "compiled" else [])
 
 
 def test_aligned_sign_model_is_perfectly_anticorrelated():

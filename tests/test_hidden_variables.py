@@ -1,10 +1,11 @@
 import math
+import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eprb import _mc
+from eprb import _mc, hidden_variables
 from eprb._mc import pool_size, run_chunk_jobs
 from eprb.hidden_variables import (
     LambdaSampler,
@@ -179,6 +180,43 @@ def test_chunk_count_matches_ceiling():
     assert chunk_count(4096) == 1
     assert chunk_count(4097) == 2
     assert chunk_count(100000) == math.ceil(100000 / 4096)
+    assert chunk_count(2**63 - 1) == 2**51
+
+
+def test_chunk_ranges_are_lazy_up_to_the_n_limit():
+    # a generator: the largest accepted n costs nothing to describe
+    n = _mc.require_n(2**63 - 1)
+    ranges = _mc.chunk_ranges(n)
+    assert next(ranges) == (0, 4096)
+    assert next(ranges) == (4096, 4096)
+    assert list(_mc.chunk_ranges(n, 2**51 - 1)) == [(2**63 - 4096, 4095)]
+    assert list(_mc.chunk_ranges(4096 + 3)) == [(0, 4096), (4096, 3)]
+
+
+def test_integrate_rejects_n_past_the_int64_limit(monkeypatch):
+    def no_chunk_runs(*args, **kwargs):
+        raise AssertionError("chunks ran for an n that should have been rejected")
+
+    monkeypatch.setattr(hidden_variables, "run_chunk_jobs", no_chunk_runs)
+    with pytest.raises(ValueError, match=r"n must be <= 2\*\*63 - 1"):
+        integrate(lambda lam: 1.0, sphere_sampler(), n=2**63)
+
+
+def test_run_chunk_jobs_threads_only_when_asked(monkeypatch):
+    monkeypatch.setattr(_mc.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    caller = threading.get_ident()
+    n = 5 * 4096 + 7
+    want = list(_mc.chunk_ranges(n))
+    for threaded in (False, True):
+        seen = []
+
+        def job(start, count):
+            seen.append(threading.get_ident())
+            return (start, count)
+
+        # chunk order either way; only a threaded job leaves this thread
+        assert run_chunk_jobs(job, n, workers=3, threaded=threaded) == want
+        assert (caller in seen) is not threaded
 
 
 @settings(max_examples=25)

@@ -245,6 +245,13 @@ def test_negated_flips_value_exactly():
     assert evaluate_series(c.negated(), a, b) == -evaluate_series(c, a, b)
 
 
+def test_flat_coefficients_are_the_table_floats():
+    for degree in (1, 2, 4):
+        c = random_coefficients(coeff_seed=degree, degree=degree)
+        assert c._flat == tuple(float(x) for x in c.table.ravel())
+        assert all(type(x) is float for x in c._flat)
+
+
 def test_random_coefficients_reproducible_and_bounded():
     c1 = random_coefficients(coeff_seed=11, degree=2)
     c2 = random_coefficients(coeff_seed=11, degree=2)
