@@ -3,8 +3,8 @@
 Prefers the compiled extension (``eprb._kernels``) and falls back to the
 Python twin (``eprb._pykernels``: numpy chunk kernels, plain-Python
 per-draw functions) when it is not built. Both produce bit-identical
-results; the compiled one is faster. Override with
-EPRB_BACKEND=compiled|python.
+results; the compiled one is faster. EPRB_BACKEND=compiled or python
+forces one; auto (or empty, the default) picks as above.
 """
 
 from __future__ import annotations
@@ -22,11 +22,11 @@ if _requested in ("auto", ""):
         from . import _pykernels as _impl
 
         BACKEND_NAME = "python"
-elif _requested in ("compiled", "c"):
+elif _requested == "compiled":
     from . import _kernels as _impl
 
     BACKEND_NAME = "compiled"
-elif _requested in ("python", "pure"):
+elif _requested == "python":
     from . import _pykernels as _impl
 
     BACKEND_NAME = "python"

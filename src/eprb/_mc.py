@@ -110,20 +110,9 @@ def combine_scalar(parts, n):
 
 
 def combine_vec4(parts, n):
-    """Fold per-chunk 4-way accumulators into four (mean, stderr) pairs."""
-    s = [0.0, 0.0, 0.0, 0.0]
-    s2 = [0.0, 0.0, 0.0, 0.0]
-    mn = [math.inf] * 4
-    mx = [-math.inf] * 4
-    for ps, ps2, pmn, pmx in parts:
-        for k in range(4):
-            s[k] += ps[k]
-            s2[k] += ps2[k]
-            if pmn[k] < mn[k]:
-                mn[k] = pmn[k]
-            if pmx[k] > mx[k]:
-                mx[k] = pmx[k]
-    return [_finalize(s[k], s2[k], mn[k], mx[k], n) for k in range(4)]
+    """Fold per-chunk 4-way accumulators into four (mean, stderr) pairs,
+    each column by ``combine_scalar``."""
+    return [combine_scalar(column, n) for column in zip(*(zip(*part) for part in parts))]
 
 
 def _finalize(s, s2, mn, mx, n):
@@ -159,18 +148,5 @@ def accumulate(xs):
 
 
 def accumulate4(rows):
-    """Same as accumulate for 4-tuples of values, entry by entry."""
-    s = [0.0, 0.0, 0.0, 0.0]
-    s2 = [0.0, 0.0, 0.0, 0.0]
-    mn = [math.inf] * 4
-    mx = [-math.inf] * 4
-    for xs in rows:
-        for k in range(4):
-            x = xs[k]
-            s[k] += x
-            s2[k] += x * x
-            if x < mn[k]:
-                mn[k] = x
-            if x > mx[k]:
-                mx[k] = x
-    return tuple(s), tuple(s2), tuple(mn), tuple(mx)
+    """Same as accumulate for 4-tuples of values, column by column."""
+    return tuple(zip(*(accumulate(col) for col in zip(*rows))))

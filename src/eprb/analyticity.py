@@ -32,6 +32,8 @@ __all__ = [
 
 DEFAULT_H = 1e-4
 DEFAULT_TOL = 1e-5
+# Largest lattice resolution per axis: k * k points, about 785k inside the disc.
+MAX_GRID = 1000
 
 
 class Verdict(Enum):
@@ -84,6 +86,8 @@ def wirtinger_residual(
     xm = x - h
     yp = y + h
     ym = y - h
+    if xp == xm or yp == ym:
+        raise ValueError(f"step {h!r} vanishes against the point {z!r}")
     fx = (complex(f(complex(xp, y))) - complex(f(complex(xm, y)))) / (xp - xm)
     fy = (complex(f(complex(x, yp))) - complex(f(complex(x, ym)))) / (yp - ym)
     return 0.5 * (fx + 1j * fy)
@@ -185,8 +189,8 @@ def pq_nonanalyticity_report(
     if not (radius > 0.0) or math.isinf(radius):
         raise ValueError(f"radius must be a positive finite real, got {radius!r}")
     k = int(k)
-    if k < 2:
-        raise ValueError(f"grid resolution must be >= 2, got {k}")
+    if k < 2 or k > MAX_GRID:
+        raise ValueError(f"grid resolution must be in 2..{MAX_GRID}, got {k}")
 
     def f(z: complex) -> complex:
         return quantum_correlation_complex(RiemannPoint.from_complex(z), w)

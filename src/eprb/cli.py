@@ -80,7 +80,8 @@ def _build_parser() -> _Parser:
     p_sweep = sub.add_parser("sweep", help="correlation curve over the planar angle")
     common(p_sweep)
     p_sweep.add_argument("--steps", type=int,
-                         help="number of angles in [0, pi], endpoints included (default 19)")
+                         help="number of angles in [0, pi], endpoints included "
+                              "(default 19, at most 100000)")
     p_sweep.add_argument("--format", choices=["json", "csv"])
 
     p_chsh = sub.add_parser("chsh", help="four-correlation statistic or its maximum")
@@ -108,16 +109,33 @@ def _build_parser() -> _Parser:
                        help="which function to probe (only pq is available)")
     p_ana.add_argument("--w", help="second argument: inf or re,im")
     p_ana.add_argument("--radius", type=float, help="disc radius (default 1.0)")
-    p_ana.add_argument("--grid", type=int, help="lattice resolution per axis (default 21)")
+    p_ana.add_argument("--grid", type=int,
+                       help="lattice resolution per axis (default 21, at most 1000)")
     p_ana.add_argument("--h", type=float, help="finite-difference step (default 1e-4)")
 
     p_models = sub.add_parser("models", help="list the model zoo")
     common(p_models, sampled=False)
 
+    parser.commands = sub.choices
     return parser
 
 
-def _merge_config(ns: argparse.Namespace) -> None:
+def _config_value_ok(action: argparse.Action, value) -> bool:
+    """Whether a config value has the JSON type its option takes on the line."""
+    if action.dest == "params":
+        return isinstance(value, (dict, str))
+    if action.const is True:
+        return isinstance(value, bool)
+    if isinstance(value, bool):
+        return False
+    if action.type is int:
+        return isinstance(value, int)
+    if action.type is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, str) and (action.choices is None or value in action.choices)
+
+
+def _merge_config(ns: argparse.Namespace, command: _Parser) -> None:
     """Fill unset options from --config; values given on the line win."""
     if not getattr(ns, "config", None):
         return
@@ -126,14 +144,17 @@ def _merge_config(ns: argparse.Namespace) -> None:
             loaded = json.load(fh)
     except OSError as exc:
         raise _UsageError(f"cannot read config {ns.config!r}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise _UsageError(f"config {ns.config!r} is not valid JSON: {exc}") from None
     if not isinstance(loaded, dict):
         raise _UsageError(f"config {ns.config!r} must hold a JSON object")
+    options = {a.dest: a for a in command._actions if a.dest != "help"}
     for key, value in loaded.items():
         attr = key.replace("-", "_")
-        if not hasattr(ns, attr):
+        if attr not in options:
             raise _UsageError(f"config key {key!r} is not an option of this command")
+        if not _config_value_ok(options[attr], value):
+            raise _UsageError(f"config key {key!r} cannot take the value {value!r}")
         if getattr(ns, attr) is None:
             setattr(ns, attr, value)
 
@@ -160,7 +181,7 @@ def _model_and_sampler(ns: argparse.Namespace):
     if params is not None and not isinstance(params, dict):
         try:
             params = json.loads(params)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise _UsageError(f"--params is not valid JSON: {exc}") from None
         if not isinstance(params, dict):
             raise _UsageError("--params must hold a JSON object")
@@ -178,8 +199,11 @@ def _model_and_sampler(ns: argparse.Namespace):
 def _emit(ns: argparse.Namespace, text: str) -> None:
     output = getattr(ns, "output", None)
     if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _UsageError(f"cannot write output {output!r}: {exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -335,7 +359,7 @@ def run(argv: Optional[list[str]] = None) -> int:
         ns = parser.parse_args(argv)
         if ns.command is None:
             raise _UsageError("a subcommand is required (try --help)")
-        _merge_config(ns)
+        _merge_config(ns, parser.commands[ns.command])
         return _HANDLERS[ns.command](ns)
     except ContractViolationError as exc:
         print(f"contract violation: {exc}", file=sys.stderr)

@@ -53,6 +53,9 @@ __all__ = [
     "correlation_sweep",
 ]
 
+# Largest number of angles a sweep evaluates, one estimate each.
+MAX_STEPS = 100000
+
 
 @dataclass(frozen=True)
 class CorrelationEstimate:
@@ -445,8 +448,8 @@ def correlation_sweep(
     ``steps`` equally spaced angles from it, endpoints included.
     """
     steps = int(steps)
-    if steps < 2:
-        raise ValueError(f"steps must be >= 2, got {steps}")
+    if steps < 2 or steps > MAX_STEPS:
+        raise ValueError(f"steps must be in 2..{MAX_STEPS}, got {steps}")
     oracle = make_correlation_oracle(model, s, n, workers=workers)
     rows = []
     for k in range(steps):

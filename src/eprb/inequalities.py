@@ -228,25 +228,16 @@ class MaximizeResult:
         return self.report.s_value
 
 
-def _coplanar_vectors(angles: Sequence[float]) -> list[UnitVector3]:
-    return [unit_from_plane_angle(t) for t in angles]
-
-
-def _full_vectors(angles: Sequence[float]) -> list[UnitVector3]:
-    return [
-        unit_from_angles(angles[2 * k], angles[2 * k + 1]) for k in range(4)
-    ]
+def _vector(coords: Sequence[float], mode: str) -> UnitVector3:
+    """The setting at one search point: (theta,) in the x-z plane in
+    coplanar mode, (theta, phi) in full mode."""
+    return unit_from_plane_angle(*coords) if mode == "coplanar" else unit_from_angles(*coords)
 
 
 def _quad_from_angles(angles: Sequence[float], mode: str) -> SettingsQuad:
-    vs = _coplanar_vectors(angles) if mode == "coplanar" else _full_vectors(angles)
+    d = 1 if mode == "coplanar" else 2
+    vs = [_vector(angles[d * k:d * (k + 1)], mode) for k in range(4)]
     return SettingsQuad(a=vs[0], b=vs[1], a_prime=vs[2], b_prime=vs[3])
-
-
-def _s_of_quad(P: _BudgetedOracle, q: SettingsQuad) -> float:
-    term1 = abs(P(q.a, q.b).value - P(q.a, q.b_prime).value)
-    term2 = abs(P(q.a_prime, q.b_prime).value + P(q.a_prime, q.b).value)
-    return term1 + term2
 
 
 def _grid_scan(P: _BudgetedOracle, points: list[UnitVector3]):
@@ -307,7 +298,7 @@ def _pattern_search(
                 for direction in (1.0, -1.0):
                     trial = list(current)
                     trial[k] = trial[k] + direction * step
-                    s_trial = _s_of_quad(P, _quad_from_angles(trial, mode))
+                    s_trial = chsh_statistic(P, _quad_from_angles(trial, mode)).s_value
                     if s_trial > s_current:
                         current = trial
                         s_current = s_trial
@@ -341,13 +332,11 @@ def maximize_chsh(
 
     oracle = _BudgetedOracle(P, budget)
 
+    # Grid points are coordinate tuples, one coordinate per angle of a setting.
     if mode == "coplanar":
         # Spend at most half the budget on the grid, capped at 24 angles.
         m = min(24, max(2, math.isqrt(budget // 2)))
-        grid_angles = [(k * 2.0 * math.pi) / m for k in range(m)]
-        points = [unit_from_plane_angle(t) for t in grid_angles]
-        grid_s, idx = _grid_scan(oracle, points)
-        start = [grid_angles[i] for i in idx]
+        grid = [((k * 2.0 * math.pi) / m,) for k in range(m)]
         step = (2.0 * math.pi) / m
     else:
         n_theta, n_phi = 6, 8
@@ -356,17 +345,14 @@ def maximize_chsh(
             raise ValueError(
                 f"full mode needs a budget of at least {need}, got {budget}"
             )
-        pairs = [
+        grid = [
             ((kt * math.pi) / (n_theta - 1), (kp * 2.0 * math.pi) / n_phi)
             for kt in range(n_theta)
             for kp in range(n_phi)
         ]
-        points = [unit_from_angles(t, p) for t, p in pairs]
-        grid_s, idx = _grid_scan(oracle, points)
-        start = []
-        for i in idx:
-            start.extend(pairs[i])
         step = math.pi / (n_theta - 1)
+    grid_s, idx = _grid_scan(oracle, [_vector(coords, mode) for coords in grid])
+    start = [x for i in idx for x in grid[i]]
 
     best_angles, _ = _pattern_search(oracle, start, grid_s, step, mode)
     quad = _quad_from_angles(best_angles, mode)

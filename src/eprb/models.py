@@ -121,6 +121,9 @@ class DeterministicModel:
     kernel_axes: Optional[tuple[UnitVector3, UnitVector3]] = None
     draw_independent: bool = False
 
+    def __init__(self, psi_label: str = "singlet") -> None:
+        self.psi_label = psi_label
+
     def outcomes(
         self, a: UnitVector3, b: UnitVector3, lam: Sequence[float]
     ) -> tuple[float, float]:
@@ -141,6 +144,9 @@ class StochasticModel:
     kernel_axes: Optional[tuple[UnitVector3, UnitVector3]] = None
     draw_independent: bool = False
 
+    def __init__(self, psi_label: str = "singlet") -> None:
+        self.psi_label = psi_label
+
     def probabilities(
         self, a: UnitVector3, b: UnitVector3, lam: Sequence[float]
     ) -> SingleProbabilities:
@@ -150,11 +156,7 @@ class StochasticModel:
 class LocalSignModel(DeterministicModel):
     """First party reports sign(a . lam), second reports -sign(b . lam)."""
 
-    locality_class = LocalityClass.LOCAL
     kernel_kind = _k.KIND_SIGN
-
-    def __init__(self, psi_label: str = "singlet") -> None:
-        self.psi_label = psi_label
 
     def outcomes(self, a, b, lam):
         return (_sign(_dot3(a, lam)), -_sign(_dot3(b, lam)))
@@ -163,11 +165,7 @@ class LocalSignModel(DeterministicModel):
 class CoinModel(StochasticModel):
     """Both parties are fair coins regardless of settings and draw."""
 
-    locality_class = LocalityClass.LOCAL
     draw_independent = True
-
-    def __init__(self, psi_label: str = "singlet") -> None:
-        self.psi_label = psi_label
 
     def probabilities(self, a, b, lam):
         return SingleProbabilities(0.5, 0.5, 0.5, 0.5)
@@ -182,11 +180,7 @@ class LinearStochasticModel(StochasticModel):
     surface as a contract violation rather than silently clamping.
     """
 
-    locality_class = LocalityClass.LOCAL
     kernel_kind = _k.KIND_LINEAR
-
-    def __init__(self, psi_label: str = "singlet") -> None:
-        self.psi_label = psi_label
 
     def probabilities(self, a, b, lam):
         d1 = _dot3(a, lam)
@@ -256,7 +250,6 @@ class SettingBiasedSignModel(DeterministicModel):
     """
 
     locality_class = LocalityClass.GENERAL_NONLOCAL
-    kernel_kind = None
 
     def __init__(self, bias: float = 0.1, psi_label: str = "singlet") -> None:
         self.bias = float(bias)
@@ -276,8 +269,6 @@ class DeterministicEmbedding(StochasticModel):
     model's +/-1 outcomes bit for bit and the two correlation estimators
     agree exactly on a shared draw stream.
     """
-
-    kernel_kind = None
 
     def __init__(self, inner: DeterministicModel) -> None:
         self.inner = inner
@@ -367,9 +358,7 @@ class RealAnalyticCoefficients:
     includes_constant_term: bool = False
 
     def __post_init__(self) -> None:
-        degree = int(self.degree)
-        if degree < 1 or degree > _k.MAX_DEGREE:
-            raise ValueError(f"degree must be in 1..{_k.MAX_DEGREE}, got {self.degree}")
+        degree = _checked_degree(self.degree)
         table = np.asarray(self.table, dtype=np.float64)
         if table.shape != (degree, degree, 3, 3):
             raise ValueError(
@@ -417,8 +406,16 @@ def evaluate_series(
     )
 
 
+def _checked_degree(value) -> int:
+    degree = int(value)
+    if degree < 1 or degree > _k.MAX_DEGREE:
+        raise ValueError(f"degree must be in 1..{_k.MAX_DEGREE}, got {value}")
+    return degree
+
+
 def delta_coefficients(degree: int = 1) -> RealAnalyticCoefficients:
     """First-order identity coupling: the series value is exactly a . b."""
+    degree = _checked_degree(degree)
     table = np.zeros((degree, degree, 3, 3))
     for r in range(3):
         table[0, 0, r, r] = 1.0
@@ -430,9 +427,7 @@ def random_coefficients(
 ) -> RealAnalyticCoefficients:
     """Dense seeded coefficients, small enough that |value| <= 1 on unit
     vectors (each of the 9*degree^2 terms is bounded by ``scale``)."""
-    degree = int(degree)
-    if degree < 1 or degree > _k.MAX_DEGREE:
-        raise ValueError(f"degree must be in 1..{_k.MAX_DEGREE}, got {degree}")
+    degree = _checked_degree(degree)
     if scale is None:
         scale = 1.0 / (9.0 * degree * degree)
     scale = float(scale)
@@ -504,82 +499,48 @@ def impose_anticorrelation(
     )
 
 
-def _build_quantum(params: dict) -> QuantumCorrelationModel:
-    return QuantumCorrelationModel(psi_label=params.pop("psi", "singlet"))
+def _series_delta(degree: int = 1, psi_label: str = "singlet") -> AnticorrelatedSeriesPair:
+    return impose_anticorrelation(delta_coefficients(degree), psi_label=psi_label)
 
 
-def _build_local_sign(params: dict) -> LocalSignModel:
-    return LocalSignModel(psi_label=params.pop("psi", "singlet"))
-
-
-def _build_coin(params: dict) -> CoinModel:
-    return CoinModel(psi_label=params.pop("psi", "singlet"))
-
-
-def _build_linear(params: dict) -> LinearStochasticModel:
-    return LinearStochasticModel(psi_label=params.pop("psi", "singlet"))
-
-
-def _build_constant(params: dict) -> ConstantNonlocalModel:
-    kwargs = {"psi_label": params.pop("psi", "singlet")}
-    if "u" in params:
-        kwargs["u"] = vector_from_list(params.pop("u"))
-    if "v" in params:
-        kwargs["v"] = vector_from_list(params.pop("v"))
-    return ConstantNonlocalModel(**kwargs)
-
-
-def _build_fixed(params: dict) -> FixedOutcomeModel:
-    return FixedOutcomeModel(
-        alpha=float(params.pop("alpha", 1.0)),
-        beta=float(params.pop("beta", -1.0)),
-        psi_label=params.pop("psi", "singlet"),
-    )
-
-
-def _build_nonlocal_sign(params: dict) -> SettingBiasedSignModel:
-    return SettingBiasedSignModel(
-        bias=float(params.pop("bias", 0.1)),
-        psi_label=params.pop("psi", "singlet"),
-    )
-
-
-def _build_series_delta(params: dict) -> AnticorrelatedSeriesPair:
-    degree = int(params.pop("degree", 1))
+def _series_random(
+    coeff_seed: int = 0, degree: int = 3, scale: Optional[float] = None,
+    psi_label: str = "singlet",
+) -> AnticorrelatedSeriesPair:
     return impose_anticorrelation(
-        delta_coefficients(degree), psi_label=params.pop("psi", "singlet")
+        random_coefficients(coeff_seed, degree=degree, scale=scale), psi_label=psi_label
     )
 
 
-def _build_series_random(params: dict) -> AnticorrelatedSeriesPair:
-    coeff_seed = int(params.pop("coeff_seed", 0))
-    degree = int(params.pop("degree", 3))
-    scale = params.pop("scale", None)
-    scale = None if scale is None else float(scale)
-    return impose_anticorrelation(
-        random_coefficients(coeff_seed, degree=degree, scale=scale),
-        psi_label=params.pop("psi", "singlet"),
-    )
+def _optional_float(x) -> Optional[float]:
+    return None if x is None else float(x)
 
 
+# name -> (constructor, locality class, {parameter: converter}, summary).
+# Parameters are converted in this order, each passed to the constructor
+# under its own name; ``psi`` goes to every constructor as ``psi_label``.
 _BUILDERS = {
-    "quantum": (_build_quantum, LocalityClass.GENERAL_NONLOCAL,
+    "quantum": (QuantumCorrelationModel, LocalityClass.GENERAL_NONLOCAL, {},
                 "closed-form singlet correlation, no hidden variables"),
-    "local_sign": (_build_local_sign, LocalityClass.LOCAL,
+    "local_sign": (LocalSignModel, LocalityClass.LOCAL, {},
                    "A = sign(a.lam), B = -sign(b.lam)"),
-    "coin": (_build_coin, LocalityClass.LOCAL,
+    "coin": (CoinModel, LocalityClass.LOCAL, {},
              "all four outcome probabilities 1/2"),
-    "linear": (_build_linear, LocalityClass.LOCAL,
+    "linear": (LinearStochasticModel, LocalityClass.LOCAL, {},
                "P1(+) = (1 + a.lam)/2, P2(+) = (1 - b.lam)/2"),
-    "constant": (_build_constant, LocalityClass.CONSTANT_NONLOCAL,
+    "constant": (ConstantNonlocalModel, LocalityClass.CONSTANT_NONLOCAL,
+                 {"u": vector_from_list, "v": vector_from_list},
                  "A = sign(u.lam), B = -sign(v.lam); settings ignored"),
-    "fixed": (_build_fixed, LocalityClass.CONSTANT_NONLOCAL,
+    "fixed": (FixedOutcomeModel, LocalityClass.CONSTANT_NONLOCAL,
+              {"alpha": float, "beta": float},
               "A = alpha, B = beta; draw and settings ignored"),
-    "nonlocal_sign": (_build_nonlocal_sign, LocalityClass.GENERAL_NONLOCAL,
+    "nonlocal_sign": (SettingBiasedSignModel, LocalityClass.GENERAL_NONLOCAL,
+                      {"bias": float},
                       "A = sign(a.b + a.lam), B = sign(b.lam + bias)"),
-    "series_delta": (_build_series_delta, LocalityClass.GENERAL_NONLOCAL,
+    "series_delta": (_series_delta, LocalityClass.GENERAL_NONLOCAL, {"degree": int},
                      "anticorrelated series pair with A(a,b) = a.b"),
-    "series_random": (_build_series_random, LocalityClass.GENERAL_NONLOCAL,
+    "series_random": (_series_random, LocalityClass.GENERAL_NONLOCAL,
+                      {"coeff_seed": int, "degree": int, "scale": _optional_float},
                       "anticorrelated series pair, seeded dense coefficients"),
 }
 
@@ -587,14 +548,25 @@ MODEL_NAMES = tuple(_BUILDERS)
 
 
 def build_model(name: str, params: Optional[dict] = None):
-    """Construct a zoo model from its registry name and a parameter dict."""
+    """Construct a zoo model from its registry name and a parameter dict.
+
+    Parameters a model does not take are rejected only after it is built,
+    so a bad value is reported ahead of a stray key.
+    """
     if name not in _BUILDERS:
         raise ValueError(
             f"unknown model {name!r}; known models: {', '.join(MODEL_NAMES)}"
         )
     params = dict(params or {})
-    builder, _, _ = _BUILDERS[name]
-    model = builder(params)
+    make, _, converters, _ = _BUILDERS[name]
+    kwargs = {"psi_label": params.pop("psi", "singlet")}
+    for key, convert in converters.items():
+        if key in params:
+            try:
+                kwargs[key] = convert(params.pop(key))
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ValueError(f"model {name!r} parameter {key!r}: {exc}") from None
+    model = make(**kwargs)
     if params:
         raise ValueError(
             f"model {name!r} does not take parameters {sorted(params)}"
@@ -606,5 +578,5 @@ def zoo() -> list[dict]:
     """Registry listing: name, locality class, one-line description."""
     return [
         {"name": name, "locality_class": cls.value, "summary": summary}
-        for name, (_, cls, summary) in _BUILDERS.items()
+        for name, (_, cls, _, summary) in _BUILDERS.items()
     ]

@@ -116,6 +116,31 @@ def ref_reduce_joint(kind, params, ax, ay, az, bx, by, bz,
     return tuple(zip(*accs)) + status
 
 
+def ref_accumulate4(rows) -> tuple:
+    """(sums, sums of squares, minima, maxima) of 4-tuples, all four
+    columns updated together row by row."""
+    accs = [[0.0, 0.0, math.inf, -math.inf] for _ in range(4)]
+    for row in rows:
+        for acc, x in zip(accs, row):
+            _ref_accumulate(acc, x)
+    return tuple(zip(*accs))
+
+
+def ref_fold4(parts) -> list:
+    """Per-column (sum, sum_sq, min, max) of per-chunk 4-way accumulators,
+    all four columns folded together chunk by chunk."""
+    folded = [[0.0, 0.0, math.inf, -math.inf] for _ in range(4)]
+    for ps, ps2, pmn, pmx in parts:
+        for k, f in enumerate(folded):
+            f[0] += ps[k]
+            f[1] += ps2[k]
+            if pmn[k] < f[2]:
+                f[2] = pmn[k]
+            if pmx[k] > f[3]:
+                f[3] = pmx[k]
+    return folded
+
+
 def sphere_second_moment(r: int, s: int, nodes: int = 64, n_phi: int = 256) -> float:
     """E[lam_r lam_s] over the uniform sphere, Gauss-Legendre in z times a
     trapezoid rule in the azimuth (spectrally accurate on the periodic

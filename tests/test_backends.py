@@ -238,6 +238,17 @@ def test_backend_env_rejects_unknown():
     assert "EPRB_BACKEND" in out.stderr
 
 
+@pytest.mark.parametrize("spelling", ["c", "pure"])
+def test_backend_env_takes_only_the_documented_spellings(spelling):
+    full = dict(os.environ, EPRB_BACKEND=spelling)
+    out = subprocess.run(
+        [sys.executable, "-c", "import eprb"],
+        capture_output=True, text=True, env=full,
+    )
+    assert out.returncode != 0
+    assert "EPRB_BACKEND must be auto, compiled, or python" in out.stderr
+
+
 @needs_compiled
 def test_estimates_identical_across_backends():
     # same correlation estimate, bit for bit, through the public API

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import shutil
@@ -6,7 +7,7 @@ import sys
 
 import pytest
 
-from eprb import correlation
+from eprb import analyticity, cli, correlation
 from eprb.cli import run
 from oracles_ref import TWO_SQRT_TWO
 
@@ -245,6 +246,144 @@ def test_config_must_be_an_object(tmp_path, capsys):
     assert code == 1
     code, _, err = run_cli(capsys, "correlate", "--config", str(tmp_path / "nope.json"))
     assert code == 1
+
+
+def _write_config(tmp_path, obj):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(obj))
+    return str(cfg)
+
+
+CORRELATE_QUANTUM = ("correlate", "--model", "quantum", "--a", "0,0,1", "--b", "1,0,0")
+
+
+@pytest.mark.parametrize("bad", [
+    {"n": [5]}, {"n": True}, {"n": 5.0}, {"n": "5"}, {"seed": None},
+    {"params": [1]}, {"params": 3}, {"output": 2}, {"output": False},
+    {"format": "xml"}, {"format": 1}, {"sampler": "uniform_disc"}, {"a": [0, 0, 1]},
+])
+def test_config_values_of_the_wrong_type_are_exit_one(tmp_path, capsys, bad):
+    code, out, err = run_cli(capsys, *CORRELATE_QUANTUM, "--config", _write_config(tmp_path, bad))
+    assert code == 1 and out == ""
+    assert f"config key {next(iter(bad))!r} cannot take the value" in err
+
+
+def test_config_values_of_the_declared_type_are_taken(tmp_path, capsys):
+    cfg = _write_config(tmp_path, {"n": 100, "seed": 3, "workers": 1, "format": "json",
+                                   "params": {"alpha": -1}, "sampler": "uniform_cube"})
+    obj = run_json(capsys, "correlate", "--model", "fixed", "--a", "0,0,1", "--b", "1,0,0",
+                   "--config", cfg)
+    assert obj["value"] == 1.0 and obj["n"] == 100
+    cfg = _write_config(tmp_path, {"params": '{"alpha": -1, "beta": -1}'})
+    obj = run_json(capsys, "correlate", "--model", "fixed", "--a", "0,0,1", "--b", "1,0,0",
+                   "--n", "100", "--config", cfg)
+    assert obj["value"] == 1.0
+    cfg = _write_config(tmp_path, {"radius": 1, "h": 0.001, "grid": 3, "w": "inf"})
+    obj = run_json(capsys, "analyticity", "--config", cfg)
+    assert obj["grid"] == {"R": 1.0, "k": 3} and obj["h"] == 0.001
+
+
+def test_config_maximize_must_be_a_bool(tmp_path, capsys, monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("the maximizer ran")
+
+    monkeypatch.setattr(cli, "maximize_chsh", no_search)
+    code, out, err = run_cli(capsys, "chsh", "--model", "quantum",
+                             "--config", _write_config(tmp_path, {"maximize": "no"}))
+    assert code == 1 and out == ""
+    assert "'maximize'" in err
+    with pytest.raises(AssertionError, match="the maximizer ran"):
+        run_cli(capsys, "chsh", "--model", "quantum",
+                "--config", _write_config(tmp_path, {"maximize": True}))
+
+
+def test_config_output_number_is_not_a_file_descriptor(tmp_path, capfd):
+    code = run([*CORRELATE_QUANTUM, "--config", _write_config(tmp_path, {"output": 2})])
+    out, err = capfd.readouterr()
+    assert code == 1 and out == ""
+    assert '"command"' not in err
+
+
+@pytest.mark.parametrize("model,params,key", [
+    ("series_random", '{"degree": [1]}', "degree"),
+    ("series_random", '{"degree": Infinity}', "degree"),
+    ("series_random", '{"coeff_seed": "x"}', "coeff_seed"),
+    ("series_random", '{"scale": {}}', "scale"),
+    ("fixed", '{"alpha": null}', "alpha"),
+    ("constant", '{"u": [0, "up", 1]}', "u"),
+])
+def test_wrong_typed_params_name_the_parameter(capsys, model, params, key):
+    code, out, err = run_cli(capsys, "correlate", "--model", model,
+                             "--params", params, "--a", "0,0,1", "--b", "1,0,0")
+    assert code == 1 and out == ""
+    assert f"parameter {key!r}" in err
+
+
+def test_json_nested_too_deeply_is_exit_one(tmp_path, capsys):
+    deep = "[" * 100000 + "]" * 100000
+    code, out, err = run_cli(capsys, "correlate", "--model", "fixed", "--params", deep,
+                             "--a", "0,0,1", "--b", "1,0,0")
+    assert code == 1 and out == "" and "--params is not valid JSON" in err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(deep)
+    code, out, err = run_cli(capsys, "models", "--config", str(cfg))
+    assert code == 1 and out == "" and "is not valid JSON" in err
+
+
+def test_series_degree_zero_is_exit_one(capsys):
+    code, out, err = run_cli(capsys, "correlate", "--model", "series_delta",
+                             "--params", '{"degree": 0}', "--a", "0,0,1", "--b", "1,0,0")
+    assert code == 1 and "degree must be in" in err
+
+
+class _Reached(Exception):
+    pass
+
+
+def _reached(*args, **kwargs):
+    raise _Reached
+
+
+def test_grid_above_the_limit_is_exit_one_before_any_point(capsys, monkeypatch):
+    monkeypatch.setattr(analyticity, "_disc_grid", _reached)
+    code, out, err = run_cli(capsys, "analyticity", "--w", "inf", "--grid", "1001")
+    assert code == 1 and out == ""
+    assert "grid resolution must be in 2..1000" in err
+    with pytest.raises(_Reached):
+        run_cli(capsys, "analyticity", "--w", "inf", "--grid", "1000")
+
+
+def test_steps_above_the_limit_is_exit_one_before_any_estimate(capsys, monkeypatch):
+    monkeypatch.setattr(correlation, "make_correlation_oracle", _reached)
+    code, out, err = run_cli(capsys, "sweep", "--model", "quantum", "--steps", "100001")
+    assert code == 1 and out == ""
+    assert "steps must be in 2..100000" in err
+    with pytest.raises(_Reached):
+        run_cli(capsys, "sweep", "--model", "quantum", "--steps", "100000")
+
+
+def test_unwritable_output_is_exit_one(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "models", "--output", str(tmp_path / "no" / "out.json"))
+    assert code == 1 and out == ""
+    assert "cannot write output" in err
+
+
+def test_step_lost_against_the_point_is_exit_one(capsys):
+    for args in (("--h", "1e-300"), ("--radius", "1e200")):
+        code, out, err = run_cli(capsys, "analyticity", "--w", "inf", "--grid", "3", *args)
+        assert code == 1 and out == ""
+        assert "vanishes against the point" in err
+
+
+# sha256 of the exact `eprb models` output, recorded from the registry that
+# had one hand-written builder function per model.
+MODELS_DIGEST = "309507fa19ee16920092d687eb1a7532f1a33668f5e430671146ef23670eb1ca"
+
+
+def test_models_output_is_frozen(capsys):
+    code, out, _ = run_cli(capsys, "models")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == MODELS_DIGEST
 
 
 def test_worker_count_leaves_output_byte_identical(capsys):

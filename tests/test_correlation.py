@@ -41,7 +41,7 @@ from eprb import (
     unit_from_plane_angle,
 )
 from eprb.correlation import pair_needs_sampler
-from oracles_ref import linear_joint_quad, sign_curve_quad
+from oracles_ref import linear_joint_quad, ref_accumulate4, ref_fold4, sign_curve_quad
 
 angles = st.floats(min_value=0.0, max_value=math.pi)
 coords = st.floats(min_value=-3.0, max_value=3.0)
@@ -117,6 +117,21 @@ def test_threads_start_only_for_compiled_kernel_chunks(monkeypatch):
     estimate_correlation(LocalSignModel(), Z_AXIS, X_AXIS, s, n, workers=2)
     estimate_joint(LinearStochasticModel(), Z_AXIS, X_AXIS, s, n, workers=2)
     assert pools == ([2, 2] if _k.BACKEND_NAME == "compiled" else [])
+
+
+any_float = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.25]))
+rows4 = st.lists(st.tuples(any_float, any_float, any_float, any_float), min_size=1, max_size=9)
+
+
+@given(st.lists(rows4, min_size=2, max_size=5))
+@settings(max_examples=100)
+def test_four_column_fold_is_the_scalar_fold_per_column(chunks):
+    # repr tells -0.0 from 0.0 and matches nan with nan
+    parts = [_mc.accumulate4(rows) for rows in chunks]
+    assert repr(parts) == repr([ref_accumulate4(rows) for rows in chunks])
+    n = sum(len(rows) for rows in chunks)
+    want = [_mc._finalize(*f, n) for f in ref_fold4(parts)]
+    assert repr(_mc.combine_vec4(parts, n)) == repr(want)
 
 
 def test_aligned_sign_model_is_perfectly_anticorrelated():

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -19,8 +20,10 @@ from eprb import (
     maximize_chsh,
     quantum_correlation,
     sphere_sampler,
+    unit_from_angles,
     unit_from_plane_angle,
 )
+from eprb.inequalities import _quad_from_angles
 from oracles_ref import TWO_SQRT_TWO
 
 angles = st.floats(min_value=0.0, max_value=2.0 * math.pi)
@@ -236,3 +239,36 @@ def test_maximize_respects_a_tight_budget():
     assert result.evaluations <= 150
     # even a tight search beats the classical bound for the quantum oracle
     assert result.s_value > 2.0
+
+
+# sha256 of the repr of every (a, b) component 6-tuple the search sent to the
+# oracle, in order, with the evaluation count, recorded from the search that
+# built its grid and start point separately for each mode.
+SEARCH_CALLS = {
+    ("coplanar", 300): (300, "b6299cb50329a5b88bf14aa54ee32a9d3d2652eeb2894af05c748dc3f530bf08"),
+    ("full", 4700): (2771, "b97947a940cc0a39aef7364c5355648e801dffa0619ea60c109837bab90a078b"),
+}
+
+
+@pytest.mark.parametrize("mode,budget", sorted(SEARCH_CALLS))
+def test_search_asks_the_oracle_the_same_pairs_in_the_same_order(mode, budget):
+    calls = []
+
+    def P(a, b):
+        calls.append((a.x, a.y, a.z, b.x, b.y, b.z))
+        return quantum_correlation(a, b)
+
+    result = maximize_chsh(P, budget, mode=mode)
+    count, digest = SEARCH_CALLS[(mode, budget)]
+    assert result.evaluations == len(calls) == count
+    assert hashlib.sha256(repr(calls).encode()).hexdigest() == digest
+
+
+def test_quad_from_angles_reads_one_or_two_angles_per_setting():
+    t = [0.1, 0.7, 1.9, 2.6]
+    q = _quad_from_angles(t, "coplanar")
+    assert (q.a, q.b, q.a_prime, q.b_prime) == tuple(unit_from_plane_angle(x) for x in t)
+    tp = [0.1, 0.2, 0.7, 0.8, 1.9, 2.0, 2.6, 2.7]
+    q = _quad_from_angles(tp, "full")
+    assert (q.a, q.b, q.a_prime, q.b_prime) == tuple(
+        unit_from_angles(tp[2 * k], tp[2 * k + 1]) for k in range(4))

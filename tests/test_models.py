@@ -35,6 +35,7 @@ from eprb import (
     sphere_sampler,
     zoo,
 )
+from eprb import models as models_module
 from oracles_ref import series_brute
 
 angles = st.floats(min_value=0.0, max_value=2.0 * math.pi)
@@ -79,6 +80,83 @@ def test_build_model_routes_params():
     assert sd.alpha.degree == 2
     sr = build_model("series_random", {"coeff_seed": 5, "degree": 2})
     assert sr.alpha.degree == 2
+
+
+# Every registry row: the class it builds and, per parameter, a value given
+# in a type the converter has to change and a check that it reached the model.
+ROUTES = {
+    "quantum": (QuantumCorrelationModel, {}),
+    "local_sign": (LocalSignModel, {}),
+    "coin": (CoinModel, {}),
+    "linear": (LinearStochasticModel, {}),
+    "constant": (ConstantNonlocalModel, {
+        "u": ((0, 0, 1), lambda m: m.u.as_tuple() == (0.0, 0.0, 1.0)),
+        "v": ([1, 0, 0], lambda m: m.v.as_tuple() == (1.0, 0.0, 0.0)),
+    }),
+    "fixed": (FixedOutcomeModel, {
+        "alpha": (-1, lambda m: m.alpha == -1.0 and type(m.alpha) is float),
+        "beta": ("1", lambda m: m.beta == 1.0),
+    }),
+    "nonlocal_sign": (SettingBiasedSignModel, {
+        "bias": ("0.25", lambda m: m.bias == 0.25),
+    }),
+    "series_delta": (AnticorrelatedSeriesPair, {
+        "degree": ("2", lambda m: m.alpha.degree == 2),
+    }),
+    "series_random": (AnticorrelatedSeriesPair, {
+        "coeff_seed": ("5", lambda m: np.array_equal(
+            m.alpha.table, random_coefficients(5, degree=2, scale=0.01).table)),
+        "degree": (2.0, lambda m: m.alpha.degree == 2),
+        "scale": (0.01, lambda m: np.abs(m.alpha.table).max() <= 0.01),
+    }),
+}
+
+
+def test_every_registry_row_routes_its_parameters():
+    assert set(ROUTES) == set(MODEL_NAMES)
+    for name, (cls, params) in ROUTES.items():
+        converters = models_module._BUILDERS[name][2]
+        assert list(converters) == list(params), name
+        m = build_model(name, {"psi": "triplet", **{k: v for k, (v, _) in params.items()}})
+        assert type(m) is cls, name
+        assert m.psi_label == "triplet"
+        assert m.locality_class.value == next(e for e in zoo() if e["name"] == name)[
+            "locality_class"]
+        for key, (_, check) in params.items():
+            assert check(m), (name, key)
+        defaults = build_model(name)
+        assert type(defaults) is cls and defaults.psi_label == "singlet"
+
+
+def test_every_converter_names_its_parameter_on_a_wrong_type():
+    for name, (_, params) in ROUTES.items():
+        for key in params:
+            bads = [[1], {"x": 1}, "junk"]
+            if key != "scale":  # a null scale means the default one
+                bads.append(None)
+            if key in ("degree", "coeff_seed"):
+                bads.append(math.inf)
+            for bad in bads:
+                with pytest.raises(ValueError, match=f"model '{name}' parameter '{key}'"):
+                    build_model(name, {key: bad})
+
+
+def test_bad_value_is_reported_ahead_of_a_leftover_key():
+    with pytest.raises(ValueError, match="outcomes must be"):
+        build_model("fixed", {"alpha": 0.5, "extra": 1})
+    with pytest.raises(ValueError, match="parameter 'alpha'"):
+        build_model("fixed", {"extra": 1, "alpha": "high"})
+    with pytest.raises(ValueError, match="does not take parameters"):
+        build_model("fixed", {"alpha": -1, "extra": 1})
+
+
+def test_series_degree_out_of_range_is_a_value_error():
+    for degree in (0, -1, 17, 10**300):
+        for name in ("series_delta", "series_random"):
+            with pytest.raises(ValueError, match="degree must be in 1..16"):
+                build_model(name, {"degree": degree})
+    with pytest.raises(ValueError, match="degree must be in"):
+        delta_coefficients(0)
 
 
 def test_local_sign_outcomes():
