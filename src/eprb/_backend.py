@@ -59,5 +59,6 @@ uniform01 = _impl.uniform01
 lambda_at = _impl.lambda_at
 lambda_batch = _impl.lambda_batch
 reduce_product = _impl.reduce_product
+reduce_pairs = _impl.reduce_pairs
 reduce_joint = _impl.reduce_joint
 series_value = _impl.series_value

@@ -7,10 +7,12 @@ operations in the same order and call the same libm routines, so their
 results agree bit for bit. ``mix64``, ``stream_word``, ``uniform01``,
 ``lambda_at`` and ``series_value`` work on one draw in plain Python floats,
 for the per-draw fallback in ``eprb.correlation``. ``lambda_batch``,
-``reduce_product`` and ``reduce_joint`` compute a whole index range (one
-chunk of at most 4096 draws) as uint64/float64 arrays: uint64 products wrap
-mod 2**64 exactly like the masked integer arithmetic, each array operation
-rounds like its scalar counterpart, and sums run left to right. The
+``reduce_pairs``, ``reduce_product`` and ``reduce_joint`` compute a whole
+index range (one chunk of at most 4096 draws) as uint64/float64 arrays:
+uint64 products wrap mod 2**64 exactly like the masked integer arithmetic,
+each array operation rounds like its scalar counterpart, and sums run left
+to right. ``reduce_pairs`` serves many setting pairs from one set of draws,
+and ``reduce_product`` is its one-pair case. The
 readable per-draw loops they reproduce, and the tests that hold them to
 it, are in ``tests/oracles_ref.py`` and ``tests/test_backends.py``.
 
@@ -133,7 +135,7 @@ def _mix64_array(x):
 
 def _uniform_columns(seed, start, count, ncomp):
     """uniform01(seed, i, j) for i in start .. start + count - 1, as one
-    float64 array per component j < ncomp."""
+    float64 array per component j < ncomp (the rows of one 2-D array)."""
     base = mix64((seed + _GOLDEN) & MASK64)
     with np.errstate(over="ignore"):
         h = np.arange(count, dtype=np.uint64)
@@ -141,13 +143,12 @@ def _uniform_columns(seed, start, count, ncomp):
         h *= _GOLDEN_U64
         h += np.uint64(base)
         _mix64_array(h)
-        cols = []
-        for j in range(ncomp):
-            w = h + np.uint64(((j + 1) * _GOLDEN) & MASK64)
-            _mix64_array(w)
-            w >>= _SHIFT_U64[11]
-            cols.append(w.astype(np.float64) * _INV_2_53)
-    return cols
+        # One row per component, mixed together.
+        w = h + np.array([((j + 1) * _GOLDEN) & MASK64 for j in range(ncomp)],
+                         dtype=np.uint64)[:, None]
+        _mix64_array(w)
+        w >>= _SHIFT_U64[11]
+    return list(w.astype(np.float64) * _INV_2_53)
 
 
 def _lambda_columns(sampler_kind, seed, start, count, ncomp):
@@ -182,30 +183,125 @@ def _accumulate(x):
     )
 
 
-def _settings_dots(ax, ay, az, bx, by, bz, sampler_kind, dim, seed, start, count):
-    """a . lam and b . lam for every draw of the range."""
+def _check_dot_dim(sampler_kind, dim):
     if sampler_kind != SAMPLER_SPHERE and dim < 3:
         raise ValueError("model dots a 3-vector against the draw; sampler dimension must be >= 3")
-    l0, l1, l2 = _lambda_columns(sampler_kind, seed, start, count, 3)
-    return ax * l0 + ay * l1 + az * l2, bx * l0 + by * l1 + bz * l2
 
 
-def _linear_probabilities(d1, d2, start):
-    """The linear model's outcome probabilities (p1_plus, p1_minus,
-    p2_plus, p2_minus) per draw, cut before the first draw with one outside
-    [0, 1] beyond PROB_SLACK, and the (status, bad_index, bad_value) tail
-    of a kernel result; the first offending probability in that order is
-    the reported value.
+def _dots(S, l0, l1, l2):
+    """s . lam for every row s of ``S`` and every draw: one row per setting."""
+    return S[:, 0:1] * l0 + S[:, 1:2] * l1 + S[:, 2:3] * l2
+
+
+def _side_probabilities(S, l0, l1, l2, flip):
+    """The linear model's (p_plus, p_minus) of one side, one row per row of
+    ``S``, and where they first leave [0, 1].
+
+    ``flip`` marks side B, whose outcome is negated: p_plus = (1 - d) / 2
+    there. The third item is None when no probability can leave [0, 1],
+    and otherwise (first, values): each row's first draw with one outside
+    [0, 1] beyond PROB_SLACK (the count when it has none) and the first
+    offending probability there, p_plus before p_minus.
     """
-    probs = (0.5 * (1.0 + d1), 0.5 * (1.0 - d1), 0.5 * (1.0 - d2), 0.5 * (1.0 + d2))
+    d = _dots(S, l0, l1, l2)
+    hi_side, lo_side = 0.5 * (1.0 + d), 0.5 * (1.0 - d)
+    plus, minus = (lo_side, hi_side) if flip else (hi_side, lo_side)
+    if (np.abs(d) <= 1.0).all():
+        # 1 +/- d then rounds into [0, 2], so no probability is bad (a NaN
+        # fails this test and takes the full one).
+        return plus, minus, None
     # NaN fails both comparisons, as in the per-draw chained test.
-    oks = [(p >= -PROB_SLACK) & (p <= 1.0 + PROB_SLACK) for p in probs]
-    bad = ~(oks[0] & oks[1] & oks[2] & oks[3])
-    if not bad.any():
-        return probs, (STATUS_OK, -1, 0.0)
-    k = int(bad.argmax())
-    value = next(float(p[k]) for p, ok in zip(probs, oks) if not ok[k])
-    return tuple(p[:k] for p in probs), (STATUS_BAD_PROBABILITY, start + k, value)
+    ok_plus = (plus >= -PROB_SLACK) & (plus <= 1.0 + PROB_SLACK)
+    ok_minus = (minus >= -PROB_SLACK) & (minus <= 1.0 + PROB_SLACK)
+    bad = ~(ok_plus & ok_minus)
+    any_bad = bad.any(axis=1)
+    first = np.where(any_bad, bad.argmax(axis=1), bad.shape[1])
+    values = [0.0] * len(S)
+    for r in np.flatnonzero(any_bad).tolist():
+        k = first[r]
+        values[r] = float(plus[r, k] if not ok_plus[r, k] else minus[r, k])
+    return plus, minus, (first, values)
+
+
+def _pair_stops(bad_a, bad_b, I, J, start, count):
+    """Per pair (A[I[p]], B[J[p]]): the number of draws its sums cover and
+    the (status, bad_index, bad_value) tail of its result; None when
+    neither side has a bad draw.
+
+    A pair stops at the earlier of its sides' first bad draws and reports
+    side A's probability when A is bad there, because p1_plus and p1_minus
+    are tested before p2_plus and p2_minus.
+    """
+    if bad_a is None and bad_b is None:
+        return None
+    ka = bad_a[0][I] if bad_a else np.full(len(I), count)
+    kb = bad_b[0][J] if bad_b else np.full(len(J), count)
+    return [
+        (k, (STATUS_OK, -1, 0.0) if k == count else (
+            STATUS_BAD_PROBABILITY, start + k, bad_a[1][i] if a == k else bad_b[1][j]))
+        for i, j, a, k in zip(I, J, ka.tolist(), np.minimum(ka, kb).tolist())
+    ]
+
+
+# Most pair-by-draw elements reduced in one block of reduce_pairs: the
+# transient arrays stay this small whatever the number of pairs.
+_BLOCK = 1 << 13
+
+
+def reduce_pairs(kind, A, B, I, J, sampler_kind, dim, seed, start, count):
+    """reduce_product for many setting pairs over one index range, with the
+    draws made once.
+
+    ``A`` and ``B`` hold the distinct settings of each side as (g, 3)
+    arrays and pair ``p`` is (A[I[p]], B[J[p]]). Each side's factor is
+    computed once per setting; the pair products are reduced in blocks of
+    at most _BLOCK elements, every row left to right along the draws.
+    Returns one ``(sum, sum_sq, min, max, status, bad_index, bad_value)``
+    per pair, bit-identical to the single-pair call.
+    """
+    if dim < 1 or dim > MAX_DIM:
+        raise ValueError(f"sampler dimension {dim} outside 1..{MAX_DIM}")
+    if kind != KIND_SIGN and kind != KIND_LINEAR:
+        raise ValueError(f"unknown model kind code {kind}")
+    _check_dot_dim(sampler_kind, dim)
+    l0, l1, l2 = _lambda_columns(sampler_kind, seed, start, count, 3)
+    I = np.asarray(I, dtype=np.intp)
+    J = np.asarray(J, dtype=np.intp)
+    if count == 0:
+        return [(0.0, 0.0, inf, -inf, STATUS_OK, -1, 0.0)] * len(I)
+    A = np.asarray(A, dtype=np.float64).reshape(-1, 3)
+    B = np.asarray(B, dtype=np.float64).reshape(-1, 3)
+    if kind == KIND_SIGN:
+        # sign(a . lam) * -sign(b . lam), with sign(0) = +1
+        fa = np.where(_dots(A, l0, l1, l2) >= 0.0, 1.0, -1.0)
+        fb = np.where(_dots(B, l0, l1, l2) >= 0.0, -1.0, 1.0)
+        stops = None
+    else:
+        # One side's probabilities at a time, so at most two stay alive.
+        p_plus, p_minus, bad_a = _side_probabilities(A, l0, l1, l2, False)
+        fa = p_plus - p_minus
+        p_plus, p_minus, bad_b = _side_probabilities(B, l0, l1, l2, True)
+        fb = p_plus - p_minus
+        del p_plus, p_minus
+        stops = _pair_stops(bad_a, bad_b, I, J, start, count)
+    out = []
+    rows = max(1, _BLOCK // count)
+    for lo in range(0, len(I), rows):
+        x = fa[I[lo:lo + rows]] * fb[J[lo:lo + rows]]
+        r = np.arange(len(x))
+        out.extend(zip(
+            (0.0 + np.cumsum(x, axis=1)[:, -1]).tolist(),
+            (0.0 + np.cumsum(x * x, axis=1)[:, -1]).tolist(),
+            x[r, x.argmin(axis=1)].tolist(),
+            x[r, x.argmax(axis=1)].tolist(),
+        ))
+    if stops is None:
+        return [acc + (STATUS_OK, -1, 0.0) for acc in out]
+    # A pair that stops early sums the draws before its first bad one.
+    return [
+        acc + tail if k == count else _accumulate(fa[i, :k] * fb[j, :k]) + tail
+        for acc, i, j, (k, tail) in zip(out, I, J, stops)
+    ]
 
 
 def reduce_product(kind, params, ax, ay, az, bx, by, bz,
@@ -216,20 +312,11 @@ def reduce_product(kind, params, ax, ay, az, bx, by, bz,
     ``status`` is nonzero when a stochastic model produced a probability
     outside [0, 1] beyond PROB_SLACK; the offending sample index and value
     are reported and the sums cover the draws before it. ``params`` is
-    unused by both kinds; callers pass ``()``.
+    unused by both kinds; callers pass ``()``. The one-pair case of
+    reduce_pairs.
     """
-    if dim < 1 or dim > MAX_DIM:
-        raise ValueError(f"sampler dimension {dim} outside 1..{MAX_DIM}")
-    if kind != KIND_SIGN and kind != KIND_LINEAR:
-        raise ValueError(f"unknown model kind code {kind}")
-    d1, d2 = _settings_dots(ax, ay, az, bx, by, bz, sampler_kind, dim, seed, start, count)
-    if kind == KIND_SIGN:
-        # sign(d1) * -sign(d2), with sign(0) = +1
-        x = np.where(d1 >= 0.0, 1.0, -1.0) * np.where(d2 >= 0.0, -1.0, 1.0)
-        return _accumulate(x) + (STATUS_OK, -1, 0.0)
-    (p1_plus, p1_minus, p2_plus, p2_minus), status = _linear_probabilities(d1, d2, start)
-    x = (p1_plus - p1_minus) * (p2_plus - p2_minus)
-    return _accumulate(x) + status
+    return reduce_pairs(kind, ((ax, ay, az),), ((bx, by, bz),), (0,), (0,),
+                        sampler_kind, dim, seed, start, count)[0]
 
 
 def reduce_joint(kind, params, ax, ay, az, bx, by, bz,
@@ -244,11 +331,14 @@ def reduce_joint(kind, params, ax, ay, az, bx, by, bz,
         raise ValueError(f"sampler dimension {dim} outside 1..{MAX_DIM}")
     if kind != KIND_LINEAR:
         raise ValueError(f"model kind code {kind} has no joint-table fast path")
-    d1, d2 = _settings_dots(ax, ay, az, bx, by, bz, sampler_kind, dim, seed, start, count)
-    (p1_plus, p1_minus, p2_plus, p2_minus), status = _linear_probabilities(d1, d2, start)
-    accs = [_accumulate(x) for x in (p1_plus * p2_plus, p1_minus * p2_minus,
-                                     p1_plus * p2_minus, p1_minus * p2_plus)]
-    return tuple(zip(*accs)) + status
+    _check_dot_dim(sampler_kind, dim)
+    l0, l1, l2 = _lambda_columns(sampler_kind, seed, start, count, 3)
+    p1_plus, p1_minus, bad_a = _side_probabilities(np.array([[ax, ay, az]]), l0, l1, l2, False)
+    p2_plus, p2_minus, bad_b = _side_probabilities(np.array([[bx, by, bz]]), l0, l1, l2, True)
+    [(k, tail)] = _pair_stops(bad_a, bad_b, [0], [0], start, count) or [(count, (STATUS_OK, -1, 0.0))]
+    accs = [_accumulate(x[0, :k]) for x in (p1_plus * p2_plus, p1_minus * p2_minus,
+                                            p1_plus * p2_minus, p1_minus * p2_plus)]
+    return tuple(zip(*accs)) + tail
 
 
 def series_value(coeffs, degree, c0, ax, ay, az, bx, by, bz):

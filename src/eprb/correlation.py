@@ -19,6 +19,7 @@ from . import _backend as _k
 from ._mc import (
     accumulate,
     accumulate4,
+    chunk_count,
     combine_scalar,
     combine_vec4,
     require_n,
@@ -48,6 +49,7 @@ __all__ = [
     "quantum_correlation_complex",
     "series_correlation",
     "make_correlation_oracle",
+    "ask_pairs",
     "AntipodalContrast",
     "antipodal_contrast",
     "correlation_sweep",
@@ -55,6 +57,12 @@ __all__ = [
 
 # Largest number of angles a sweep evaluates, one estimate each.
 MAX_STEPS = 100000
+
+# Bounds of one batched kernel pass: at most 64 distinct settings a side,
+# so its per-setting factor arrays stay at most 64 x 4096 doubles a side,
+# and at most 2**16 per-chunk pair results held before they are folded.
+_BATCH_SETTINGS = 64
+_BATCH_PARTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -173,6 +181,51 @@ def _estimate(m, value, a, b, s, n, workers, joint=False):
 
         parts = run_chunk_jobs(job, n, workers=workers)
     return combine_vec4(parts, n) if joint else combine_scalar(parts, n)
+
+
+def _pair_groups(pairs, max_pairs):
+    """Split ``pairs`` in order into runs of at most ``max_pairs`` pairs
+    with at most _BATCH_SETTINGS distinct settings a side; each run as
+    (A, B, I, J), the kernel's distinct settings and pair indices."""
+    A, B, I, J = {}, {}, [], []
+    for a, b in pairs:
+        ka, kb = (a.x, a.y, a.z), (b.x, b.y, b.z)
+        if (len(I) == max_pairs or (ka not in A and len(A) == _BATCH_SETTINGS)
+                or (kb not in B and len(B) == _BATCH_SETTINGS)):
+            yield list(A), list(B), I, J
+            A, B, I, J = {}, {}, [], []
+        # Keys that differ only in a zero's sign share a row: the kernels
+        # read a setting only through sign(d) and 1 +/- d of its dot d with
+        # the draw, which a zero's sign cannot change.
+        I.append(A.setdefault(ka, len(A)))
+        J.append(B.setdefault(kb, len(B)))
+    if I:
+        yield list(A), list(B), I, J
+
+
+def _estimate_pairs(m, pairs, s, n, workers):
+    """The kernel path of ``_estimate`` for every (a, b) of ``pairs`` at
+    once: ``reduce_pairs`` makes each chunk's draws once for a whole group
+    of pairs, and each pair's chunks are folded as for a single estimate,
+    so every estimate has the bits of the one-pair call. The bad
+    probability raised is the first one of the earliest pair that has one,
+    as when the pairs are asked one at a time. A group holds at most
+    _BATCH_PARTS pair-chunk results until it is folded."""
+    n = require_n(n)
+    out = []
+    for A, B, I, J in _pair_groups(pairs, max(1, _BATCH_PARTS // chunk_count(n))):
+        def job(start, count):
+            return _k.reduce_pairs(m.kernel_kind, A, B, I, J,
+                                   s.kind_code, s.dim, s.seed, start, count)
+
+        parts = run_chunk_jobs(job, n, workers=workers, threaded=_k.THREADED_KERNELS)
+        for column in zip(*parts):
+            for part in column:
+                if part[4] != _k.STATUS_OK:
+                    _raise_bad_probability(part[5], part[6])
+            mean, stderr = combine_scalar([part[:4] for part in column], n)
+            out.append(CorrelationEstimate(value=mean, stderr=stderr, n=n, exact=False))
+    return out
 
 
 def estimate_correlation(
@@ -377,7 +430,7 @@ def make_correlation_oracle(
         def det_oracle(a: UnitVector3, b: UnitVector3) -> CorrelationEstimate:
             return estimate_correlation(model, a, b, s, n, workers=workers)
 
-        return det_oracle
+        return _with_pairs(det_oracle, model, s, n, workers)
     if isinstance(model, StochasticModel):
         if s is None:
             raise ValueError("stochastic models need a sampler")
@@ -385,8 +438,29 @@ def make_correlation_oracle(
         def stoch_oracle(a: UnitVector3, b: UnitVector3) -> CorrelationEstimate:
             return estimate_stochastic_correlation(model, a, b, s, n, workers=workers)
 
-        return stoch_oracle
+        return _with_pairs(stoch_oracle, model, s, n, workers)
     raise ValueError(f"no correlation estimator for {type(model).__name__}")
+
+
+def _with_pairs(oracle, model, s, n, workers):
+    """Give ``oracle`` a ``pairs`` method that estimates a list of setting
+    pairs in one pass over the draws, when the model runs a kernel on the
+    settings themselves; any other model is asked pair by pair."""
+    if (getattr(model, "kernel_kind", None) is not None and model.kernel_axes is None
+            and not getattr(model, "draw_independent", False)):
+        oracle.pairs = lambda pairs: _estimate_pairs(model, pairs, s, n, workers)
+    return oracle
+
+
+def ask_pairs(P, pairs) -> list[CorrelationEstimate]:
+    """Estimates for a list of (a, b) setting pairs, in order: one batch
+    call when the oracle has a ``pairs`` method (as oracles from
+    ``make_correlation_oracle`` for kernel models do), and otherwise one
+    call of ``P`` per pair. Both give the same estimates."""
+    batch = getattr(P, "pairs", None)
+    if batch is not None:
+        return batch(pairs)
+    return [P(a, b) for a, b in pairs]
 
 
 def pair_needs_sampler(pair: AnticorrelatedSeriesPair) -> bool:
@@ -451,9 +525,6 @@ def correlation_sweep(
     if steps < 2 or steps > MAX_STEPS:
         raise ValueError(f"steps must be in 2..{MAX_STEPS}, got {steps}")
     oracle = make_correlation_oracle(model, s, n, workers=workers)
-    rows = []
-    for k in range(steps):
-        theta = (k * math.pi) / (steps - 1)
-        b = unit_from_plane_angle(theta)
-        rows.append((theta, oracle(Z_AXIS, b)))
-    return rows
+    thetas = [(k * math.pi) / (steps - 1) for k in range(steps)]
+    estimates = ask_pairs(oracle, [(Z_AXIS, unit_from_plane_angle(t)) for t in thetas])
+    return list(zip(thetas, estimates))

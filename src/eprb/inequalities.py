@@ -5,16 +5,20 @@ The central quantity is the four-correlation combination
 setting-constant model classes and reaching 2*sqrt(2) for the singlet
 correlation. A correlation oracle here is any callable mapping a setting
 pair to a CorrelationEstimate; estimators from the correlation module and
-exact closed forms both qualify.
+exact closed forms both qualify. Each statistic asks for all its setting
+pairs at once through ``ask_pairs``, so an oracle with a ``pairs`` method
+serves them in one pass over the draws.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
-from .correlation import CorrelationEstimate
+import numpy as np
+
+from .correlation import CorrelationEstimate, ask_pairs
 from .geometry import UnitVector3, unit_from_angles, unit_from_plane_angle, vector_to_list
 from .models import DeterministicModel, evaluate_deterministic
 
@@ -94,15 +98,24 @@ class ChshReport:
         }
 
 
+def _quad_pairs(q: SettingsQuad) -> list[tuple[UnitVector3, UnitVector3]]:
+    """The statistic's four setting pairs: (a,b), (a,b'), (a',b'), (a',b)."""
+    return [(q.a, q.b), (q.a, q.b_prime), (q.a_prime, q.b_prime), (q.a_prime, q.b)]
+
+
+def _chsh_sum(ests: Sequence[CorrelationEstimate]) -> tuple[float, float, float]:
+    """(S, term1, term2) from the estimates at the ``_quad_pairs`` pairs:
+    S = |P(a,b) - P(a,b')| + |P(a',b') + P(a',b)|."""
+    term1 = abs(ests[0].value - ests[1].value)
+    term2 = abs(ests[2].value + ests[3].value)
+    return term1 + term2, term1, term2
+
+
 def chsh_statistic(P: CorrelationOracle, q: SettingsQuad) -> ChshReport:
     """Evaluate the four-correlation statistic at ``q`` using oracle ``P``."""
-    est_ab = P(q.a, q.b)
-    est_ab_prime = P(q.a, q.b_prime)
-    est_apbp = P(q.a_prime, q.b_prime)
-    est_apb = P(q.a_prime, q.b)
-    term1 = abs(est_ab.value - est_ab_prime.value)
-    term2 = abs(est_apbp.value + est_apb.value)
-    s_value = term1 + term2
+    ests = ask_pairs(P, _quad_pairs(q))
+    est_ab, est_ab_prime, est_apbp, est_apb = ests
+    s_value, term1, term2 = _chsh_sum(ests)
     stderr = math.sqrt(
         est_ab.stderr ** 2
         + est_ab_prime.stderr ** 2
@@ -153,9 +166,7 @@ def bell_statistic(
     P: CorrelationOracle, a: UnitVector3, b: UnitVector3, c: UnitVector3
 ) -> BellReport:
     """Excess |P(a,b) - P(a,c)| - (1 + P(b,c)); positive means violation."""
-    est_ab = P(a, b)
-    est_ac = P(a, c)
-    est_bc = P(b, c)
+    est_ab, est_ac, est_bc = ask_pairs(P, [(a, b), (a, c), (b, c)])
     excess = abs(est_ab.value - est_ac.value) - (1.0 + est_bc.value)
     stderr = math.sqrt(
         est_ab.stderr ** 2 + est_ac.stderr ** 2 + est_bc.stderr ** 2
@@ -201,16 +212,29 @@ class _BudgetedOracle:
         self.evaluations = 0
 
     def __call__(self, a: UnitVector3, b: UnitVector3) -> CorrelationEstimate:
-        key = (a.x, a.y, a.z, b.x, b.y, b.z)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        if self.evaluations >= self._budget:
+        return self.pairs([(a, b)])[0]
+
+    def pairs(self, pairs) -> list[CorrelationEstimate]:
+        """Estimates for ``pairs``, in order.
+
+        The distinct uncached pairs are charged and evaluated in request
+        order, as one batch through ``ask_pairs``. When they outrun the
+        budget, the ones that fit are evaluated and cached and the request
+        raises, so the oracle sees the same pairs in the same order as when
+        they are asked one at a time.
+        """
+        keys = [(a.x, a.y, a.z, b.x, b.y, b.z) for a, b in pairs]
+        todo: dict = {}
+        for key, pair in zip(keys, pairs):
+            if key not in self._cache:
+                todo.setdefault(key, pair)
+        fresh = list(todo)[:max(0, self._budget - self.evaluations)]
+        if fresh:
+            self._cache.update(zip(fresh, ask_pairs(self._oracle, [todo[k] for k in fresh])))
+            self.evaluations += len(fresh)
+        if len(fresh) < len(todo):
             raise _BudgetExhausted
-        est = self._oracle(a, b)
-        self.evaluations += 1
-        self._cache[key] = est
-        return est
+        return [self._cache[key] for key in keys]
 
 
 @dataclass(frozen=True)
@@ -241,39 +265,46 @@ def _quad_from_angles(angles: Sequence[float], mode: str) -> SettingsQuad:
 
 
 def _grid_scan(P: _BudgetedOracle, points: list[UnitVector3]):
-    """Best statistic over all quads drawn from ``points``.
+    """Best statistic over all quads drawn from ``points``, asking the
+    oracle for every pair of points in one batch."""
+    g = len(points)
+    ests = ask_pairs(P, [(pa, pb) for pa in points for pb in points])
+    return _scan_values(np.array([e.value for e in ests], dtype=np.float64).reshape(g, g))
+
+
+def _scan_values(values: np.ndarray):
+    """Best statistic over all index quads of ``values[i, j]``, the
+    correlation at (points[i], points[j]).
 
     The two absolute terms share no setting once (b, b') is fixed, so each
-    is maximized independently over a and a', turning the quartic scan into
-    a cubic one. Ties resolve to the lexicographically smallest index
-    tuple (ia, ib, ia_prime, ib_prime).
+    is maximized independently over a and a', one b column at a time,
+    turning the quartic scan into a cubic one. Ties resolve to the
+    lexicographically smallest index tuple (ia, ib, ia_prime, ib_prime),
+    and a NaN term never wins, as in a loop of strict comparisons; with no
+    finite winner the result is (-inf, None).
     """
-    g = len(points)
-    values = [[P(points[i], points[j]).value for j in range(g)] for i in range(g)]
-    best = -math.inf
-    best_idx: Optional[tuple[int, int, int, int]] = None
-    for jb in range(g):
-        for jbp in range(g):
-            t1_best = -math.inf
-            ia_best = 0
-            for ia in range(g):
-                t1 = abs(values[ia][jb] - values[ia][jbp])
-                if t1 > t1_best:
-                    t1_best = t1
-                    ia_best = ia
-            t2_best = -math.inf
-            iap_best = 0
-            for iap in range(g):
-                t2 = abs(values[iap][jbp] + values[iap][jb])
-                if t2 > t2_best:
-                    t2_best = t2
-                    iap_best = iap
-            s = t1_best + t2_best
-            idx = (ia_best, jb, iap_best, jbp)
-            if s > best or (s == best and best_idx is not None and idx < best_idx):
-                best = s
-                best_idx = idx
-    return best, best_idx
+    g = values.shape[0]
+    cols = np.arange(g)
+    rows = []
+    # inf - inf gives NaN quietly, as with Python floats.
+    with np.errstate(invalid="ignore"):
+        for jb in range(g):
+            col = values[:, jb:jb + 1]
+            t1 = np.abs(col - values)  # t1[ia, jbp] = |P(a, b) - P(a, b')|
+            t2 = np.abs(values + col)  # t2[iap, jbp] = |P(a', b') + P(a', b)|
+            t1[np.isnan(t1)] = -math.inf
+            t2[np.isnan(t2)] = -math.inf
+            ia, iap = t1.argmax(axis=0), t2.argmax(axis=0)
+            rows.append((t1[ia, cols] + t2[iap, cols], ia, iap))
+    s, ia, iap = (np.array(r) for r in zip(*rows))
+    s[np.isnan(s)] = -math.inf
+    best = s.max()
+    if best == -math.inf:
+        return -math.inf, None
+    return float(best), min(
+        (int(ia[jb, jbp]), int(jb), int(iap[jb, jbp]), int(jbp))
+        for jb, jbp in zip(*np.nonzero(s == best))
+    )
 
 
 def _pattern_search(
@@ -298,7 +329,8 @@ def _pattern_search(
                 for direction in (1.0, -1.0):
                     trial = list(current)
                     trial[k] = trial[k] + direction * step
-                    s_trial = chsh_statistic(P, _quad_from_angles(trial, mode)).s_value
+                    quad = _quad_from_angles(trial, mode)
+                    s_trial = _chsh_sum(ask_pairs(P, _quad_pairs(quad)))[0]
                     if s_trial > s_current:
                         current = trial
                         s_current = s_trial

@@ -5,7 +5,10 @@ kernel one, per-draw scalar loops instead of the chunk-array kernels,
 brute-force polynomial loops instead of the flattened evaluator, a dense
 numpy scan instead of the pattern search. test_oracles.py pins each of these
 against closed forms before any other module trusts them; test_backends.py
-holds the kernels to the per-draw loops bit for bit.
+holds the kernels to the per-draw loops bit for bit. The grid-scan loop and
+the one-pair-at-a-time budget wrapper are the plain forms of the settings
+search's numpy scan and batched wrapper, which test_inequalities.py holds
+to them.
 """
 
 import math
@@ -232,6 +235,67 @@ def chsh_scan_coplanar(grid: int = 720) -> float:
             if s > best:
                 best = s
     return float(best)
+
+
+def ref_grid_scan(values):
+    """Best four-correlation sum over all index quads of the value matrix
+    ``values[i][j]``, as the settings search's grid phase computed it with
+    a pure-Python cubic loop: for each (b, b') each absolute term is
+    maximized over its own first setting with strict comparisons, and ties
+    go to the lexicographically smallest (ia, jb, iap, jbp)."""
+    g = len(values)
+    best = -math.inf
+    best_idx = None
+    for jb in range(g):
+        for jbp in range(g):
+            t1_best = -math.inf
+            ia_best = 0
+            for ia in range(g):
+                t1 = abs(values[ia][jb] - values[ia][jbp])
+                if t1 > t1_best:
+                    t1_best = t1
+                    ia_best = ia
+            t2_best = -math.inf
+            iap_best = 0
+            for iap in range(g):
+                t2 = abs(values[iap][jbp] + values[iap][jb])
+                if t2 > t2_best:
+                    t2_best = t2
+                    iap_best = iap
+            s = t1_best + t2_best
+            idx = (ia_best, jb, iap_best, jbp)
+            if s > best or (s == best and best_idx is not None and idx < best_idx):
+                best = s
+                best_idx = idx
+    return best, best_idx
+
+
+class RefBudgetExhausted(Exception):
+    pass
+
+
+class RefBudgetedOracle:
+    """The settings search's memoizing budget wrapper, asked one setting
+    pair at a time: a cached pair is free, and an uncached one raises once
+    ``budget`` distinct pairs have been evaluated."""
+
+    def __init__(self, P, budget):
+        self._oracle = P
+        self._budget = budget
+        self._cache = {}
+        self.evaluations = 0
+
+    def __call__(self, a, b):
+        key = (a.x, a.y, a.z, b.x, b.y, b.z)
+        hit = self._cache.get(key)
+        if hit is not None:
+            return hit
+        if self.evaluations >= self._budget:
+            raise RefBudgetExhausted
+        est = self._oracle(a, b)
+        self.evaluations += 1
+        self._cache[key] = est
+        return est
 
 
 def pq_axis_curve(x: float) -> float:

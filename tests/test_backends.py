@@ -46,6 +46,100 @@ def test_numpy_reduce_joint_matches_per_draw_reference():
         assert py.reduce_joint(*args) == ref_reduce_joint(*args), args
 
 
+# Distinct settings of each side for the batched kernel; I/J repeat rows and
+# pairs, and the last A row repeats the first.
+PAIR_A = [a for a, _ in SETTINGS] + [SETTINGS[0][0]]
+PAIR_B = [b for _, b in SETTINGS]
+PAIR_I = [0, 1, 2, 3, 0, 2, 1, 0, 3]
+PAIR_J = [0, 1, 2, 0, 2, 1, 1, 0, 0]
+
+
+def _ref_pairs(kind, A, B, I, J, sampler, dim, seed, start, count):
+    """The per-pair reference for every pair, each distinct pair run once."""
+    ref = {}
+    for i, j in zip(I, J):
+        key = (*A[i], *B[j])
+        if key not in ref:
+            ref[key] = ref_reduce_product(kind, (), *key, sampler, dim, seed, start, count)
+    return [ref[(*A[i], *B[j])] for i, j in zip(I, J)]
+
+
+def test_numpy_reduce_pairs_matches_the_per_pair_reference():
+    for kind in (py.KIND_SIGN, py.KIND_LINEAR):
+        for (sampler, dim), count, start, seed in itertools.product(
+            SAMPLERS, COUNTS, STARTS, SEEDS
+        ):
+            args = (kind, PAIR_A, PAIR_B, PAIR_I, PAIR_J, sampler, dim, seed, start, count)
+            assert py.reduce_pairs(*args) == _ref_pairs(*args), args
+
+
+def test_numpy_reduce_pairs_across_several_blocks():
+    # 1500 pairs of 17 draws and 9 pairs of 4096 draws are each more than
+    # one block of at most 2**13 elements
+    rng = np.random.default_rng(5)
+    settings = rng.normal(size=(6, 3)).tolist()
+    for count, npairs in ((17, 1500), (4096, 9)):
+        assert npairs * count > py._BLOCK
+        I = rng.integers(0, 6, npairs).tolist()
+        J = rng.integers(0, 6, npairs).tolist()
+        for kind in (py.KIND_SIGN, py.KIND_LINEAR):
+            args = (kind, settings, settings, I, J, py.SAMPLER_SPHERE, 3, 9, 2**40, count)
+            assert py.reduce_pairs(*args) == _ref_pairs(*args)
+
+
+def test_numpy_reduce_product_is_the_one_pair_case():
+    for kind in (py.KIND_SIGN, py.KIND_LINEAR):
+        for case in _kernel_cases():
+            a, b, tail = case[:3], case[3:6], case[6:]
+            assert py.reduce_product(kind, (), *case) == py.reduce_pairs(
+                kind, [a], [b], [0], [0], *tail)[0]
+
+
+# Linear-model settings on a cube stream (draws in [0, 1)**3): a.lam > 1
+# makes p1_plus > 1, a.lam < -1 makes it < 0, and on side B, where
+# p2_plus = (1 - b.lam) / 2, the same settings make p2_plus < 0 and > 1.
+# The 0.7 rows go bad on more draws than the 0.55 rows, the first row never.
+CUBE_SIDES = [(0.0, 0.0, 1.0), (0.7, 0.7, 0.7), (0.55, 0.55, 0.55),
+              (-0.7, -0.7, -0.7), (-0.55, -0.55, -0.55)]
+
+
+def test_numpy_reduce_pairs_reports_each_pairs_first_bad_probability():
+    I = [i for i in range(5) for _ in range(5)]
+    J = [j for _ in range(5) for j in range(5)]
+    seen = set()
+    for seed, start in itertools.product((0, 3, 2**64 - 1), (0, 100, 2**63 - 5000)):
+        args = (py.KIND_LINEAR, CUBE_SIDES, CUBE_SIDES, I, J, py.SAMPLER_CUBE, 3,
+                seed, start, 4096)
+        got = py.reduce_pairs(*args)
+        assert got == _ref_pairs(*args), args
+        # the draw each side alone first goes bad at, with the other side safe
+        alone_a = [py.reduce_pairs(py.KIND_LINEAR, CUBE_SIDES, CUBE_SIDES, [i], [0],
+                                   py.SAMPLER_CUBE, 3, seed, start, 4096)[0][5]
+                   for i in range(5)]
+        alone_b = [py.reduce_pairs(py.KIND_LINEAR, CUBE_SIDES, CUBE_SIDES, [0], [j],
+                                   py.SAMPLER_CUBE, 3, seed, start, 4096)[0][5]
+                   for j in range(5)]
+        for (i, j), res in zip(zip(I, J), got):
+            if res[4] == py.STATUS_OK:
+                continue
+            ka = alone_a[i] if alone_a[i] >= 0 else math.inf
+            kb = alone_b[j] if alone_b[j] >= 0 else math.inf
+            assert res[5] == min(ka, kb)
+            order = "a only" if kb == math.inf else "b only" if ka == math.inf else (
+                "a first" if ka < kb else "b first" if kb < ka else "same draw")
+            side = "a" if ka <= kb else "b"
+            seen.add((order, side, res[6] > 1.0))
+    # every order of the two sides' first bad draws, and on the reported
+    # side each of the four probabilities: p1_plus above 1 and below 0,
+    # p2_plus below 0 and above 1
+    orders = {"a only", "b only", "a first", "b first", "same draw"}
+    assert {o for o, _, _ in seen} == orders
+    assert {(side, above) for _, side, above in seen} == {
+        ("a", True), ("a", False), ("b", True), ("b", False)}
+    for order in orders - {"a only", "b only"}:
+        assert {above for o, _, above in seen if o == order} == {True, False}
+
+
 def test_numpy_sums_start_from_positive_zero_like_the_loop():
     # 0.0 + (-0.0) is +0.0: an all -0.0 chunk sums to +0.0, as in the loop
     s, s2, mn, mx = py._accumulate(np.array([-0.0, -0.0]))
@@ -166,6 +260,20 @@ def test_reduce_joint_parity():
         py.SAMPLER_SPHERE, 3, 5, 0, 4096,
     )
     assert got == want
+
+
+@needs_compiled
+def test_reduce_pairs_parity():
+    from eprb import _kernels as ck
+
+    for kind in (ck.KIND_SIGN, ck.KIND_LINEAR):
+        for (sampler, dim), seed in itertools.product(SAMPLERS, SEEDS):
+            args = (kind, PAIR_A, PAIR_B, PAIR_I, PAIR_J, sampler, dim, seed, 2**32 - 7, 4096)
+            assert ck.reduce_pairs(*args) == py.reduce_pairs(*args)
+    I = [i for i in range(5) for _ in range(5)]
+    J = [j for _ in range(5) for j in range(5)]
+    args = (ck.KIND_LINEAR, CUBE_SIDES, CUBE_SIDES, I, J, ck.SAMPLER_CUBE, 3, 3, 100, 4096)
+    assert ck.reduce_pairs(*args) == py.reduce_pairs(*args)
 
 
 @needs_compiled

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +23,7 @@ from eprb import (
     X_AXIS,
     Z_AXIS,
     antipodal_contrast,
+    ask_pairs,
     build_model,
     correlation_sweep,
     cube_sampler,
@@ -41,6 +43,7 @@ from eprb import (
     unit_from_plane_angle,
 )
 from eprb.correlation import pair_needs_sampler
+from eprb.models import _BUILDERS
 from oracles_ref import linear_joint_quad, ref_accumulate4, ref_fold4, sign_curve_quad
 
 angles = st.floats(min_value=0.0, max_value=math.pi)
@@ -365,6 +368,71 @@ def test_oracle_dispatch():
         make_correlation_oracle(LocalSignModel())
     with pytest.raises(ValueError, match="no correlation estimator"):
         make_correlation_oracle(42)
+
+
+def _pair_requests(seed, count):
+    rng = random.Random(seed)
+    points = [unit_from_plane_angle(rng.uniform(0.0, 2.0 * math.pi)) for _ in range(12)]
+    return [(rng.choice(points), rng.choice(points)) for _ in range(count)]
+
+
+def test_oracle_pairs_give_the_per_pair_estimates(monkeypatch):
+    # repeated settings and pairs; whole and partial chunks; group bounds
+    # shrunk so one request splits into several kernel passes
+    pairs = _pair_requests(3, 60)
+    passes = []
+    reduce_pairs = _k.reduce_pairs
+
+    def recording(kind, A, B, I, J, *rest):
+        passes.append((len(A), len(B), len(I)))
+        return reduce_pairs(kind, A, B, I, J, *rest)
+
+    monkeypatch.setattr(_k, "reduce_pairs", recording)
+    for model in (LocalSignModel(), LinearStochasticModel()):
+        for n, workers in ((2, 1), (3 * 4096 + 5, 1), (3 * 4096 + 5, 2)):
+            oracle = make_correlation_oracle(model, sphere_sampler(seed=4), n, workers=workers)
+            want = [repr(oracle(a, b)) for a, b in pairs]
+            assert [repr(e) for e in oracle.pairs(pairs)] == want
+            assert [repr(e) for e in ask_pairs(oracle, pairs)] == want
+            with monkeypatch.context() as m:
+                m.setattr(correlation_module, "_BATCH_SETTINGS", 3)
+                passes.clear()
+                assert [repr(e) for e in oracle.pairs(pairs)] == want
+                assert max(max(a, b) for a, b, _ in passes) == 3
+            with monkeypatch.context() as m:
+                m.setattr(correlation_module, "_BATCH_PARTS", 24)
+                passes.clear()
+                assert [repr(e) for e in oracle.pairs(pairs)] == want
+                assert max(p for _, _, p in passes) == 24 // _mc.chunk_count(n)
+
+
+def test_only_models_with_a_kernel_on_their_settings_answer_batches():
+    s = sphere_sampler(seed=5)
+    pairs = _pair_requests(6, 9)
+    for name in _BUILDERS:
+        oracle = make_correlation_oracle(build_model(name), s, n=3000)
+        assert hasattr(oracle, "pairs") == (name in ("local_sign", "linear")), name
+        assert [repr(e) for e in ask_pairs(oracle, pairs)] == [
+            repr(oracle(a, b)) for a, b in pairs]
+
+
+def test_batched_oracle_keeps_the_estimator_argument_errors():
+    for n, match in ((1, "n must be >= 2"), (2**63, r"n must be <= 2\*\*63 - 1")):
+        oracle = make_correlation_oracle(LocalSignModel(), sphere_sampler(), n)
+        with pytest.raises(ValueError, match=match):
+            oracle.pairs([(Z_AXIS, X_AXIS)])
+    oracle = make_correlation_oracle(LocalSignModel(), sphere_sampler(), 100, workers=0)
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        oracle.pairs([(Z_AXIS, X_AXIS)])
+
+
+def test_sweep_asks_once_and_matches_the_per_pair_estimates():
+    s = sphere_sampler(seed=7)
+    for model in (LinearStochasticModel(), LocalSignModel(), build_model("nonlocal_sign")):
+        rows = correlation_sweep(model, 9, s, n=5000)
+        oracle = make_correlation_oracle(model, s, 5000)
+        assert [(t, repr(e)) for t, e in rows] == [
+            (t, repr(oracle(Z_AXIS, unit_from_plane_angle(t)))) for t, _ in rows]
 
 
 def test_oracle_dispatch_draw_dependent_pair_needs_sampler():

@@ -1,14 +1,18 @@
 import hashlib
 import math
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eprb import (
     ConstantNonlocalModel,
+    ContractViolationError,
     CorrelationEstimate,
     FixedOutcomeModel,
+    LinearStochasticModel,
     LocalSignModel,
     SettingBiasedSignModel,
     SettingsQuad,
@@ -16,15 +20,22 @@ from eprb import (
     bell_statistic,
     chsh_statistic,
     cross_term,
+    cube_sampler,
     make_correlation_oracle,
     maximize_chsh,
     quantum_correlation,
     sphere_sampler,
+    UnitVector3,
     unit_from_angles,
     unit_from_plane_angle,
 )
-from eprb.inequalities import _quad_from_angles
-from oracles_ref import TWO_SQRT_TWO
+from eprb.inequalities import _BudgetedOracle, _BudgetExhausted, _quad_from_angles, _scan_values
+from oracles_ref import (
+    TWO_SQRT_TWO,
+    RefBudgetedOracle,
+    RefBudgetExhausted,
+    ref_grid_scan,
+)
 
 angles = st.floats(min_value=0.0, max_value=2.0 * math.pi)
 
@@ -272,3 +283,124 @@ def test_quad_from_angles_reads_one_or_two_angles_per_setting():
     q = _quad_from_angles(tp, "full")
     assert (q.a, q.b, q.a_prime, q.b_prime) == tuple(
         unit_from_angles(tp[2 * k], tp[2 * k + 1]) for k in range(4))
+
+
+# --- batched requests ---
+
+
+class PairsRecorder:
+    """An oracle with a ``pairs`` method that records every pair it is
+    asked for, and the size of each batch."""
+
+    def __init__(self):
+        self.calls = []
+        self.batches = []
+
+    def __call__(self, a, b):
+        raise AssertionError("a batched caller asked for one pair")
+
+    def pairs(self, pairs):
+        self.batches.append(len(pairs))
+        self.calls.extend((a.x, a.y, a.z, b.x, b.y, b.z) for a, b in pairs)
+        return [quantum_correlation(a, b) for a, b in pairs]
+
+
+def _recording_callable(calls):
+    def P(a, b):
+        calls.append((a.x, a.y, a.z, b.x, b.y, b.z))
+        return quantum_correlation(a, b)
+
+    return P
+
+
+def _budget_requests():
+    # a 24-point grid, then small requests with repeats and cached pairs,
+    # drawn from 900 distinct pairs
+    rng = random.Random(4)
+    pool = [unit_from_plane_angle(2.0 * math.pi * k / 30) for k in range(30)]
+    requests = [[(pool[i], pool[j]) for i in range(24) for j in range(24)]]
+    for _ in range(300):
+        requests.append([(rng.choice(pool), rng.choice(pool))
+                         for _ in range(rng.randint(1, 6))])
+    return requests
+
+
+def _serve(oracle, requests, ask, exhausted):
+    """Each request's values and the evaluation count after it, up to the
+    request that ran out of budget."""
+    log = []
+    for request in requests:
+        try:
+            values = [e.value for e in ask(oracle, request)]
+        except exhausted:
+            log.append(("exhausted", oracle.evaluations))
+            break
+        log.append((values, oracle.evaluations))
+    return log
+
+
+def test_batched_budget_requests_make_the_per_pair_calls():
+    requests = _budget_requests()
+    for budget in range(100, 701):
+        ref_calls = []
+        ref = _serve(RefBudgetedOracle(_recording_callable(ref_calls), budget), requests,
+                     lambda o, req: [o(a, b) for a, b in req], RefBudgetExhausted)
+        assert ref[-1][0] == "exhausted"
+        plain_calls = []
+        plain = _serve(_BudgetedOracle(_recording_callable(plain_calls), budget), requests,
+                       lambda o, req: o.pairs(req), _BudgetExhausted)
+        batched = PairsRecorder()
+        log = _serve(_BudgetedOracle(batched, budget), requests,
+                     lambda o, req: o.pairs(req), _BudgetExhausted)
+        # same values, same evaluations after every request, the same
+        # request runs out, and the oracle saw the same pairs in order
+        assert plain == ref and log == ref, budget
+        assert plain_calls == ref_calls and batched.calls == ref_calls, budget
+        assert len(ref_calls) == budget
+        # the grid went as one batch, cut to the budget when it is smaller
+        assert batched.batches[0] == min(budget, 576)
+
+
+def test_batched_chsh_raises_the_first_bad_pairs_error():
+    # on a cube stream the linear model is valid at (a, b) and goes bad at
+    # (a, b'), (a', b') and (a', b); (a', b') goes bad at an earlier draw
+    # than (a, b'), but (a, b') is asked first
+    s = cube_sampler(dim=3, seed=0)
+    oracle = make_correlation_oracle(LinearStochasticModel(), s, n=10000)
+    q = SettingsQuad(
+        a=Z_AXIS,
+        b=UnitVector3(0.0, 1.0, 0.0),
+        a_prime=UnitVector3(0.6, 0.48, 0.64),
+        b_prime=UnitVector3(0.6, 0.0, 0.8),
+    )
+
+    def message(fn):
+        with pytest.raises(ContractViolationError) as info:
+            fn()
+        return str(info.value)
+
+    assert oracle(q.a, q.b).n == 10000
+    second = message(lambda: oracle(q.a, q.b_prime))
+    third = message(lambda: oracle(q.a_prime, q.b_prime))
+    assert int(third.rsplit(" ", 1)[1]) < int(second.rsplit(" ", 1)[1])
+    assert message(lambda: chsh_statistic(oracle, q)) == second
+    assert message(lambda: chsh_statistic(lambda a, b: oracle(a, b), q)) == second
+
+
+def test_grid_scan_matches_the_loop_it_replaced():
+    # ties come from a handful of repeated values, signed zeros included;
+    # a few matrices hold infinities and NaNs
+    rng = random.Random(23)
+    few = [0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 0.25]
+    odd = few + [math.inf, -math.inf, math.nan]
+    for trial in range(2400):
+        g = rng.randint(1, 14)
+        pick = [
+            lambda: rng.choice(few),
+            lambda: rng.uniform(-1.0, 1.0),
+            lambda: rng.choice(few) if rng.random() < 0.5 else rng.uniform(-1.0, 1.0),
+            lambda: rng.choice(odd),
+        ][trial % 4]
+        values = [[pick() for _ in range(g)] for _ in range(g)]
+        got = _scan_values(np.array(values, dtype=np.float64))
+        assert repr(got) == repr(ref_grid_scan(values)), values
