@@ -3,8 +3,10 @@
 Prefers the compiled extension (``eprb._kernels``) and falls back to the
 Python twin (``eprb._pykernels``: numpy chunk kernels, plain-Python
 per-draw functions) when it is not built. Both produce bit-identical
-results; the compiled one is faster. EPRB_BACKEND=compiled or python
-forces one; auto (or empty, the default) picks as above.
+results. The numpy kernels are faster on every batch of setting pairs
+(CHSH, Bell, sweeps, the settings search); the compiled ones only on a
+single large-n estimate. EPRB_BACKEND=compiled or python forces one; auto
+(or empty, the default) picks as above.
 """
 
 from __future__ import annotations

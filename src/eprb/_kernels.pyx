@@ -193,9 +193,11 @@ def reduce_product(kind, params, ax, ay, az, bx, by, bz,
     return (s, s2, mn, mx, status, bad_index, bad_value)
 
 
-def reduce_pairs(kind, A, B, I, J, sampler_kind, dim, seed, start, count):
+def reduce_pairs(kind, A, B, I, J, sampler_kind, dim, seed, start, count, draws=None):
     """reduce_product for every setting pair (A[I[p]], B[J[p]]), one result
-    tuple per pair; twin of the pure version, one pair at a time."""
+    tuple per pair; twin of the pure version, one pair at a time. ``draws``
+    is accepted for the pure version's signature and ignored: each pair
+    makes its own draws."""
     return [
         reduce_product(kind, (), A[i][0], A[i][1], A[i][2], B[j][0], B[j][1], B[j][2],
                        sampler_kind, dim, seed, start, count)

@@ -10,11 +10,14 @@ for the per-draw fallback in ``eprb.correlation``. ``lambda_batch``,
 ``reduce_pairs``, ``reduce_product`` and ``reduce_joint`` compute a whole
 index range (one chunk of at most 4096 draws) as uint64/float64 arrays:
 uint64 products wrap mod 2**64 exactly like the masked integer arithmetic,
-each array operation rounds like its scalar counterpart, and sums run left
-to right. ``reduce_pairs`` serves many setting pairs from one set of draws,
-and ``reduce_product`` is its one-pair case. The
-readable per-draw loops they reproduce, and the tests that hold them to
-it, are in ``tests/oracles_ref.py`` and ``tests/test_backends.py``.
+each array operation rounds like its scalar counterpart, and sums of
+non-integer values run left to right. ``reduce_pairs`` serves many setting
+pairs from one set of draws, which a caller may keep in a mapping it passes
+back, and ``reduce_product`` is its one-pair case. Sign-kind products are
++/-1, so their sums are exact integers in any order: ``reduce_pairs`` takes
+them all from one matrix product of the two sides' factors. The readable
+per-draw loops they reproduce, and the tests that hold them to it, are in
+``tests/oracles_ref.py`` and ``tests/test_backends.py``.
 
 There are two model kernels: KIND_SIGN, the product sign(a . lam) times
 -sign(b . lam), and KIND_LINEAR, the linear stochastic model with its
@@ -190,7 +193,11 @@ def _check_dot_dim(sampler_kind, dim):
 
 def _dots(S, l0, l1, l2):
     """s . lam for every row s of ``S`` and every draw: one row per setting."""
-    return S[:, 0:1] * l0 + S[:, 1:2] * l1 + S[:, 2:3] * l2
+    # (s0 * l0 + s1 * l1) + s2 * l2, added in place
+    d = S[:, 0:1] * l0
+    d += S[:, 1:2] * l1
+    d += S[:, 2:3] * l2
+    return d
 
 
 def _side_probabilities(S, l0, l1, l2, flip):
@@ -248,23 +255,36 @@ def _pair_stops(bad_a, bad_b, I, J, start, count):
 _BLOCK = 1 << 13
 
 
-def reduce_pairs(kind, A, B, I, J, sampler_kind, dim, seed, start, count):
+def reduce_pairs(kind, A, B, I, J, sampler_kind, dim, seed, start, count, draws=None):
     """reduce_product for many setting pairs over one index range, with the
     draws made once.
 
     ``A`` and ``B`` hold the distinct settings of each side as (g, 3)
     arrays and pair ``p`` is (A[I[p]], B[J[p]]). Each side's factor is
-    computed once per setting; the pair products are reduced in blocks of
-    at most _BLOCK elements, every row left to right along the draws.
-    Returns one ``(sum, sum_sq, min, max, status, bad_index, bad_value)``
-    per pair, bit-identical to the single-pair call.
+    computed once per setting. The sign kind's pair sums are the entries
+    of one matrix product of the two sides' halved signs; the linear kind's
+    pair products are reduced in blocks of at most _BLOCK elements, every
+    row left to right along the draws. Returns one
+    ``(sum, sum_sq, min, max, status, bad_index, bad_value)`` per pair,
+    bit-identical to the single-pair call.
+
+    ``draws``, when given, is a mapping from (sampler_kind, dim, seed,
+    start, count) to the range's (l0, l1, l2) columns: the draws are read
+    from it when present and stored in it when made.
     """
     if dim < 1 or dim > MAX_DIM:
         raise ValueError(f"sampler dimension {dim} outside 1..{MAX_DIM}")
     if kind != KIND_SIGN and kind != KIND_LINEAR:
         raise ValueError(f"unknown model kind code {kind}")
     _check_dot_dim(sampler_kind, dim)
-    l0, l1, l2 = _lambda_columns(sampler_kind, seed, start, count, 3)
+    if draws is None:
+        l0, l1, l2 = _lambda_columns(sampler_kind, seed, start, count, 3)
+    else:
+        key = (sampler_kind, dim, seed, start, count)
+        cols = draws.get(key)
+        if cols is None:
+            cols = draws[key] = _lambda_columns(sampler_kind, seed, start, count, 3)
+        l0, l1, l2 = cols
     I = np.asarray(I, dtype=np.intp)
     J = np.asarray(J, dtype=np.intp)
     if count == 0:
@@ -272,18 +292,25 @@ def reduce_pairs(kind, A, B, I, J, sampler_kind, dim, seed, start, count):
     A = np.asarray(A, dtype=np.float64).reshape(-1, 3)
     B = np.asarray(B, dtype=np.float64).reshape(-1, 3)
     if kind == KIND_SIGN:
-        # sign(a . lam) * -sign(b . lam), with sign(0) = +1
-        fa = np.where(_dots(A, l0, l1, l2) >= 0.0, 1.0, -1.0)
-        fb = np.where(_dots(B, l0, l1, l2) >= 0.0, -1.0, 1.0)
-        stops = None
-    else:
-        # One side's probabilities at a time, so at most two stay alive.
-        p_plus, p_minus, bad_a = _side_probabilities(A, l0, l1, l2, False)
-        fa = p_plus - p_minus
-        p_plus, p_minus, bad_b = _side_probabilities(B, l0, l1, l2, True)
-        fb = p_plus - p_minus
-        del p_plus, p_minus
-        stops = _pair_stops(bad_a, bad_b, I, J, start, count)
+        # sign(a . lam) * -sign(b . lam), with sign(0) = +1. h holds half
+        # of each side's sign, both sides in one pass, so a product of
+        # halves is +/-1/4: every partial sum is a multiple of 1/4 far below
+        # 2**53, and any summation order, the matrix product's included,
+        # gives it exactly. Scaling by -4 is exact too, so S is the loop's
+        # integer sum (0.0 - turns a zero into the loop's +0.0). Then
+        # sum_sq = count, and a -1 (+1) product exists when S < count
+        # (S > -count).
+        h = (_dots(np.concatenate((A, B)), l0, l1, l2) >= 0.0) - 0.5
+        c = float(count)
+        return [(s, c, -1.0 if s < c else 1.0, 1.0 if s > -c else -1.0, STATUS_OK, -1, 0.0)
+                for s in (0.0 - 4.0 * (h[:len(A)] @ h[len(A):].T)[I, J]).tolist()]
+    # One side's probabilities at a time, so at most two stay alive.
+    p_plus, p_minus, bad_a = _side_probabilities(A, l0, l1, l2, False)
+    fa = p_plus - p_minus
+    p_plus, p_minus, bad_b = _side_probabilities(B, l0, l1, l2, True)
+    fb = p_plus - p_minus
+    del p_plus, p_minus
+    stops = _pair_stops(bad_a, bad_b, I, J, start, count)
     out = []
     rows = max(1, _BLOCK // count)
     for lo in range(0, len(I), rows):

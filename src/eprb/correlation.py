@@ -64,6 +64,10 @@ MAX_STEPS = 100000
 _BATCH_SETTINGS = 64
 _BATCH_PARTS = 1 << 16
 
+# A batched oracle keeps its chunks' draws, three doubles a draw, only
+# while they take at most this many bytes (n up to about 1.4 million).
+_DRAW_CACHE_BYTES = 32 << 20
+
 
 @dataclass(frozen=True)
 class CorrelationEstimate:
@@ -203,20 +207,21 @@ def _pair_groups(pairs, max_pairs):
         yield list(A), list(B), I, J
 
 
-def _estimate_pairs(m, pairs, s, n, workers):
+def _estimate_pairs(m, pairs, s, n, workers, draws=None):
     """The kernel path of ``_estimate`` for every (a, b) of ``pairs`` at
     once: ``reduce_pairs`` makes each chunk's draws once for a whole group
-    of pairs, and each pair's chunks are folded as for a single estimate,
-    so every estimate has the bits of the one-pair call. The bad
-    probability raised is the first one of the earliest pair that has one,
-    as when the pairs are asked one at a time. A group holds at most
-    _BATCH_PARTS pair-chunk results until it is folded."""
+    of pairs (or reads them from ``draws``, which it fills), and each pair's
+    chunks are folded as for a single estimate, so every estimate has the
+    bits of the one-pair call. The bad probability raised is the first one
+    of the earliest pair that has one, as when the pairs are asked one at a
+    time. A group holds at most _BATCH_PARTS pair-chunk results until it is
+    folded."""
     n = require_n(n)
     out = []
     for A, B, I, J in _pair_groups(pairs, max(1, _BATCH_PARTS // chunk_count(n))):
         def job(start, count):
             return _k.reduce_pairs(m.kernel_kind, A, B, I, J,
-                                   s.kind_code, s.dim, s.seed, start, count)
+                                   s.kind_code, s.dim, s.seed, start, count, draws)
 
         parts = run_chunk_jobs(job, n, workers=workers, threaded=_k.THREADED_KERNELS)
         for column in zip(*parts):
@@ -445,10 +450,26 @@ def make_correlation_oracle(
 def _with_pairs(oracle, model, s, n, workers):
     """Give ``oracle`` a ``pairs`` method that estimates a list of setting
     pairs in one pass over the draws, when the model runs a kernel on the
-    settings themselves; any other model is asked pair by pair."""
+    settings themselves; any other model is asked pair by pair.
+
+    From its second batch on, the method keeps each chunk's draws for the
+    batches after it, as long as the oracle lives, so a settings search
+    makes them at most twice; a one-batch caller (``chsh`` at one quad,
+    ``bell``, a sweep) keeps none. Past _DRAW_CACHE_BYTES it keeps none and
+    makes them for every batch."""
     if (getattr(model, "kernel_kind", None) is not None and model.kernel_axes is None
             and not getattr(model, "draw_independent", False)):
-        oracle.pairs = lambda pairs: _estimate_pairs(model, pairs, s, n, workers)
+        draws = None
+        batches = 0
+
+        def pairs(request):
+            nonlocal draws, batches
+            batches += 1
+            if batches == 2 and 24 * require_n(n) <= _DRAW_CACHE_BYTES:
+                draws = {}
+            return _estimate_pairs(model, request, s, n, workers, draws)
+
+        oracle.pairs = pairs
     return oracle
 
 

@@ -318,21 +318,28 @@ def _pattern_search(
 
     Only strict improvements move; the step halves after any sweep with no
     accepted move and the search ends below 1e-7 or when the oracle budget
-    runs out.
+    runs out. A trial moves one coordinate, so it rebuilds only the setting
+    that coordinate belongs to.
     """
+    d = 1 if mode == "coplanar" else 2
     current = list(angles)
+    q = _quad_from_angles(current, mode)
+    settings = [q.a, q.b, q.a_prime, q.b_prime]
     s_current = s_start
     try:
         while step >= 1e-7:
             improved = False
             for k in range(len(current)):
+                j = k // d
                 for direction in (1.0, -1.0):
                     trial = list(current)
                     trial[k] = trial[k] + direction * step
-                    quad = _quad_from_angles(trial, mode)
-                    s_trial = _chsh_sum(ask_pairs(P, _quad_pairs(quad)))[0]
+                    moved = list(settings)
+                    moved[j] = _vector(trial[d * j:d * (j + 1)], mode)
+                    s_trial = _chsh_sum(ask_pairs(P, _quad_pairs(SettingsQuad(*moved))))[0]
                     if s_trial > s_current:
                         current = trial
+                        settings = moved
                         s_current = s_trial
                         improved = True
                         break

@@ -13,7 +13,7 @@ import pytest
 
 from eprb import _backend as bk
 from eprb import _pykernels as py
-from oracles_ref import ref_reduce_joint, ref_reduce_product
+from oracles_ref import ref_draw3, ref_reduce_joint, ref_reduce_product
 
 SETTINGS = [
     ((0.6, 0.0, 0.8), (0.0, 0.8, -0.6)),
@@ -71,6 +71,31 @@ def test_numpy_reduce_pairs_matches_the_per_pair_reference():
         ):
             args = (kind, PAIR_A, PAIR_B, PAIR_I, PAIR_J, sampler, dim, seed, start, count)
             assert py.reduce_pairs(*args) == _ref_pairs(*args), args
+
+
+def test_numpy_sign_pairs_from_one_matrix_product_match_the_per_pair_reference():
+    # the sign kind's sums come from one matrix product; besides the grid's
+    # repeated settings and pairs: a setting whose dot with one draw of the
+    # range is exactly 0 (sign(0) = +1), a pair (a, a) with only -1
+    # products and a pair (a, -a) with only +1 products
+    a, minus_a = (0.6, 0.0, 0.8), (-0.6, -0.0, -0.8)
+    for (sampler, dim), count, start, seed in itertools.product(
+        SAMPLERS, COUNTS, STARTS, SEEDS
+    ):
+        lam = ref_draw3(sampler, seed, start + count // 2)
+        tie = (lam[1], -lam[0], 0.0)
+        assert tie[0] * lam[0] + tie[1] * lam[1] + tie[2] * lam[2] == 0.0
+        A = [a, tie, SETTINGS[1][0], a]
+        B = [a, minus_a, tie, SETTINGS[1][1]]
+        I = [0, 0, 1, 1, 2, 3, 0, 1]
+        J = [0, 1, 2, 0, 3, 2, 0, 2]
+        args = (py.KIND_SIGN, A, B, I, J, sampler, dim, seed, start, count)
+        got = py.reduce_pairs(*args)
+        assert got == _ref_pairs(*args), args
+        assert got[0][2] == got[0][3] == -1.0 and got[1][2] == got[1][3] == 1.0
+        for p in (1, 2, 3):
+            assert py.reduce_product(py.KIND_SIGN, (), *A[I[p]], *B[J[p]],
+                                     sampler, dim, seed, start, count) == got[p]
 
 
 def test_numpy_reduce_pairs_across_several_blocks():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eprb import _backend as _k
-from eprb import _mc
+from eprb import _mc, _pykernels
 from eprb import correlation as correlation_module
 from eprb import (
     CoinModel,
@@ -19,12 +19,14 @@ from eprb import (
     LocalSignModel,
     QuantumCorrelationModel,
     RiemannPoint,
+    SettingsQuad,
     UnitVector3,
     X_AXIS,
     Z_AXIS,
     antipodal_contrast,
     ask_pairs,
     build_model,
+    chsh_statistic,
     correlation_sweep,
     cube_sampler,
     delta_coefficients,
@@ -404,6 +406,99 @@ def test_oracle_pairs_give_the_per_pair_estimates(monkeypatch):
                 passes.clear()
                 assert [repr(e) for e in oracle.pairs(pairs)] == want
                 assert max(p for _, _, p in passes) == 24 // _mc.chunk_count(n)
+
+
+def _record_draws(monkeypatch):
+    """Record the ``draws`` mapping of every reduce_pairs call and every
+    (start, count) whose draws are made."""
+    seen, made = [], []
+    reduce_pairs, columns = _k.reduce_pairs, _pykernels._lambda_columns
+
+    def recording(kind, A, B, I, J, sampler_kind, dim, seed, start, count, draws=None):
+        seen.append(draws)
+        return reduce_pairs(kind, A, B, I, J, sampler_kind, dim, seed, start, count, draws)
+
+    def making(sampler_kind, seed, start, count, ncomp):
+        made.append((start, count))
+        return columns(sampler_kind, seed, start, count, ncomp)
+
+    monkeypatch.setattr(_k, "reduce_pairs", recording)
+    monkeypatch.setattr(_pykernels, "_lambda_columns", making)
+    return seen, made
+
+
+def test_later_batches_read_the_draws_the_second_one_kept(monkeypatch):
+    seen, made = _record_draws(monkeypatch)
+    batches = [_pair_requests(seed, 7) for seed in range(5)]
+    n = 3 * 4096 + 5
+    for model in (LocalSignModel(), LinearStochasticModel()):
+        for workers in (1, 2):
+            want = [[repr(e) for e in make_correlation_oracle(
+                model, sphere_sampler(seed=8), n, workers=workers).pairs(batch)]
+                for batch in batches]
+            seen.clear()
+            made.clear()
+            oracle = make_correlation_oracle(model, sphere_sampler(seed=8), n, workers=workers)
+            assert [[repr(e) for e in oracle.pairs(batch)] for batch in batches] == want
+            # the first batch keeps nothing, the second keeps every chunk,
+            # and no chunk's draws are made a third time
+            assert seen[:4] == [None] * 4
+            assert len({id(d) for d in seen[4:]}) == 1
+            if _k.BACKEND_NAME == "python":  # the compiled kernels keep nothing
+                assert len(seen[4]) == 4
+                assert sorted(made) == sorted(list(_mc.chunk_ranges(n)) * 2)
+
+
+def test_a_one_batch_oracle_keeps_no_draws(monkeypatch):
+    seen, _ = _record_draws(monkeypatch)
+    s = sphere_sampler(seed=2)
+    correlation_sweep(LocalSignModel(), 9, s, n=5000)
+    chsh_statistic(make_correlation_oracle(LinearStochasticModel(), s, 5000),
+                   SettingsQuad(Z_AXIS, X_AXIS, X_AXIS, Z_AXIS))
+    assert seen and seen == [None] * len(seen)
+
+
+def test_an_oracle_past_the_byte_cap_keeps_no_draws(monkeypatch):
+    seen, made = _record_draws(monkeypatch)
+    n = 2 * 4096 + 3
+    monkeypatch.setattr(correlation_module, "_DRAW_CACHE_BYTES", 24 * n - 1)
+    batches = [_pair_requests(seed, 5) for seed in range(4)]
+    for model in (LocalSignModel(), LinearStochasticModel()):
+        oracle = make_correlation_oracle(model, sphere_sampler(seed=6), n)
+        want = [[repr(oracle(a, b)) for a, b in batch] for batch in batches]
+        seen.clear()
+        made.clear()
+        assert [[repr(e) for e in oracle.pairs(batch)] for batch in batches] == want
+        assert seen == [None] * (3 * len(batches))
+        assert len(made) == (3 * len(batches) if _k.BACKEND_NAME == "python" else 0)
+    # at the cap itself the draws are kept
+    monkeypatch.setattr(correlation_module, "_DRAW_CACHE_BYTES", 24 * n)
+    oracle = make_correlation_oracle(LocalSignModel(), sphere_sampler(seed=6), n)
+    seen.clear()
+    for batch in batches:
+        oracle.pairs(batch)
+    assert seen[3:] and None not in seen[3:]
+
+
+def test_a_kept_chunk_raises_the_uncached_bad_probability(monkeypatch):
+    # the linear model on a cube stream is valid at (a, b) and goes bad at
+    # (a, b') a few draws in; the third batch reads the chunk the second kept
+    seen, _ = _record_draws(monkeypatch)
+    s = cube_sampler(dim=3, seed=0)
+    a, b, b_prime = Z_AXIS, UnitVector3(0.0, 1.0, 0.0), UnitVector3(0.6, 0.0, 0.8)
+
+    def message(fn):
+        with pytest.raises(ContractViolationError) as info:
+            fn()
+        return str(info.value)
+
+    want = message(lambda: make_correlation_oracle(
+        LinearStochasticModel(), s, 10000).pairs([(a, b_prime)]))
+    oracle = make_correlation_oracle(LinearStochasticModel(), s, 10000)
+    oracle.pairs([(a, b)])
+    oracle.pairs([(a, b)])
+    assert message(lambda: oracle.pairs([(a, b), (a, b_prime)])) == want
+    assert isinstance(seen[-1], dict) and seen[-1] is seen[-2]
 
 
 def test_only_models_with_a_kernel_on_their_settings_answer_batches():

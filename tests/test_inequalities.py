@@ -1,4 +1,6 @@
+import collections
 import hashlib
+import json
 import math
 import random
 
@@ -7,6 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import eprb
+import eprb.cli
+from eprb import _pykernels
 from eprb import (
     ConstantNonlocalModel,
     ContractViolationError,
@@ -311,6 +316,34 @@ def _recording_callable(calls):
         return quantum_correlation(a, b)
 
     return P
+
+
+@pytest.mark.parametrize("mode,budget", sorted(SEARCH_CALLS))
+def test_batched_search_asks_the_pairs_the_plain_callable_asks(mode, budget):
+    plain_calls = []
+    plain = maximize_chsh(_recording_callable(plain_calls), budget, mode=mode)
+    batched = PairsRecorder()
+    result = maximize_chsh(batched, budget, mode=mode)
+    count, digest = SEARCH_CALLS[(mode, budget)]
+    assert batched.calls == plain_calls
+    assert result.evaluations == plain.evaluations == len(batched.calls) == count
+    assert hashlib.sha256(repr(batched.calls).encode()).hexdigest() == digest
+    assert repr(result) == repr(plain)
+
+
+@pytest.mark.skipif(eprb.BACKEND_NAME != "python", reason="counts the numpy kernels' draws")
+def test_cli_search_makes_each_chunks_draws_at_most_twice(monkeypatch, capsys):
+    made = collections.Counter()
+    columns = _pykernels._lambda_columns
+
+    def making(sampler_kind, seed, start, count, ncomp):
+        made[start, count] += 1
+        return columns(sampler_kind, seed, start, count, ncomp)
+
+    monkeypatch.setattr(_pykernels, "_lambda_columns", making)
+    assert eprb.cli.run(["chsh", "--maximize", "--model", "linear", "--n", "512"]) == 0
+    assert json.loads(capsys.readouterr().out)["evaluations"] > 500
+    assert made == {(0, 512): 2}
 
 
 def _budget_requests():
