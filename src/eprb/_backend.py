@@ -1,45 +1,12 @@
-"""Kernel backend selection.
-
-Prefers the compiled extension (``eprb._kernels``) and falls back to the
-Python twin (``eprb._pykernels``: numpy chunk kernels, plain-Python
-per-draw functions) when it is not built. Both produce bit-identical
-results. The numpy kernels are faster on every batch of setting pairs
-(CHSH, Bell, sweeps, the settings search); the compiled ones only on a
-single large-n estimate. EPRB_BACKEND=compiled or python forces one; auto
-(or empty, the default) picks as above.
-"""
+"""The kernel backend: the numpy chunk kernels and plain-Python per-draw
+functions of ``eprb._pykernels``, under the names the estimators, the
+benchmark's tracer and the tests look them up by."""
 
 from __future__ import annotations
 
-import os
+from . import _pykernels as _impl
 
-_requested = os.environ.get("EPRB_BACKEND", "auto").strip().lower()
-
-if _requested in ("auto", ""):
-    try:
-        from . import _kernels as _impl
-
-        BACKEND_NAME = "compiled"
-    except ImportError:
-        from . import _pykernels as _impl
-
-        BACKEND_NAME = "python"
-elif _requested == "compiled":
-    from . import _kernels as _impl
-
-    BACKEND_NAME = "compiled"
-elif _requested == "python":
-    from . import _pykernels as _impl
-
-    BACKEND_NAME = "python"
-else:
-    raise RuntimeError(
-        f"EPRB_BACKEND must be auto, compiled, or python; got {_requested!r}"
-    )
-
-# Only the compiled kernels release the GIL for a whole chunk, so only their
-# chunk jobs are worth spreading over threads.
-THREADED_KERNELS = BACKEND_NAME == "compiled"
+BACKEND_NAME = "python"
 
 MASK64 = _impl.MASK64
 

@@ -3,23 +3,27 @@
 Sums are accumulated serially inside fixed-size chunks and the per-chunk
 partial sums are folded in chunk order by a single combiner. Workers only
 ever compute whole chunks, so the float operation sequence, and therefore
-every bit of the result, is independent of how many threads ran. Only the
-compiled kernels release the GIL for a whole chunk, so only their chunk jobs
-are spread over threads; every other job (the numpy kernels, per-draw
-Python code, a Python integrand) runs in chunk order on the calling thread,
-where extra threads would add start-up cost and memory but no speed.
+every bit of the result, is independent of the worker count. Every chunk
+job (the numpy kernels, per-draw Python code, a Python integrand) holds the
+GIL for most of its time, so all of them run in chunk order on the calling
+thread, where extra threads would add start-up cost and memory but no
+speed; ``workers`` is validated and otherwise changes nothing.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
+
+# ThreadPoolExecutor is unused here. perfbench's tracer counts thread pools
+# by wrapping this name, until it reads a trace the program writes itself
+# (ROADMAP item 4).
 
 CHUNK_SIZE = 4096
 
-# Largest draw count an estimate accepts: the compiled kernels index draws
-# with int64, and it keeps the numpy kernels' uint64 index arithmetic exact.
+# Largest draw count an estimate accepts: draw indices stay int64 values,
+# and the numpy kernels' uint64 index arithmetic stays exact.
 MAX_N = 2**63 - 1
 
 
@@ -38,25 +42,19 @@ def chunk_count(n):
     return max(0, -(-int(n) // CHUNK_SIZE))
 
 
-def chunk_ranges(n, first=0, last=None):
-    """(start, count) of chunks ``first`` .. ``last - 1`` of range(n),
+def chunk_ranges(n, first=0):
+    """(start, count) of chunk ``first`` and every later chunk of range(n),
     generated lazily; all of them by default."""
-    if last is None:
-        last = chunk_count(n)
-    for c in range(first, last):
+    for c in range(first, chunk_count(n)):
         start = c * CHUNK_SIZE
         yield start, min(CHUNK_SIZE, n - start)
 
 
-def _run_group(job, n, first, last):
-    return [job(start, count) for start, count in chunk_ranges(n, first, last)]
-
-
 def pool_size(workers, nchunks):
-    """Threads to run ``nchunks`` chunks on for a request of ``workers``.
+    """Threads ``nchunks`` chunks could use for a request of ``workers``.
 
-    Never more than the CPUs this process may run on, nor than the chunks,
-    so a large ``--workers`` costs nothing. Raises ValueError below 1.
+    Never more than the CPUs this process may run on, nor than the chunks.
+    Raises ValueError below 1.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -67,30 +65,15 @@ def pool_size(workers, nchunks):
     return max(1, min(workers, cpus, nchunks))
 
 
-def run_chunk_jobs(job, n, workers=1, threaded=False):
-    """Run ``job(start, count)`` over every chunk, in chunk order.
+def run_chunk_jobs(job, n, workers=1):
+    """Run ``job(start, count)`` over every chunk, in chunk order, on the
+    calling thread, and return the results as a list in chunk order.
 
-    Results come back as a list ordered by chunk index regardless of
-    ``workers``. Only a ``threaded`` job, one that releases the GIL, runs
-    on a thread pool (see ``pool_size``); any other job runs on the calling
-    thread. Exceptions surface in chunk order too: the serial path stops at
-    the first failing chunk, and the threaded path raises the
-    earliest-submitted group's error first. ``workers`` below 1 is a
-    ValueError whether or not threads would start.
+    The first failing chunk's exception propagates. ``workers`` below 1 is
+    a ValueError (see ``pool_size``); any other value gives the same run.
     """
-    nchunks = chunk_count(n)
-    nworkers = pool_size(workers, nchunks)
-    if nworkers == 1 or not threaded:
-        return _run_group(job, n, 0, nchunks)
-    # Contiguous groups keep error ordering aligned with chunk order.
-    per = -(-nchunks // nworkers)
-    firsts = range(0, nchunks, per)
-    parts = []
-    with ThreadPoolExecutor(max_workers=len(firsts)) as pool:
-        futures = [pool.submit(_run_group, job, n, k, min(k + per, nchunks)) for k in firsts]
-        for fut in futures:
-            parts.extend(fut.result())
-    return parts
+    pool_size(workers, chunk_count(n))
+    return [job(start, count) for start, count in chunk_ranges(n)]
 
 
 def combine_scalar(parts, n):

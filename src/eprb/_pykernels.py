@@ -1,29 +1,29 @@
-"""Python-backend compute kernels: scalar per-draw functions and numpy
-chunk reductions.
+"""Compute kernels: scalar per-draw functions and numpy chunk reductions.
 
-The twin of the compiled extension in ``_kernels.pyx``, for installs
-without a C toolchain. Both backends perform the same floating-point
-operations in the same order and call the same libm routines, so their
-results agree bit for bit. ``mix64``, ``stream_word``, ``uniform01``,
-``lambda_at`` and ``series_value`` work on one draw in plain Python floats,
-for the per-draw fallback in ``eprb.correlation``. ``lambda_batch``,
-``reduce_pairs``, ``reduce_product`` and ``reduce_joint`` compute a whole
-index range (one chunk of at most 4096 draws) as uint64/float64 arrays:
-uint64 products wrap mod 2**64 exactly like the masked integer arithmetic,
-each array operation rounds like its scalar counterpart, and sums of
-non-integer values run left to right. ``reduce_pairs`` serves many setting
-pairs from one set of draws, which a caller may keep in a mapping it passes
-back, and ``reduce_product`` is its one-pair case. Sign-kind products are
-+/-1, so their sums are exact integers in any order: ``reduce_pairs`` takes
-them all from one matrix product of the two sides' factors. The readable
-per-draw loops they reproduce, and the tests that hold them to it, are in
-``tests/oracles_ref.py`` and ``tests/test_backends.py``.
+``mix64``, ``stream_word``, ``uniform01``, ``lambda_at`` and
+``series_value`` work on one draw in plain Python floats, for the per-draw
+fallback in ``eprb.correlation``. ``lambda_batch``, ``reduce_pairs``,
+``reduce_product`` and ``reduce_joint`` compute a whole index range (one
+chunk of at most 4096 draws) as uint64/float64 arrays with the same bits as
+the per-draw functions: uint64 products wrap mod 2**64 exactly like the
+masked integer arithmetic, each array operation rounds like its scalar
+counterpart, and sums of non-integer values run left to right.
+``reduce_pairs`` serves many setting pairs from one set of draws, which a
+caller may keep in a mapping it passes back, and ``reduce_product`` is its
+one-pair case. Sign-kind products are +/-1, so their sums are exact integers
+in any order: ``reduce_pairs`` takes them all from one matrix product of
+the two sides' factors. Per-setting factors are computed in row blocks of
+at most _BLOCK elements, so a side with many settings stays in cache. The
+readable per-draw loops they reproduce, and the tests that hold them to it,
+are in ``tests/oracles_ref.py`` and ``tests/test_backends.py``.
 
-There are two model kernels: KIND_SIGN, the product sign(a . lam) times
--sign(b . lam), and KIND_LINEAR, the linear stochastic model with its
-probability-range check. Other models are evaluated per draw in
-``eprb.correlation``, and models whose per-draw value does not depend on
-the draw need no kernel at all.
+There are two model kernels. KIND_SIGN is the product of
+A = sign(a . lam + c_A) and B = sigma_B * sign(b . lam + c_B), with
+sign(0) = +1; ``params`` holds (c_A, c_B, sigma_B), and the empty default
+means (0, 0, -1). KIND_LINEAR is the linear stochastic model with its
+probability-range check; it takes no ``params``. Other models are evaluated
+per draw in ``eprb.correlation``, and models whose per-draw value does not
+depend on the draw need no kernel at all.
 
 Hidden-variable draws are counter-addressed: component ``j`` of sample ``i``
 is a pure function of ``(seed, i, j)`` obtained by absorbing each word into
@@ -186,9 +186,29 @@ def _accumulate(x):
     )
 
 
-def _check_dot_dim(sampler_kind, dim):
+def _check_args(kind, params, sampler_kind, dim):
+    if dim < 1 or dim > MAX_DIM:
+        raise ValueError(f"sampler dimension {dim} outside 1..{MAX_DIM}")
+    if kind != KIND_SIGN and kind != KIND_LINEAR:
+        raise ValueError(f"unknown model kind code {kind}")
+    if params and (kind == KIND_LINEAR or params[2] not in (1.0, -1.0)):
+        raise ValueError(f"params {params!r} do not fit model kind code {kind}")
     if sampler_kind != SAMPLER_SPHERE and dim < 3:
         raise ValueError("model dots a 3-vector against the draw; sampler dimension must be >= 3")
+
+
+# Most elements of one block of a settings-by-draws or pairs-by-draws
+# array: factors are computed, and linear pair products reduced, this many
+# at a time, so the transient arrays stay small enough for the cache
+# whatever the number of settings or pairs.
+_BLOCK = 1 << 13
+
+
+def _row_blocks(nrows, count):
+    """Slices of at most _BLOCK elements' worth of rows, covering the rows
+    of an (nrows, count) array."""
+    step = max(1, _BLOCK // max(1, count))
+    return [slice(lo, lo + step) for lo in range(0, nrows, step)]
 
 
 def _dots(S, l0, l1, l2):
@@ -198,6 +218,19 @@ def _dots(S, l0, l1, l2):
     d += S[:, 1:2] * l1
     d += S[:, 2:3] * l2
     return d
+
+
+def _sign_halves(S, c, l0, l1, l2):
+    """Half of sign(s . lam + c) for every row s of ``S`` and every draw,
+    with sign(0) = +1: 0.5 or -0.5, one row per setting. ``c`` holds one
+    offset per row, or is None when every offset is 0 (nothing is added)."""
+    h = np.empty((len(S), len(l0)))
+    for rows in _row_blocks(len(S), len(l0)):
+        d = _dots(S[rows], l0, l1, l2)
+        if c is not None:
+            d += c[rows, None]
+        np.subtract(d >= 0.0, 0.5, out=h[rows])
+    return h
 
 
 def _side_probabilities(S, l0, l1, l2, flip):
@@ -230,6 +263,26 @@ def _side_probabilities(S, l0, l1, l2, flip):
     return plus, minus, (first, values)
 
 
+def _side_factors(S, l0, l1, l2, flip):
+    """p_plus - p_minus of one side of the linear model, one row per row of
+    ``S``, computed in row blocks, and where its probabilities first leave
+    [0, 1], as the third item of _side_probabilities."""
+    blocks = _row_blocks(len(S), len(l0))
+    if len(blocks) == 1:
+        p_plus, p_minus, bad = _side_probabilities(S, l0, l1, l2, flip)
+        return p_plus - p_minus, bad
+    f = np.empty((len(S), len(l0)))
+    bad = None
+    for rows in blocks:
+        p_plus, p_minus, block_bad = _side_probabilities(S[rows], l0, l1, l2, flip)
+        np.subtract(p_plus, p_minus, out=f[rows])
+        if block_bad is not None:
+            if bad is None:
+                bad = np.full(len(S), len(l0)), [0.0] * len(S)
+            bad[0][rows], bad[1][rows] = block_bad
+    return f, bad
+
+
 def _pair_stops(bad_a, bad_b, I, J, start, count):
     """Per pair (A[I[p]], B[J[p]]): the number of draws its sums cover and
     the (status, bad_index, bad_value) tail of its result; None when
@@ -250,12 +303,8 @@ def _pair_stops(bad_a, bad_b, I, J, start, count):
     ]
 
 
-# Most pair-by-draw elements reduced in one block of reduce_pairs: the
-# transient arrays stay this small whatever the number of pairs.
-_BLOCK = 1 << 13
-
-
-def reduce_pairs(kind, A, B, I, J, sampler_kind, dim, seed, start, count, draws=None):
+def reduce_pairs(kind, A, B, I, J, sampler_kind, dim, seed, start, count, draws=None,
+                 params=()):
     """reduce_product for many setting pairs over one index range, with the
     draws made once.
 
@@ -270,13 +319,11 @@ def reduce_pairs(kind, A, B, I, J, sampler_kind, dim, seed, start, count, draws=
 
     ``draws``, when given, is a mapping from (sampler_kind, dim, seed,
     start, count) to the range's (l0, l1, l2) columns: the draws are read
-    from it when present and stored in it when made.
+    from it when present and stored in it when made. ``params`` is the sign
+    kind's (c_A, c_B, sigma_B) with one offset per row of ``A`` and one per
+    row of ``B``, or empty.
     """
-    if dim < 1 or dim > MAX_DIM:
-        raise ValueError(f"sampler dimension {dim} outside 1..{MAX_DIM}")
-    if kind != KIND_SIGN and kind != KIND_LINEAR:
-        raise ValueError(f"unknown model kind code {kind}")
-    _check_dot_dim(sampler_kind, dim)
+    _check_args(kind, params, sampler_kind, dim)
     if draws is None:
         l0, l1, l2 = _lambda_columns(sampler_kind, seed, start, count, 3)
     else:
@@ -292,29 +339,28 @@ def reduce_pairs(kind, A, B, I, J, sampler_kind, dim, seed, start, count, draws=
     A = np.asarray(A, dtype=np.float64).reshape(-1, 3)
     B = np.asarray(B, dtype=np.float64).reshape(-1, 3)
     if kind == KIND_SIGN:
-        # sign(a . lam) * -sign(b . lam), with sign(0) = +1. h holds half
+        # sign(a . lam + c_A) * sigma_B * sign(b . lam + c_B). h holds half
         # of each side's sign, both sides in one pass, so a product of
         # halves is +/-1/4: every partial sum is a multiple of 1/4 far below
         # 2**53, and any summation order, the matrix product's included,
-        # gives it exactly. Scaling by -4 is exact too, so S is the loop's
-        # integer sum (0.0 - turns a zero into the loop's +0.0). Then
-        # sum_sq = count, and a -1 (+1) product exists when S < count
+        # gives it exactly. Scaling by 4 sigma_B is exact too, so S is the
+        # loop's integer sum (0.0 + turns a -0.0 into the loop's +0.0).
+        # Then sum_sq = count, and a -1 (+1) product exists when S < count
         # (S > -count).
-        h = (_dots(np.concatenate((A, B)), l0, l1, l2) >= 0.0) - 0.5
+        offsets, sigma = None, -1.0
+        if params:
+            offsets = np.concatenate((params[0], params[1]))
+            sigma = float(params[2])
+        h = _sign_halves(np.concatenate((A, B)), offsets, l0, l1, l2)
         c = float(count)
         return [(s, c, -1.0 if s < c else 1.0, 1.0 if s > -c else -1.0, STATUS_OK, -1, 0.0)
-                for s in (0.0 - 4.0 * (h[:len(A)] @ h[len(A):].T)[I, J]).tolist()]
-    # One side's probabilities at a time, so at most two stay alive.
-    p_plus, p_minus, bad_a = _side_probabilities(A, l0, l1, l2, False)
-    fa = p_plus - p_minus
-    p_plus, p_minus, bad_b = _side_probabilities(B, l0, l1, l2, True)
-    fb = p_plus - p_minus
-    del p_plus, p_minus
+                for s in (0.0 + 4.0 * sigma * (h[:len(A)] @ h[len(A):].T)[I, J]).tolist()]
+    fa, bad_a = _side_factors(A, l0, l1, l2, False)
+    fb, bad_b = _side_factors(B, l0, l1, l2, True)
     stops = _pair_stops(bad_a, bad_b, I, J, start, count)
     out = []
-    rows = max(1, _BLOCK // count)
-    for lo in range(0, len(I), rows):
-        x = fa[I[lo:lo + rows]] * fb[J[lo:lo + rows]]
+    for rows in _row_blocks(len(I), count):
+        x = fa[I[rows]] * fb[J[rows]]
         r = np.arange(len(x))
         out.extend(zip(
             (0.0 + np.cumsum(x, axis=1)[:, -1]).tolist(),
@@ -338,28 +384,40 @@ def reduce_product(kind, params, ax, ay, az, bx, by, bz,
     Returns ``(sum, sum_sq, min, max, status, bad_index, bad_value)``.
     ``status`` is nonzero when a stochastic model produced a probability
     outside [0, 1] beyond PROB_SLACK; the offending sample index and value
-    are reported and the sums cover the draws before it. ``params`` is
-    unused by both kinds; callers pass ``()``. The one-pair case of
+    are reported and the sums cover the draws before it. ``params`` is the
+    sign kind's (c_A, c_B, sigma_B), or ``()``. The one-pair case of
     reduce_pairs.
     """
     return reduce_pairs(kind, ((ax, ay, az),), ((bx, by, bz),), (0,), (0,),
-                        sampler_kind, dim, seed, start, count)[0]
+                        sampler_kind, dim, seed, start, count, None,
+                        params and ((params[0],), (params[1],), params[2]))[0]
 
 
 def reduce_joint(kind, params, ax, ay, az, bx, by, bz,
                  sampler_kind, dim, seed, start, count):
     """Like reduce_product but accumulating the four joint-outcome
-    probabilities (++, --, +-, -+) of a factorized stochastic model.
+    probabilities (++, --, +-, -+) of a factorized stochastic model: the
+    linear model, or a sign model seen as one, whose probabilities are 0
+    or 1.
 
     Returns ``(sums, sum_sqs, mins, maxs, status, bad_index, bad_value)``
     where the first four entries are 4-tuples ordered (pp, mm, pm, mp).
     """
-    if dim < 1 or dim > MAX_DIM:
-        raise ValueError(f"sampler dimension {dim} outside 1..{MAX_DIM}")
-    if kind != KIND_LINEAR:
-        raise ValueError(f"model kind code {kind} has no joint-table fast path")
-    _check_dot_dim(sampler_kind, dim)
+    _check_args(kind, params, sampler_kind, dim)
     l0, l1, l2 = _lambda_columns(sampler_kind, seed, start, count, 3)
+    if kind == KIND_SIGN:
+        # Each entry is 0 or 1 on every draw, so its sum is an exact count:
+        # pp = #(A+ and B+), pm = #A+ - pp, mp = #B+ - pp, mm the rest.
+        c_a, c_b, sigma = params or (0.0, 0.0, -1.0)
+        h = _sign_halves(np.array([[ax, ay, az], [bx, by, bz]]),
+                         np.array([c_a, c_b], dtype=np.float64) if params else None,
+                         l0, l1, l2)
+        plus_a, plus_b = h[0] > 0.0, (h[1] > 0.0) == (sigma > 0.0)
+        pp, na, nb = (int(np.count_nonzero(x)) for x in (plus_a & plus_b, plus_a, plus_b))
+        accs = [(float(k), float(k), 0.0 if k < count else 1.0, 1.0 if k else 0.0)
+                if count else (0.0, 0.0, inf, -inf)
+                for k in (pp, count - na - nb + pp, na - pp, nb - pp)]
+        return tuple(zip(*accs)) + (STATUS_OK, -1, 0.0)
     p1_plus, p1_minus, bad_a = _side_probabilities(np.array([[ax, ay, az]]), l0, l1, l2, False)
     p2_plus, p2_minus, bad_b = _side_probabilities(np.array([[bx, by, bz]]), l0, l1, l2, True)
     [(k, tail)] = _pair_stops(bad_a, bad_b, [0], [0], start, count) or [(count, (STATUS_OK, -1, 0.0))]

@@ -132,14 +132,14 @@ def _raise_bad_probability(bad_index: int, bad_value: float) -> None:
     )
 
 
-def _kernel_parts(reduce_fn, kind, u, v, s, n, workers):
+def _kernel_parts(reduce_fn, kind, params, u, v, s, n, workers):
     def job(start, count):
         return reduce_fn(
-            kind, (), u.x, u.y, u.z, v.x, v.y, v.z,
+            kind, params, u.x, u.y, u.z, v.x, v.y, v.z,
             s.kind_code, s.dim, s.seed, start, count,
         )
 
-    parts = run_chunk_jobs(job, n, workers=workers, threaded=_k.THREADED_KERNELS)
+    parts = run_chunk_jobs(job, n, workers=workers)
     # Chunks stop at their first bad draw; scanning in chunk order makes
     # the reported draw the globally first violation, worker count aside.
     for part in parts:
@@ -160,8 +160,8 @@ def _estimate(m, value, a, b, s, n, workers, joint=False):
       in the zoo (0, +/-1, 1/4) have exact n-fold sums, so summing every
       draw would give (x * n) / n = x with stderr 0.0: the stream is not
       walked;
-    * a model with a kernel runs it chunk by chunk, on its ``kernel_axes``
-      when it has them and on the settings otherwise;
+    * a model with a kernel runs it chunk by chunk, on its
+      ``kernel_rows(a, b)``;
     * any other model calls ``value`` on every draw.
 
     Chunks are folded in chunk order, so ``workers`` never changes a bit.
@@ -172,9 +172,11 @@ def _estimate(m, value, a, b, s, n, workers, joint=False):
         return [(p, 0.0) for p in x] if joint else (x, 0.0)
     kind = getattr(m, "kernel_kind", None)
     if kind is not None:
-        u, v = m.kernel_axes or (a, b)
+        (u, c_a), (v, c_b), sigma_b = m.kernel_rows(a, b)
         reduce_fn = _k.reduce_joint if joint else _k.reduce_product
-        parts = _kernel_parts(reduce_fn, kind, u, v, s, n, workers)
+        # Empty params (offsets 0, sigma_b = -1) skip the kernel's offset adds.
+        params = (c_a, c_b, sigma_b) if c_a or c_b or sigma_b != -1.0 else ()
+        parts = _kernel_parts(reduce_fn, kind, params, u, v, s, n, workers)
     else:
         kind_code, dim, seed = s.kind_code, s.dim, s.seed
         acc = accumulate4 if joint else accumulate
@@ -187,24 +189,37 @@ def _estimate(m, value, a, b, s, n, workers, joint=False):
     return combine_vec4(parts, n) if joint else combine_scalar(parts, n)
 
 
-def _pair_groups(pairs, max_pairs):
+def _pair_groups(m, pairs, max_pairs):
     """Split ``pairs`` in order into runs of at most ``max_pairs`` pairs
-    with at most _BATCH_SETTINGS distinct settings a side; each run as
-    (A, B, I, J), the kernel's distinct settings and pair indices."""
-    A, B, I, J = {}, {}, [], []
+    with at most _BATCH_SETTINGS distinct kernel rows a side and one
+    sigma_B; each run as (A, B, I, J, params), the kernel's distinct
+    settings, pair indices and params."""
+    A, B, I, J, sigma = {}, {}, [], [], None
     for a, b in pairs:
-        ka, kb = (a.x, a.y, a.z), (b.x, b.y, b.z)
-        if (len(I) == max_pairs or (ka not in A and len(A) == _BATCH_SETTINGS)
-                or (kb not in B and len(B) == _BATCH_SETTINGS)):
-            yield list(A), list(B), I, J
+        (u, c_a), (v, c_b), sigma_b = m.kernel_rows(a, b)
+        ka, kb = (u.x, u.y, u.z, c_a), (v.x, v.y, v.z, c_b)
+        if I and (len(I) == max_pairs or sigma_b != sigma
+                  or (ka not in A and len(A) == _BATCH_SETTINGS)
+                  or (kb not in B and len(B) == _BATCH_SETTINGS)):
+            yield _kernel_group(A, B, I, J, sigma)
             A, B, I, J = {}, {}, [], []
+        sigma = sigma_b
         # Keys that differ only in a zero's sign share a row: the kernels
-        # read a setting only through sign(d) and 1 +/- d of its dot d with
-        # the draw, which a zero's sign cannot change.
+        # read a row only through sign(d + c) and 1 +/- d, for the dot d of
+        # its setting with the draw and its offset c, which a zero's sign
+        # cannot change.
         I.append(A.setdefault(ka, len(A)))
         J.append(B.setdefault(kb, len(B)))
     if I:
-        yield list(A), list(B), I, J
+        yield _kernel_group(A, B, I, J, sigma)
+
+
+def _kernel_group(A, B, I, J, sigma_b):
+    """(A, B, I, J, params) for reduce_pairs from the distinct rows ``A``
+    and ``B`` of a run, keyed by (x, y, z, offset)."""
+    c_a, c_b = [k[3] for k in A], [k[3] for k in B]
+    params = (c_a, c_b, sigma_b) if any(c_a) or any(c_b) or sigma_b != -1.0 else ()
+    return [k[:3] for k in A], [k[:3] for k in B], I, J, params
 
 
 def _estimate_pairs(m, pairs, s, n, workers, draws=None):
@@ -218,12 +233,12 @@ def _estimate_pairs(m, pairs, s, n, workers, draws=None):
     folded."""
     n = require_n(n)
     out = []
-    for A, B, I, J in _pair_groups(pairs, max(1, _BATCH_PARTS // chunk_count(n))):
+    for A, B, I, J, params in _pair_groups(m, pairs, max(1, _BATCH_PARTS // chunk_count(n))):
         def job(start, count):
             return _k.reduce_pairs(m.kernel_kind, A, B, I, J,
-                                   s.kind_code, s.dim, s.seed, start, count, draws)
+                                   s.kind_code, s.dim, s.seed, start, count, draws, params)
 
-        parts = run_chunk_jobs(job, n, workers=workers, threaded=_k.THREADED_KERNELS)
+        parts = run_chunk_jobs(job, n, workers=workers)
         for column in zip(*parts):
             for part in column:
                 if part[4] != _k.STATUS_OK:
@@ -449,15 +464,15 @@ def make_correlation_oracle(
 
 def _with_pairs(oracle, model, s, n, workers):
     """Give ``oracle`` a ``pairs`` method that estimates a list of setting
-    pairs in one pass over the draws, when the model runs a kernel on the
-    settings themselves; any other model is asked pair by pair.
+    pairs in one pass over the draws, when the model runs a kernel and its
+    product depends on the draw; any other model is asked pair by pair.
 
     From its second batch on, the method keeps each chunk's draws for the
     batches after it, as long as the oracle lives, so a settings search
     makes them at most twice; a one-batch caller (``chsh`` at one quad,
     ``bell``, a sweep) keeps none. Past _DRAW_CACHE_BYTES it keeps none and
     makes them for every batch."""
-    if (getattr(model, "kernel_kind", None) is not None and model.kernel_axes is None
+    if (getattr(model, "kernel_kind", None) is not None
             and not getattr(model, "draw_independent", False)):
         draws = None
         batches = 0

@@ -10,10 +10,10 @@ Four families, mirroring the way such models are usually classified:
   side is exactly the negative of the other.
 
 Every zoo member is constructible by name through ``build_model`` and is
-immutable after construction. Class hooks steer the estimators, which
-otherwise call the evaluator on every draw: ``kernel_kind`` names the kernel
-(sign or linear) that computes the model's per-draw product, on
-``kernel_axes`` when set and on the settings otherwise; ``draw_independent``
+immutable after construction. Hooks steer the estimators, which otherwise
+call the evaluator on every draw: ``kernel_kind`` names the kernel (sign or
+linear) that computes the model's per-draw product, on the rows
+``kernel_rows(a, b)`` gives for each setting pair; ``draw_independent``
 marks a model whose per-draw product never changes, so one evaluation gives
 the estimate.
 """
@@ -108,21 +108,28 @@ class DeterministicModel:
     """Base for models whose outcomes are exactly +/-1 per draw.
 
     Subclasses implement ``outcomes``. ``kernel_kind`` names the kernel
-    that reproduces ``outcomes`` bit for bit, dotting the draw with
-    ``kernel_axes`` (the settings when None); None means estimators call
-    ``outcomes`` per draw. ``draw_independent`` promises that the outcome
-    product is the same on every draw, so one evaluation gives the estimate.
-    A subclass that changes ``outcomes`` must reset the hooks it inherits.
+    that reproduces ``outcomes`` bit for bit on the rows ``kernel_rows``
+    gives; None means estimators call ``outcomes`` per draw.
+    ``draw_independent`` promises that the outcome product is the same on
+    every draw, so one evaluation gives the estimate. A subclass that
+    changes ``outcomes`` must reset the hooks it inherits.
     """
 
     psi_label: str = "singlet"
     locality_class: LocalityClass = LocalityClass.LOCAL
     kernel_kind: Optional[int] = None
-    kernel_axes: Optional[tuple[UnitVector3, UnitVector3]] = None
     draw_independent: bool = False
 
     def __init__(self, psi_label: str = "singlet") -> None:
         self.psi_label = psi_label
+
+    def kernel_rows(self, a: UnitVector3, b: UnitVector3) -> tuple:
+        """The kernel's rows at settings (a, b): ((u, c_A), (v, c_B),
+        sigma_B). The sign kernel's outcomes are A = sign(u . lam + c_A) and
+        B = sigma_B * sign(v . lam + c_B), with sign(0) = +1; the linear one
+        takes only the default offsets 0 and sigma_B = -1. The default is
+        the settings themselves with those defaults."""
+        return (a, 0.0), (b, 0.0), -1.0
 
     def outcomes(
         self, a: UnitVector3, b: UnitVector3, lam: Sequence[float]
@@ -141,8 +148,8 @@ class StochasticModel:
     psi_label: str = "singlet"
     locality_class: LocalityClass = LocalityClass.LOCAL
     kernel_kind: Optional[int] = None
-    kernel_axes: Optional[tuple[UnitVector3, UnitVector3]] = None
     draw_independent: bool = False
+    kernel_rows = DeterministicModel.kernel_rows
 
     def __init__(self, psi_label: str = "singlet") -> None:
         self.psi_label = psi_label
@@ -214,7 +221,9 @@ class ConstantNonlocalModel(DeterministicModel):
         self.u = u
         self.v = v
         self.psi_label = psi_label
-        self.kernel_axes = (u, v)
+
+    def kernel_rows(self, a, b):
+        return (self.u, 0.0), (self.v, 0.0), -1.0
 
     def outcomes(self, a, b, lam):
         return (_sign(_dot3(self.u, lam)), -_sign(_dot3(self.v, lam)))
@@ -247,13 +256,18 @@ class SettingBiasedSignModel(DeterministicModel):
 
     A = sign(a . b + a . lam) leaks the remote setting into the first
     party's outcome; B = sign(b . lam + bias) breaks the antipodal symmetry.
+    It is the sign kernel with offsets a . b and bias and B's sign kept.
     """
 
     locality_class = LocalityClass.GENERAL_NONLOCAL
+    kernel_kind = _k.KIND_SIGN
 
     def __init__(self, bias: float = 0.1, psi_label: str = "singlet") -> None:
         self.bias = float(bias)
         self.psi_label = psi_label
+
+    def kernel_rows(self, a, b):
+        return (a, a.dot(b)), (b, self.bias), 1.0
 
     def outcomes(self, a, b, lam):
         return (
@@ -267,13 +281,18 @@ class DeterministicEmbedding(StochasticModel):
 
     Probabilities are exactly 0 or 1, so mean outcomes reproduce the wrapped
     model's +/-1 outcomes bit for bit and the two correlation estimators
-    agree exactly on a shared draw stream.
+    agree exactly on a shared draw stream. It runs on the wrapped model's
+    kernel, when it has one, for the correlation and the joint table.
     """
 
     def __init__(self, inner: DeterministicModel) -> None:
         self.inner = inner
         self.psi_label = inner.psi_label
         self.locality_class = inner.locality_class
+        self.kernel_kind = inner.kernel_kind
+
+    def kernel_rows(self, a, b):
+        return self.inner.kernel_rows(a, b)
 
     def probabilities(self, a, b, lam):
         alpha, beta = evaluate_deterministic(self.inner, a, b, lam)

@@ -119,6 +119,21 @@ def ref_reduce_joint(kind, params, ax, ay, az, bx, by, bz,
     return tuple(zip(*accs)) + status
 
 
+def ref_sign_outcome_sums(outcomes, lams) -> tuple:
+    """The sign kernels' sums from a model's per-draw outcomes, called on
+    each draw of ``lams`` in order: (sum, sum_sq, min, max) of alpha * beta,
+    and the joint-table accumulators of the 0/1 probabilities the
+    outcomes give, entries ++, --, +-, -+."""
+    acc = [0.0, 0.0, math.inf, -math.inf]
+    rows = []
+    for lam in lams:
+        alpha, beta = outcomes(lam)
+        _ref_accumulate(acc, alpha * beta)
+        p1, p2 = (1.0 if alpha > 0.0 else 0.0), (1.0 if beta > 0.0 else 0.0)
+        rows.append((p1 * p2, (1.0 - p1) * (1.0 - p2), p1 * (1.0 - p2), (1.0 - p1) * p2))
+    return tuple(acc), ref_accumulate4(rows)
+
+
 def ref_accumulate4(rows) -> tuple:
     """(sums, sums of squares, minima, maxima) of 4-tuples, all four
     columns updated together row by row."""

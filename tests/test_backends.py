@@ -1,19 +1,27 @@
-"""The kernels must agree bit for bit: the Python backend's numpy chunk
-kernels with the per-draw reference loops in oracles_ref, and the compiled
-extension with the Python backend."""
+"""The numpy chunk kernels must agree bit for bit with the per-draw
+reference loops in oracles_ref and with the models' per-draw outcomes."""
 
 import itertools
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
 from eprb import _backend as bk
 from eprb import _pykernels as py
-from oracles_ref import ref_draw3, ref_reduce_joint, ref_reduce_product
+from eprb.geometry import UnitVector3, Z_AXIS
+from eprb.models import (
+    ConstantNonlocalModel,
+    DeterministicModel,
+    LocalSignModel,
+    SettingBiasedSignModel,
+)
+from oracles_ref import (
+    ref_draw3,
+    ref_reduce_joint,
+    ref_reduce_product,
+    ref_sign_outcome_sums,
+)
 
 SETTINGS = [
     ((0.6, 0.0, 0.8), (0.0, 0.8, -0.6)),
@@ -96,6 +104,73 @@ def test_numpy_sign_pairs_from_one_matrix_product_match_the_per_pair_reference()
         for p in (1, 2, 3):
             assert py.reduce_product(py.KIND_SIGN, (), *A[I[p]], *B[J[p]],
                                      sampler, dim, seed, start, count) == got[p]
+
+
+class OffsetSignModel(DeterministicModel):
+    """A = sign(a . lam + c_a), B = sigma_b * sign(b . lam + c_b) with fixed
+    offsets: the sign kind's general case."""
+
+    kernel_kind = py.KIND_SIGN
+
+    def __init__(self, c_a, c_b, sigma_b):
+        self.c_a, self.c_b, self.sigma_b = c_a, c_b, sigma_b
+
+    def kernel_rows(self, a, b):
+        return (a, self.c_a), (b, self.c_b), self.sigma_b
+
+    def outcomes(self, a, b, lam):
+        d_a = a.x * lam[0] + a.y * lam[1] + a.z * lam[2] + self.c_a
+        d_b = b.x * lam[0] + b.y * lam[1] + b.z * lam[2] + self.c_b
+        return (1.0 if d_a >= 0.0 else -1.0), self.sigma_b * (1.0 if d_b >= 0.0 else -1.0)
+
+
+def _sign_model_cases(lams):
+    """(model, a, b) for the sign kind over the draws ``lams`` of one range,
+    with exact ties: nonlocal_sign with biases 0.1, -0.0, NaN and one that
+    cancels b . lam of the middle draw to 0.0, and with a . b cancelling
+    a . lam of some draw; offsets with sigma_B = -1, a NaN and a tie among
+    them; the offset-free sign models."""
+    a, b = (UnitVector3(*v) for v in SETTINGS[0])
+    lam = lams[len(lams) // 2]
+    d_a, d_b = (v.x * lam[0] + v.y * lam[1] + v.z * lam[2] for v in (a, b))
+    cases = [(SettingBiasedSignModel(bias), a, b) for bias in (0.1, -0.0, math.nan, -d_b)]
+    # at a = z, a . b + a . lam is b.z + lam[2]
+    for lam in lams:
+        b_tie = UnitVector3(math.sqrt(1.0 - lam[2] * lam[2]), 0.0, -lam[2])
+        if b_tie.z == -lam[2]:
+            assert Z_AXIS.dot(b_tie) + lam[2] == 0.0
+            cases.append((SettingBiasedSignModel(0.1), Z_AXIS, b_tie))
+            break
+    else:
+        assert len(lams) == 1
+    models = [OffsetSignModel(-d_a, 0.25, -1.0), OffsetSignModel(math.nan, -0.5, -1.0),
+              LocalSignModel(), ConstantNonlocalModel()]
+    return cases + [(m, a, b) for m in models]
+
+
+def test_numpy_sign_kind_with_offsets_matches_the_per_draw_outcomes():
+    # every case's kernel rows against its own outcomes called per draw:
+    # the one-pair reduce_product and reduce_joint, and one reduce_pairs
+    # call for all cases with the same sigma_B
+    for (sampler, dim), count, start, seed in itertools.product(
+        SAMPLERS, COUNTS, STARTS, SEEDS
+    ):
+        lams = [ref_draw3(sampler, seed, i) for i in range(start, start + count)]
+        tail = (sampler, dim, seed, start, count)
+        batches = {1.0: [], -1.0: []}
+        for m, a, b in _sign_model_cases(lams):
+            (u, c_a), (v, c_b), sigma_b = m.kernel_rows(a, b)
+            product, joint = ref_sign_outcome_sums(lambda lam: m.outcomes(a, b, lam), lams)
+            ok = (py.STATUS_OK, -1, 0.0)
+            args = (py.KIND_SIGN, (c_a, c_b, sigma_b), *u.as_tuple(), *v.as_tuple(), *tail)
+            assert py.reduce_product(*args) == product + ok, (m, a, b, tail)
+            assert py.reduce_joint(*args) == joint + ok, (m, a, b, tail)
+            batches[sigma_b].append((u.as_tuple(), v.as_tuple(), c_a, c_b, product + ok))
+        for sigma_b, rows in batches.items():
+            A, B, c_a, c_b, want = (list(col) for col in zip(*rows))
+            I = list(range(len(rows)))
+            assert py.reduce_pairs(py.KIND_SIGN, A, B, I, I, *tail, None,
+                                   (c_a, c_b, sigma_b)) == want, (sigma_b, tail)
 
 
 def test_numpy_reduce_pairs_across_several_blocks():
@@ -214,182 +289,18 @@ def test_numpy_kernels_keep_their_argument_errors():
         py.reduce_product(py.KIND_SIGN, (), *base, py.SAMPLER_CUBE, 65, 0, 0, 10)
     with pytest.raises(ValueError, match="unknown model kind code 7"):
         py.reduce_product(7, (), *base, py.SAMPLER_SPHERE, 3, 0, 0, 10)
-    with pytest.raises(ValueError, match="no joint-table fast path"):
-        py.reduce_joint(py.KIND_SIGN, (), *base, py.SAMPLER_SPHERE, 3, 0, 0, 10)
+    with pytest.raises(ValueError, match="unknown model kind code 7"):
+        py.reduce_joint(7, (), *base, py.SAMPLER_SPHERE, 3, 0, 0, 10)
+    for kind, params in ((py.KIND_LINEAR, (0.0, 0.0, -1.0)), (py.KIND_SIGN, (0.0, 0.0, 0.5))):
+        for fn in (py.reduce_product, py.reduce_joint):
+            with pytest.raises(ValueError, match="do not fit model kind code"):
+                fn(kind, params, *base, py.SAMPLER_SPHERE, 3, 0, 0, 10)
     with pytest.raises(ValueError, match="must be >= 3"):
         py.reduce_joint(py.KIND_LINEAR, (), *base, py.SAMPLER_CUBE, 2, 0, 0, 10)
     with pytest.raises(ValueError, match="unknown sampler kind code 9"):
         py.reduce_product(py.KIND_SIGN, (), *base, 9, 3, 0, 0, 10)
 
-HAVE_COMPILED = bk.BACKEND_NAME == "compiled"
-
-needs_compiled = pytest.mark.skipif(
-    not HAVE_COMPILED, reason="compiled extension not built"
-)
-
-
-@needs_compiled
-def test_word_stream_parity():
-    from eprb import _kernels as ck
-
-    for seed in (0, 1, 2**63, 2**64 - 1):
-        for i in (0, 1, 4095, 4096, 10**6):
-            for j in (0, 1, 63):
-                assert ck.stream_word(seed, i, j) == py.stream_word(seed, i, j)
-                assert ck.uniform01(seed, i, j) == py.uniform01(seed, i, j)
-
-
-@needs_compiled
-def test_lambda_parity_sphere_and_cube():
-    from eprb import _kernels as ck
-
-    for seed in (0, 7, 123456789):
-        got = ck.lambda_batch(ck.SAMPLER_SPHERE, 3, seed, 0, 2000)
-        want = py.lambda_batch(py.SAMPLER_SPHERE, 3, seed, 0, 2000)
-        assert got == want
-        got = ck.lambda_batch(ck.SAMPLER_CUBE, 8, seed, 0, 500)
-        want = py.lambda_batch(py.SAMPLER_CUBE, 8, seed, 0, 500)
-        assert got == want
-
-
-@needs_compiled
-def test_reduce_product_parity():
-    from eprb import _kernels as ck
-
-    a = (0.6, 0.0, 0.8)
-    b = (0.0, 0.8, -0.6)
-    for kind in (ck.KIND_SIGN, ck.KIND_LINEAR):
-        got = ck.reduce_product(
-            kind, (), a[0], a[1], a[2], b[0], b[1], b[2],
-            ck.SAMPLER_SPHERE, 3, 0, 0, 4096,
-        )
-        want = py.reduce_product(
-            kind, (), a[0], a[1], a[2], b[0], b[1], b[2],
-            py.SAMPLER_SPHERE, 3, 0, 0, 4096,
-        )
-        assert got == want
-
-
-@needs_compiled
-def test_reduce_joint_parity():
-    from eprb import _kernels as ck
-
-    a = (0.36, 0.48, 0.8)
-    b = (0.0, 0.0, 1.0)
-    got = ck.reduce_joint(
-        ck.KIND_LINEAR, (), a[0], a[1], a[2], b[0], b[1], b[2],
-        ck.SAMPLER_SPHERE, 3, 5, 0, 4096,
-    )
-    want = py.reduce_joint(
-        py.KIND_LINEAR, (), a[0], a[1], a[2], b[0], b[1], b[2],
-        py.SAMPLER_SPHERE, 3, 5, 0, 4096,
-    )
-    assert got == want
-
-
-@needs_compiled
-def test_reduce_pairs_parity():
-    from eprb import _kernels as ck
-
-    for kind in (ck.KIND_SIGN, ck.KIND_LINEAR):
-        for (sampler, dim), seed in itertools.product(SAMPLERS, SEEDS):
-            args = (kind, PAIR_A, PAIR_B, PAIR_I, PAIR_J, sampler, dim, seed, 2**32 - 7, 4096)
-            assert ck.reduce_pairs(*args) == py.reduce_pairs(*args)
-    I = [i for i in range(5) for _ in range(5)]
-    J = [j for _ in range(5) for j in range(5)]
-    args = (ck.KIND_LINEAR, CUBE_SIDES, CUBE_SIDES, I, J, ck.SAMPLER_CUBE, 3, 3, 100, 4096)
-    assert ck.reduce_pairs(*args) == py.reduce_pairs(*args)
-
-
-@needs_compiled
-def test_series_value_parity():
-    from eprb import _kernels as ck
-    from eprb.models import random_coefficients
-
-    c = random_coefficients(coeff_seed=21, degree=4)
-    args = (c._flat, c.degree, 0.0, 0.6, 0.0, 0.8, 0.0, 0.8, -0.6)
-    assert ck.series_value(*args) == py.series_value(*args)
-
-
-@needs_compiled
-def test_violation_reporting_parity():
-    from eprb import _kernels as ck
-
-    # linear kernel fed a cube stream drifts out of [0, 1]: both backends
-    # must flag the same first draw with the same value
-    a = (0.577, 0.577, 0.577)
-    got = ck.reduce_product(
-        ck.KIND_LINEAR, (), a[0], a[1], a[2], 0.0, 0.0, 1.0,
-        ck.SAMPLER_CUBE, 3, 0, 0, 4096,
-    )
-    want = py.reduce_product(
-        py.KIND_LINEAR, (), a[0], a[1], a[2], 0.0, 0.0, 1.0,
-        py.SAMPLER_CUBE, 3, 0, 0, 4096,
-    )
-    assert got == want
-    assert got[4] == ck.STATUS_BAD_PROBABILITY
-
-
 def test_backend_exports_constants():
     assert bk.MASK64 == 2**64 - 1
-    assert bk.BACKEND_NAME in ("compiled", "python")
+    assert bk.BACKEND_NAME == "python"
     assert bk.SAMPLER_SPHERE != bk.SAMPLER_CUBE
-
-
-def _run_with_env(code: str, **env) -> str:
-    full = dict(os.environ)
-    full.update(env)
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=full
-    )
-    assert out.returncode == 0, out.stderr
-    return out.stdout.strip()
-
-
-def test_backend_env_override_python():
-    got = _run_with_env(
-        "import eprb; print(eprb.BACKEND_NAME)", EPRB_BACKEND="python"
-    )
-    assert got == "python"
-
-
-@needs_compiled
-def test_backend_env_override_compiled():
-    got = _run_with_env(
-        "import eprb; print(eprb.BACKEND_NAME)", EPRB_BACKEND="compiled"
-    )
-    assert got == "compiled"
-
-
-def test_backend_env_rejects_unknown():
-    full = dict(os.environ, EPRB_BACKEND="gpu")
-    out = subprocess.run(
-        [sys.executable, "-c", "import eprb"],
-        capture_output=True, text=True, env=full,
-    )
-    assert out.returncode != 0
-    assert "EPRB_BACKEND" in out.stderr
-
-
-@pytest.mark.parametrize("spelling", ["c", "pure"])
-def test_backend_env_takes_only_the_documented_spellings(spelling):
-    full = dict(os.environ, EPRB_BACKEND=spelling)
-    out = subprocess.run(
-        [sys.executable, "-c", "import eprb"],
-        capture_output=True, text=True, env=full,
-    )
-    assert out.returncode != 0
-    assert "EPRB_BACKEND must be auto, compiled, or python" in out.stderr
-
-
-@needs_compiled
-def test_estimates_identical_across_backends():
-    # same correlation estimate, bit for bit, through the public API
-    code = (
-        "from eprb import LocalSignModel, sphere_sampler, estimate_correlation, Z_AXIS, X_AXIS;"
-        "e = estimate_correlation(LocalSignModel(), Z_AXIS, X_AXIS, sphere_sampler(3), 20000);"
-        "print(repr(e.value), repr(e.stderr))"
-    )
-    a = _run_with_env(code, EPRB_BACKEND="compiled")
-    b = _run_with_env(code, EPRB_BACKEND="python")
-    assert a == b

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -13,12 +14,14 @@ from eprb import (
     ConstantNonlocalModel,
     ContractViolationError,
     DeterministicEmbedding,
+    DeterministicModel,
     FixedOutcomeModel,
     INFINITY,
     LinearStochasticModel,
     LocalSignModel,
     QuantumCorrelationModel,
     RiemannPoint,
+    SettingBiasedSignModel,
     SettingsQuad,
     UnitVector3,
     X_AXIS,
@@ -64,6 +67,10 @@ class NoKernelLinear(LinearStochasticModel):
     kernel_kind = None
 
 
+class NoKernelNonlocal(SettingBiasedSignModel):
+    kernel_kind = None
+
+
 class PerDrawCoin(CoinModel):
     draw_independent = False
 
@@ -102,7 +109,7 @@ def test_estimators_reject_n_past_the_int64_limit(monkeypatch):
                 estimator(m, Z_AXIS, X_AXIS, sphere_sampler(), n)
 
 
-def test_threads_start_only_for_compiled_kernel_chunks(monkeypatch):
+def test_no_estimate_starts_a_thread(monkeypatch):
     # numpy chunks, per-draw Python draws and integrands hold the GIL, so
     # they run on the calling thread at any worker count
     pools = []
@@ -118,10 +125,10 @@ def test_threads_start_only_for_compiled_kernel_chunks(monkeypatch):
     n = 3 * 4096
     integrate(lambda lam: lam[0], s, n, workers=2)
     estimate_correlation(build_model("nonlocal_sign"), Z_AXIS, X_AXIS, s, n, workers=2)
-    assert pools == []
     estimate_correlation(LocalSignModel(), Z_AXIS, X_AXIS, s, n, workers=2)
     estimate_joint(LinearStochasticModel(), Z_AXIS, X_AXIS, s, n, workers=2)
-    assert pools == ([2, 2] if _k.BACKEND_NAME == "compiled" else [])
+    make_correlation_oracle(LocalSignModel(), s, n, workers=2).pairs([(Z_AXIS, X_AXIS)])
+    assert pools == []
 
 
 any_float = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.25]))
@@ -204,6 +211,64 @@ def test_kernel_and_python_paths_agree_bitwise():
     assert walked == estimate_joint(CoinModel(), a, b, s, 4097)
 
 
+def test_sign_kernel_offsets_and_embeddings_match_their_per_draw_twins():
+    # nonlocal_sign is the sign kernel with offsets a . b and bias and B's
+    # sign kept, and an embedding runs its inner model's kernel, for the
+    # correlation and the joint table: the bits of the per-draw path, on
+    # sphere and cube streams, at whole and partial chunks and any worker
+    # count, one pair at a time and batched
+    a, b = UnitVector3(0.36, 0.48, 0.8), unit_from_plane_angle(2.2)
+    pairs = [(a, b), (b, a), (Z_AXIS, b), (a, -a), (a, b)]
+    inners = [(LocalSignModel(), NoKernelSign()),
+              (ConstantNonlocalModel(a, b), NoKernelConstant(a, b)),
+              (SettingBiasedSignModel(0.1), NoKernelNonlocal(0.1)),
+              (SettingBiasedSignModel(-0.3), NoKernelNonlocal(-0.3))]
+    for stream in (sphere_sampler(seed=4), cube_sampler(dim=3, seed=9)):
+        for n, workers in itertools.product((2, 3, 4097), (1, 2)):
+            for inner, twin_inner in inners:
+                fast, twin = DeterministicEmbedding(inner), DeterministicEmbedding(inner)
+                twin.kernel_kind = None
+                assert fast.kernel_kind == inner.kernel_kind is not None
+                for model, per_draw, estimators in (
+                    (inner, twin_inner, (estimate_correlation,)),
+                    (fast, twin, (estimate_stochastic_correlation, estimate_joint)),
+                ):
+                    for estimator, (p, q) in itertools.product(estimators, pairs):
+                        assert repr(estimator(model, p, q, stream, n, workers)) == repr(
+                            estimator(per_draw, p, q, stream, n, workers)), (model, p, q, n)
+                    batched = make_correlation_oracle(model, stream, n, workers).pairs(pairs)
+                    assert [repr(e) for e in batched] == [
+                        repr(estimators[0](per_draw, p, q, stream, n, workers)) for p, q in pairs]
+
+
+def test_a_plain_deterministic_subclass_takes_the_per_draw_path(monkeypatch):
+    class PlainSign(DeterministicModel):
+        def outcomes(self, a, b, lam):
+            return LocalSignModel().outcomes(a, b, lam)
+
+    s, n = sphere_sampler(seed=3), 4097
+    a, b = Z_AXIS, unit_from_plane_angle(1.3)
+    want = repr(estimate_correlation(LocalSignModel(), a, b, s, n))
+    want_joint = repr(estimate_joint(DeterministicEmbedding(LocalSignModel()), a, b, s, n))
+    draws = []
+    lambda_at = _k.lambda_at
+
+    def counting(*args):
+        draws.append(args[-1])
+        return lambda_at(*args)
+
+    def no_kernel(*args):
+        raise AssertionError("a kernel ran for a model without kernel_kind")
+
+    for name in ("reduce_product", "reduce_joint", "reduce_pairs"):
+        monkeypatch.setattr(_k, name, no_kernel)
+    monkeypatch.setattr(_k, "lambda_at", counting)
+    oracle = make_correlation_oracle(PlainSign(), s, n)
+    assert not hasattr(oracle, "pairs")
+    assert repr(oracle(a, b)) == want and draws == list(range(n))
+    assert repr(estimate_joint(DeterministicEmbedding(PlainSign()), a, b, s, n)) == want_joint
+
+
 def test_worker_count_is_invisible():
     s = sphere_sampler(seed=6)
     a, b = Z_AXIS, unit_from_plane_angle(0.8)
@@ -269,9 +334,9 @@ def test_joint_table_matches_product_estimator():
 
 
 def test_joint_python_fallback_path():
-    # embeddings have no joint kernel; the per-draw path serves them
+    # an embedding of a model without a kernel takes the per-draw path
     s = sphere_sampler(seed=5)
-    t = estimate_joint(DeterministicEmbedding(LocalSignModel()), Z_AXIS, X_AXIS, s, 5000)
+    t = estimate_joint(DeterministicEmbedding(NoKernelSign()), Z_AXIS, X_AXIS, s, 5000)
     assert abs(t.total() - 1.0) < 1e-12
     direct = estimate_correlation(LocalSignModel(), Z_AXIS, X_AXIS, s, 5000)
     assert abs(t.correlation() - direct.value) < 1e-12
@@ -414,9 +479,9 @@ def _record_draws(monkeypatch):
     seen, made = [], []
     reduce_pairs, columns = _k.reduce_pairs, _pykernels._lambda_columns
 
-    def recording(kind, A, B, I, J, sampler_kind, dim, seed, start, count, draws=None):
+    def recording(kind, A, B, I, J, sampler_kind, dim, seed, start, count, draws=None, *rest):
         seen.append(draws)
-        return reduce_pairs(kind, A, B, I, J, sampler_kind, dim, seed, start, count, draws)
+        return reduce_pairs(kind, A, B, I, J, sampler_kind, dim, seed, start, count, draws, *rest)
 
     def making(sampler_kind, seed, start, count, ncomp):
         made.append((start, count))
@@ -444,9 +509,8 @@ def test_later_batches_read_the_draws_the_second_one_kept(monkeypatch):
             # and no chunk's draws are made a third time
             assert seen[:4] == [None] * 4
             assert len({id(d) for d in seen[4:]}) == 1
-            if _k.BACKEND_NAME == "python":  # the compiled kernels keep nothing
-                assert len(seen[4]) == 4
-                assert sorted(made) == sorted(list(_mc.chunk_ranges(n)) * 2)
+            assert len(seen[4]) == 4
+            assert sorted(made) == sorted(list(_mc.chunk_ranges(n)) * 2)
 
 
 def test_a_one_batch_oracle_keeps_no_draws(monkeypatch):
@@ -470,7 +534,7 @@ def test_an_oracle_past_the_byte_cap_keeps_no_draws(monkeypatch):
         made.clear()
         assert [[repr(e) for e in oracle.pairs(batch)] for batch in batches] == want
         assert seen == [None] * (3 * len(batches))
-        assert len(made) == (3 * len(batches) if _k.BACKEND_NAME == "python" else 0)
+        assert len(made) == 3 * len(batches)
     # at the cap itself the draws are kept
     monkeypatch.setattr(correlation_module, "_DRAW_CACHE_BYTES", 24 * n)
     oracle = make_correlation_oracle(LocalSignModel(), sphere_sampler(seed=6), n)
@@ -502,11 +566,14 @@ def test_a_kept_chunk_raises_the_uncached_bad_probability(monkeypatch):
 
 
 def test_only_models_with_a_kernel_on_their_settings_answer_batches():
+    # every kernel model whose product depends on the draw, the ones with
+    # offsets or fixed axes included
     s = sphere_sampler(seed=5)
     pairs = _pair_requests(6, 9)
     for name in _BUILDERS:
         oracle = make_correlation_oracle(build_model(name), s, n=3000)
-        assert hasattr(oracle, "pairs") == (name in ("local_sign", "linear")), name
+        assert hasattr(oracle, "pairs") == (
+            name in ("local_sign", "linear", "constant", "nonlocal_sign")), name
         assert [repr(e) for e in ask_pairs(oracle, pairs)] == [
             repr(oracle(a, b)) for a, b in pairs]
 

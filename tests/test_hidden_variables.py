@@ -202,21 +202,21 @@ def test_integrate_rejects_n_past_the_int64_limit(monkeypatch):
         integrate(lambda lam: 1.0, sphere_sampler(), n=2**63)
 
 
-def test_run_chunk_jobs_threads_only_when_asked(monkeypatch):
+def test_run_chunk_jobs_runs_every_chunk_on_the_calling_thread(monkeypatch):
     monkeypatch.setattr(_mc.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     caller = threading.get_ident()
     n = 5 * 4096 + 7
-    want = list(_mc.chunk_ranges(n))
-    for threaded in (False, True):
-        seen = []
+    seen = []
 
-        def job(start, count):
-            seen.append(threading.get_ident())
-            return (start, count)
+    def job(start, count):
+        seen.append(threading.get_ident())
+        return (start, count)
 
-        # chunk order either way; only a threaded job leaves this thread
-        assert run_chunk_jobs(job, n, workers=3, threaded=threaded) == want
-        assert (caller in seen) is not threaded
+    # chunk order, on this thread, at any worker count
+    for workers in (1, 3):
+        seen.clear()
+        assert run_chunk_jobs(job, n, workers=workers) == list(_mc.chunk_ranges(n))
+        assert set(seen) == {caller}
 
 
 @settings(max_examples=25)

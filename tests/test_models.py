@@ -228,7 +228,8 @@ def test_constant_model_defaults_and_params():
     assert m.v.as_tuple() == (0.0, 1.0, 0.0)
     # the sign kernel runs on the model's own axes, not on the settings
     assert m.kernel_kind == LocalSignModel.kernel_kind
-    assert m.kernel_axes == (m.u, m.v)
+    for a, b in ((X_AXIS, Y_AXIS), (Z_AXIS, -Z_AXIS)):
+        assert m.kernel_rows(a, b) == ((m.u, 0.0), (m.v, 0.0), -1.0)
 
 
 def test_fixed_model_validation_and_outcomes():
