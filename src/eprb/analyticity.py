@@ -7,14 +7,28 @@ non-analyticity. On top of it sit a constancy certificate for real-valued
 functions (real + analytic on a connected domain forces constant) and a
 grid report showing the singlet correlation's conjugate dependence in
 stereographic coordinates.
+
+The generic tools take any Python callable and run one point at a time.
+The singlet grid report runs the same four-point stencil as numpy arrays
+over the whole disc: the lattice and its ``|z| <= R`` mask, the shifted
+coordinates ``x +- h`` and ``y +- h``, the rational singlet formula with its
+overflow branches and the difference quotients are the per-point float
+operations in the same order, so every residual equals the per-point
+one bit for bit. Its rows stay arrays (``GridPoints``) until a caller asks
+for them, and ``ResidualReport.json_pieces`` writes the report's JSON from
+those arrays, byte for byte as ``json.dumps(..., indent=2)`` would.
 """
 
 from __future__ import annotations
 
+import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable, Iterator
+
+import numpy as np
 
 from .correlation import quantum_correlation_complex
 from .geometry import RiemannPoint, riemann_to_obj
@@ -22,6 +36,7 @@ from .geometry import RiemannPoint, riemann_to_obj
 __all__ = [
     "Verdict",
     "ResidualReport",
+    "GridPoints",
     "wirtinger_residual",
     "residual_report",
     "constancy_check",
@@ -34,6 +49,56 @@ DEFAULT_H = 1e-4
 DEFAULT_TOL = 1e-5
 # Largest lattice resolution per axis: k * k points, about 785k inside the disc.
 MAX_GRID = 1000
+# Rows per piece of JSON text, so a large report is written without holding
+# all of its text at once.
+_JSON_ROWS = 8192
+# One row of a report's "points" array as json.dumps(..., indent=2) lays it
+# out, from the coordinates' repr texts and the residual; repr of a finite
+# float is the encoder's float.__repr__.
+_JSON_ROW = (
+    '    {\n      "z": {\n        "re": %s,\n        "im": %s\n      },\n'
+    '      "residual": %r\n    }'
+)
+
+
+class GridPoints(Sequence):
+    """The (point, residual) rows of a grid report, held as three arrays.
+
+    A row becomes a ``(RiemannPoint, float)`` pair only when it is read, so
+    counting the rows or writing the report's JSON builds no point objects.
+    Compares equal to any sequence holding the same rows.
+    """
+
+    __slots__ = ("re", "im", "residual")
+
+    def __init__(self, re: np.ndarray, im: np.ndarray, residual: np.ndarray) -> None:
+        self.re = re
+        self.im = im
+        self.residual = residual
+
+    def __len__(self) -> int:
+        return len(self.residual)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self)[index]
+        return (RiemannPoint.finite(self.re[index], self.im[index]),
+                float(self.residual[index]))
+
+    def __iter__(self) -> Iterator[tuple[RiemannPoint, float]]:
+        for x, y, r in zip(self.re.tolist(), self.im.tolist(), self.residual.tolist()):
+            yield RiemannPoint.finite(x, y), r
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return tuple(self) == tuple(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"GridPoints({len(self)} rows)"
 
 
 class Verdict(Enum):
@@ -46,25 +111,83 @@ class ResidualReport:
     """Conjugate-derivative magnitudes over a point set.
 
     ``verdict`` is NON_ANALYTIC exactly when ``max_residual`` exceeds
-    ``tol``.
+    ``tol``. ``points`` is a tuple from ``residual_report`` and a
+    ``GridPoints`` from ``pq_nonanalyticity_report``.
     """
 
-    points: tuple[tuple[RiemannPoint, float], ...]
+    points: Sequence[tuple[RiemannPoint, float]]
     max_residual: float
     h: float
     tol: float
     verdict: Verdict
 
-    def to_json(self) -> dict:
+    def _summary(self) -> dict:
         return {
             "h": self.h,
             "tol": self.tol,
             "max_residual": self.max_residual,
             "verdict": self.verdict.value,
+        }
+
+    def to_json(self) -> dict:
+        return {
+            **self._summary(),
             "points": [
                 {"z": riemann_to_obj(z), "residual": r} for z, r in self.points
             ],
         }
+
+    def json_pieces(self, head: dict) -> Iterator[str]:
+        """The text of ``json.dumps({**head, **self.to_json()}, indent=2)``,
+        in pieces of at most ``_JSON_ROWS`` rows, without the point dicts.
+
+        Every coordinate and residual of a report is finite (the reports
+        reject non-finite residuals), which is where ``%r`` and the encoder
+        agree.
+        """
+        text = json.dumps({**head, **self._summary()}, indent=2)
+        if not self.points:
+            yield text[:-2] + ',\n  "points": []\n}'
+            return
+        yield text[:-2] + ',\n  "points": [\n'
+        if isinstance(self.points, GridPoints):
+            re, im, res = self.points.re, self.points.im, self.points.residual
+        else:
+            re = np.array([z.re for z, _ in self.points], dtype=np.float64)
+            im = np.array([z.im for z, _ in self.points], dtype=np.float64)
+            res = np.array([r for _, r in self.points], dtype=np.float64)
+        for start in range(0, len(res), _JSON_ROWS):
+            rows = slice(start, start + _JSON_ROWS)
+            piece = ",\n".join(map(_JSON_ROW.__mod__, zip(
+                _reprs(re[rows]), _reprs(im[rows]), res[rows].tolist())))
+            yield piece if start == 0 else ",\n" + piece
+        yield "\n  ]\n}"
+
+
+def _reprs(values: np.ndarray) -> list[str]:
+    """repr of each float, made once per distinct bit pattern (0.0 and -0.0
+    stay apart). A lattice has k distinct coordinates, so this skips most
+    of the float formatting, the costliest step of writing a report."""
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    texts = list(map(repr, bits.view(np.float64).tolist()))
+    return list(map(texts.__getitem__, inverse.tolist()))
+
+
+def _step(h: float) -> float:
+    h = float(h)
+    if not (h > 0.0) or math.isinf(h):
+        raise ValueError(f"step must be a positive finite real, got {h!r}")
+    return h
+
+
+def _finite_residual(z: RiemannPoint, mag: float, h: float) -> float:
+    # A NaN would slip past every `>` comparison and read as analytic.
+    if not math.isfinite(mag):
+        raise ValueError(
+            f"residual at {z!r} is {mag!r} with step {h!r}: "
+            "the stencil overflowed or lost its precision there"
+        )
+    return mag
 
 
 def wirtinger_residual(
@@ -78,9 +201,7 @@ def wirtinger_residual(
     """
     if z.is_infinite:
         raise ValueError("residual stencil needs a finite point")
-    h = float(h)
-    if not (h > 0.0) or math.isinf(h):
-        raise ValueError(f"step must be a positive finite real, got {h!r}")
+    h = _step(h)
     x, y = z.re, z.im
     xp = x + h
     xm = x - h
@@ -99,30 +220,38 @@ def residual_report(
     h: float = DEFAULT_H,
     tol: float = DEFAULT_TOL,
 ) -> ResidualReport:
-    """Residual magnitudes of ``f`` over ``points`` with the verdict."""
+    """Residual magnitudes of ``f`` over ``points`` with the verdict.
+
+    A residual that is NaN or infinite raises ValueError naming its point.
+    """
     if not points:
         raise ValueError("need at least one point")
-    tol = float(tol)
-    if tol <= 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol!r}")
+    tol = _tolerance(tol)
     rows = []
     max_residual = 0.0
     for z in points:
-        mag = abs(wirtinger_residual(f, z, h))
+        mag = _finite_residual(z, abs(wirtinger_residual(f, z, h)), h)
         rows.append((z, mag))
         if mag > max_residual:
             max_residual = mag
+    return _report(tuple(rows), max_residual, float(h), tol)
+
+
+def _tolerance(tol: float) -> float:
+    tol = float(tol)
+    if tol <= 0.0:
+        raise ValueError(f"tolerance must be positive, got {tol!r}")
+    return tol
+
+
+def _report(points, max_residual: float, h: float, tol: float) -> ResidualReport:
     verdict = (
         Verdict.NON_ANALYTIC
         if max_residual > tol
         else Verdict.ANALYTIC_WITHIN_TOL
     )
     return ResidualReport(
-        points=tuple(rows),
-        max_residual=max_residual,
-        h=float(h),
-        tol=tol,
-        verdict=verdict,
+        points=points, max_residual=max_residual, h=h, tol=tol, verdict=verdict
     )
 
 
@@ -161,16 +290,32 @@ def constancy_check(
     return report.verdict, spread, report
 
 
-def _disc_grid(radius: float, k: int) -> list[RiemannPoint]:
-    # k x k lattice over the bounding square, kept where |z| <= radius.
-    points = []
-    for iy in range(k):
-        y = -radius + (2.0 * radius * iy) / (k - 1)
-        for ix in range(k):
-            x = -radius + (2.0 * radius * ix) / (k - 1)
-            if x * x + y * y <= radius * radius:
-                points.append(RiemannPoint.finite(x, y))
-    return points
+def _disc_grid(radius: float, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(re, im) of the k x k lattice over the bounding square, kept where
+    |z| <= radius, in row-major order (im outer, re inner)."""
+    with np.errstate(all="ignore"):
+        steps = -radius + (2.0 * radius * np.arange(k, dtype=np.float64)) / (k - 1)
+        sq = steps * steps
+        iy, ix = np.nonzero(sq[:, None] + sq[None, :] <= radius * radius)
+    re, im = steps[ix], steps[iy]
+    lost = ~(np.isfinite(re) & np.isfinite(im))
+    if lost.any():
+        first = int(np.argmax(lost))
+        RiemannPoint.finite(re[first], im[first])  # raises: not a finite point
+    return re, im
+
+
+def _pq_values(x: np.ndarray, y: np.ndarray, w: RiemannPoint) -> np.ndarray:
+    """quantum_correlation_complex(x + iy, w) elementwise, branch for branch."""
+    m = x * x + y * y
+    far = np.isinf(m)
+    if w.is_infinite or math.isinf(w.re * w.re + w.im * w.im):
+        return np.where(far, -1.0, (1.0 - m) / (1.0 + m))
+    wr, wi = w.re, w.im
+    mw = wr * wr + wi * wi
+    num = 4.0 * (x * wr + y * wi) + (1.0 - m) * (1.0 - mw)
+    den = (1.0 + m) * (1.0 + mw)
+    return np.where(far, (1.0 - mw) / (1.0 + mw), -num / den)
 
 
 def pq_nonanalyticity_report(
@@ -183,7 +328,11 @@ def pq_nonanalyticity_report(
     """Residuals of z -> singlet correlation at (z, w) over a disc grid.
 
     The map is real-valued yet visibly non-flat, so a NON_ANALYTIC verdict
-    is the expected outcome for every w.
+    is the expected outcome for every w. The stencil runs on the whole grid
+    at once and equals ``residual_report`` over the same points bit for bit,
+    errors included: the first point in grid order whose step vanishes,
+    whose stencil leaves the finite plane or whose residual is not finite
+    raises the same ValueError.
     """
     radius = float(radius)
     if not (radius > 0.0) or math.isinf(radius):
@@ -191,8 +340,28 @@ def pq_nonanalyticity_report(
     k = int(k)
     if k < 2 or k > MAX_GRID:
         raise ValueError(f"grid resolution must be in 2..{MAX_GRID}, got {k}")
-
-    def f(z: complex) -> complex:
-        return quantum_correlation_complex(RiemannPoint.from_complex(z), w)
-
-    return residual_report(f, _disc_grid(radius, k), h=h, tol=tol)
+    re, im = _disc_grid(radius, k)
+    if not len(re):
+        raise ValueError("need at least one point")
+    tol = _tolerance(tol)
+    h = _step(h)
+    with np.errstate(all="ignore"):
+        xp, xm, yp, ym = re + h, re - h, im + h, im - h
+        fx = (_pq_values(xp, im, w) - _pq_values(xm, im, w)) / (xp - xm)
+        fy = (_pq_values(re, yp, w) - _pq_values(re, ym, w)) / (yp - ym)
+        # abs(0.5 * (fx + 1j * fy)) of the per-point stencil, whose complex
+        # parts are exactly 0.5 * fx and 0.5 * fy when both are finite.
+        residual = np.hypot(0.5 * fx, 0.5 * fy)
+    bad = (xp == xm) | (yp == ym) | ~np.isfinite(residual)
+    for shifted in (xp, xm, yp, ym):
+        bad |= ~np.isfinite(shifted)
+    if bad.any():
+        # The per-point stencil raises this point's error, message and all.
+        first = int(np.argmax(bad))
+        z = RiemannPoint.finite(re[first], im[first])
+        residual_report(
+            lambda c: quantum_correlation_complex(RiemannPoint.from_complex(c), w),
+            [z], h=h, tol=tol,
+        )
+        raise AssertionError(f"grid and per-point stencils disagree at {z!r}")
+    return _report(GridPoints(re, im, residual), float(residual.max()), h, tol)

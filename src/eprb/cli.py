@@ -12,9 +12,10 @@ model breaks its numerical contract mid-run.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
-from typing import Optional
+from typing import Iterable, Optional
 
 from .analyticity import DEFAULT_H, pq_nonanalyticity_report
 from .correlation import correlation_sweep, make_correlation_oracle
@@ -196,16 +197,18 @@ def _model_and_sampler(ns: argparse.Namespace):
     return name, model, sampler
 
 
-def _emit(ns: argparse.Namespace, text: str) -> None:
+def _emit(ns: argparse.Namespace, text: str | Iterable[str]) -> None:
+    """Write ``text``, one string or an iterable of pieces, to --output or stdout."""
+    pieces = (text,) if isinstance(text, str) else text
     output = getattr(ns, "output", None)
     if output:
         try:
             with open(output, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                fh.writelines(pieces)
         except OSError as exc:
             raise _UsageError(f"cannot write output {output!r}: {exc}") from None
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 def _emit_json(ns: argparse.Namespace, obj) -> None:
@@ -327,13 +330,13 @@ def _cmd_analyticity(ns: argparse.Namespace) -> int:
     k = int(_setting(ns, "grid"))
     h = float(_setting(ns, "h"))
     report = pq_nonanalyticity_report(w, radius=radius, k=k, h=h)
-    _emit_json(ns, {
+    head = {
         "command": "analyticity",
         "function": "pq",
         "w": riemann_to_obj(w),
         "grid": {"R": radius, "k": k},
-        **report.to_json(),
-    })
+    }
+    _emit(ns, itertools.chain(report.json_pieces(head), ("\n",)))
     return 0
 
 

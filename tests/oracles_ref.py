@@ -8,7 +8,8 @@ against closed forms before any other module trusts them; test_backends.py
 holds the kernels to the per-draw loops bit for bit. The grid-scan loop and
 the one-pair-at-a-time budget wrapper are the plain forms of the settings
 search's numpy scan and batched wrapper, which test_inequalities.py holds
-to them.
+to them. The per-point disc report is the plain form of the analyticity
+module's whole-grid stencil, which test_analyticity.py holds to it.
 """
 
 import math
@@ -16,6 +17,9 @@ import math
 import numpy as np
 
 from eprb._pykernels import KIND_SIGN, PROB_SLACK, SAMPLER_SPHERE
+from eprb.analyticity import wirtinger_residual
+from eprb.correlation import quantum_correlation_complex
+from eprb.geometry import RiemannPoint
 
 MASK = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -316,3 +320,35 @@ class RefBudgetedOracle:
 def pq_axis_curve(x: float) -> float:
     """Singlet correlation at (z, infinity) restricted to the real axis."""
     return (1.0 - x * x) / (1.0 + x * x)
+
+
+def ref_pq_report(w, radius: float, k: int, h: float, tol: float) -> tuple:
+    """The singlet disc report one point at a time: (rows, max_residual,
+    verdict value), rows being (re, im, residual) in grid order.
+
+    Non-finite residuals are kept as they come, so a caller can find the
+    first one; the stencil's own errors (a vanishing step, a point off the
+    finite plane) raise as they did per point.
+    """
+    points = []
+    for iy in range(k):
+        y = -radius + (2.0 * radius * iy) / (k - 1)
+        for ix in range(k):
+            x = -radius + (2.0 * radius * ix) / (k - 1)
+            if x * x + y * y <= radius * radius:
+                points.append(RiemannPoint.finite(x, y))
+    if not points:
+        raise ValueError("need at least one point")
+
+    def f(z: complex) -> float:
+        return quantum_correlation_complex(RiemannPoint.from_complex(z), w)
+
+    rows = []
+    max_residual = 0.0
+    for z in points:
+        mag = abs(wirtinger_residual(f, z, h))
+        rows.append((z.re, z.im, mag))
+        if mag > max_residual:
+            max_residual = mag
+    verdict = "non_analytic" if max_residual > tol else "analytic_within_tol"
+    return rows, max_residual, verdict

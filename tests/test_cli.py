@@ -9,7 +9,8 @@ import pytest
 
 from eprb import analyticity, cli, correlation
 from eprb.cli import run
-from oracles_ref import TWO_SQRT_TWO
+from eprb.geometry import INFINITY
+from oracles_ref import TWO_SQRT_TWO, ref_pq_report
 
 
 def run_cli(capsys, *args):
@@ -373,6 +374,31 @@ def test_step_lost_against_the_point_is_exit_one(capsys):
         code, out, err = run_cli(capsys, "analyticity", "--w", "inf", "--grid", "3", *args)
         assert code == 1 and out == ""
         assert "vanishes against the point" in err
+
+
+def test_step_lost_against_the_point_is_the_per_point_error(capsys):
+    for radius, h in ((1.0, 1e-300), (1e200, 1e-4), (1.0, 1e-17)):
+        with pytest.raises(ValueError, match="vanishes against the point") as ref:
+            ref_pq_report(INFINITY, radius, 3, h, 1e-5)
+        code, out, err = run_cli(capsys, "analyticity", "--w", "inf", "--grid", "3",
+                                 "--radius", repr(radius), "--h", repr(h))
+        assert code == 1 and out == ""
+        assert err == f"error: {ref.value}\n"
+
+
+def test_non_finite_residual_is_exit_one(capsys):
+    code, out, err = run_cli(capsys, "analyticity", "--w=1e10,0", "--radius", "1e150",
+                             "--h", "1e140", "--grid", "5")
+    assert code == 1 and out == ""
+    assert err.startswith("error: residual at RiemannPoint(-1e+150j) is nan with step 1e+140")
+
+
+def test_analyticity_writes_the_same_bytes_to_stdout_and_to_a_file(capsys, tmp_path):
+    args = ["analyticity", "--w=0.3,-0.7", "--grid", "64"]
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 0
+    assert run(args + ["--output", str(tmp_path / "out.json")]) == 0
+    assert (tmp_path / "out.json").read_text(encoding="utf-8") == out
 
 
 # sha256 of the exact `eprb models` output, recorded from the registry that

@@ -117,3 +117,30 @@ def test_cli_output_matches_frozen_digest(model, workers, tmp_path):
     for label, argv in commands(model).items():
         got = output_digest(argv + ["--workers", str(workers)], tmp_path / label)
         assert got == DIGESTS[model][label], f"{model} {label} at workers={workers}"
+
+
+# sha256 of `eprb analyticity` output, recorded from the implementation that
+# evaluated the stencil one RiemannPoint at a time and wrote the whole report
+# through json.dumps. The same rule holds: never re-record these.
+ANALYTICITY_DIGESTS = {
+    ("--w", "inf", "--grid", "21"):
+        "be7ae6ce86c86340114c51b2cdf2fb9f22023d37535800afe9a3172fbc4d325a",
+    ("--w=0.3,-0.7", "--grid", "195"):
+        "fca82804f2bcd47a5202f2a16f8bced7d01bd3b46fee69be39f975d591f30455",
+    ("--w=0.5,0", "--radius", "2.5", "--grid", "21", "--h", "1e-3"):
+        "c0aa501ae1d71f1167ffb8bdd61703f8a870d1a8dfbe918647ce4d89cc033e0c",
+    ("--w=0,0", "--grid", "64"):
+        "b82c4c5ea3efc95c79d6d726b85eb7f3e2a1641c88014bfe97e96ee810c7f6e8",
+    ("--w=1e3,2", "--radius", "1e5", "--grid", "64"):
+        "093a0ebf4d6fb92eaaef8d00c818093d8a6406134492068394815ec0aae1effa",
+    ("--w=-1.2,0.4", "--grid", "5"):
+        "cc8f9614b6f6f6e3be145f9d41e94c250edb5aac4969dc91d341e4e89847f07b",
+    ("--w=1e10,0", "--grid", "21", "--radius", "1e-3"):
+        "31e2a66e968bcffe2f18000c1f8651c54951c64db1afdc75301dc2230e5a6eca",
+}
+
+
+@pytest.mark.parametrize("argv", list(ANALYTICITY_DIGESTS), ids=" ".join)
+def test_analyticity_output_matches_frozen_digest(argv, tmp_path):
+    got = output_digest(["analyticity", *argv], tmp_path / "analyticity")
+    assert got == ANALYTICITY_DIGESTS[argv], " ".join(argv)
