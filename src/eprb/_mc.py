@@ -1,19 +1,18 @@
 """Chunked Monte Carlo reductions with worker-count-invariant results.
 
 Sums are accumulated serially inside fixed-size chunks and the per-chunk
-partial sums are folded in chunk order by a single combiner. Workers only
-ever compute whole chunks, so the float operation sequence, and therefore
-every bit of the result, is independent of the worker count. Every chunk
-job (the numpy kernels, per-draw Python code, a Python integrand) holds the
-GIL for most of its time, so all of them run in chunk order on the calling
-thread, where extra threads would add start-up cost and memory but no
-speed; ``workers`` is validated and otherwise changes nothing.
+partial sums are folded in chunk order by a single combiner, so the float
+operation sequence, and therefore every bit of the result, is fixed by
+``n`` alone. Every chunk job (the numpy kernels, per-draw Python code, a
+Python integrand) holds the GIL for most of its time, so all of them run in
+chunk order on the calling thread, where extra threads would add start-up
+cost and memory but no speed. The public ``workers`` arguments are checked
+by ``require_n`` and otherwise change nothing.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 
 # ThreadPoolExecutor is unused here. perfbench's tracer counts thread pools
@@ -27,13 +26,16 @@ CHUNK_SIZE = 4096
 MAX_N = 2**63 - 1
 
 
-def require_n(n):
-    """``n`` as an int, checked to be a draw count an estimate can use."""
+def require_n(n, workers=1):
+    """``n`` as an int, checked to be a draw count an estimate can use, and
+    then ``workers`` checked to be at least 1."""
     n = int(n)
     if n < 2:
         raise ValueError(f"n must be >= 2 to estimate a standard error, got {n}")
     if n > MAX_N:
         raise ValueError(f"n must be <= 2**63 - 1, got {n}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     return n
 
 
@@ -50,29 +52,12 @@ def chunk_ranges(n, first=0):
         yield start, min(CHUNK_SIZE, n - start)
 
 
-def pool_size(workers, nchunks):
-    """Threads ``nchunks`` chunks could use for a request of ``workers``.
-
-    Never more than the CPUs this process may run on, nor than the chunks.
-    Raises ValueError below 1.
-    """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without CPU affinity
-        cpus = os.cpu_count() or 1
-    return max(1, min(workers, cpus, nchunks))
-
-
-def run_chunk_jobs(job, n, workers=1):
+def run_chunk_jobs(job, n):
     """Run ``job(start, count)`` over every chunk, in chunk order, on the
     calling thread, and return the results as a list in chunk order.
 
-    The first failing chunk's exception propagates. ``workers`` below 1 is
-    a ValueError (see ``pool_size``); any other value gives the same run.
+    The first failing chunk's exception propagates.
     """
-    pool_size(workers, chunk_count(n))
     return [job(start, count) for start, count in chunk_ranges(n)]
 
 

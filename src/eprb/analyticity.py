@@ -292,11 +292,19 @@ def constancy_check(
 
 def _disc_grid(radius: float, k: int) -> tuple[np.ndarray, np.ndarray]:
     """(re, im) of the k x k lattice over the bounding square, kept where
-    |z| <= radius, in row-major order (im outer, re inner)."""
+    |z| <= radius, in row-major order (im outer, re inner).
+
+    The test x*x + y*y <= R*R runs on x, y and R scaled by 2**-e, where
+    R = m * 2**e with m in [0.5, 1), so its squares neither overflow nor
+    underflow at any radius. Scaling by a power of two is exact, so where
+    the unscaled squares are normal numbers the same points are kept.
+    """
+    m, e = math.frexp(radius)
     with np.errstate(all="ignore"):
         steps = -radius + (2.0 * radius * np.arange(k, dtype=np.float64)) / (k - 1)
-        sq = steps * steps
-        iy, ix = np.nonzero(sq[:, None] + sq[None, :] <= radius * radius)
+        scaled = np.ldexp(steps, -e)
+        sq = scaled * scaled
+        iy, ix = np.nonzero(sq[:, None] + sq[None, :] <= m * m)
     re, im = steps[ix], steps[iy]
     lost = ~(np.isfinite(re) & np.isfinite(im))
     if lost.any():

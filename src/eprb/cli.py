@@ -67,7 +67,8 @@ def _build_parser() -> _Parser:
             p.add_argument("--params", help="model parameters as a JSON object")
             p.add_argument("--n", type=int, help="draws per estimate (default 100000)")
             p.add_argument("--seed", type=int, help="sampler seed (default 0)")
-            p.add_argument("--workers", type=int, help="reduction threads (default 1)")
+            p.add_argument("--workers", type=int,
+                           help="at least 1 (default 1); changes neither speed nor output")
             p.add_argument("--sampler", choices=list(SAMPLER_KINDS),
                            help="hidden-variable distribution (default uniform_sphere)")
             p.add_argument("--dim", type=int, help="draw dimension (default 3)")

@@ -125,30 +125,20 @@ class JointTable:
         }
 
 
-def _raise_bad_probability(bad_index: int, bad_value: float) -> None:
-    raise ContractViolationError(
-        f"stochastic model produced probability {bad_value!r} outside [0, 1] "
-        f"at draw {bad_index}"
-    )
-
-
-def _kernel_parts(reduce_fn, kind, params, u, v, s, n, workers):
-    def job(start, count):
-        return reduce_fn(
-            kind, params, u.x, u.y, u.z, v.x, v.y, v.z,
-            s.kind_code, s.dim, s.seed, start, count,
-        )
-
-    parts = run_chunk_jobs(job, n, workers=workers)
-    # Chunks stop at their first bad draw; scanning in chunk order makes
-    # the reported draw the globally first violation, worker count aside.
+def _checked_sums(parts):
+    """The (sum, sum_sq, min, max) of kernel chunk results, after raising the
+    first bad probability among them. Chunks stop at their first bad draw,
+    so in chunk order the first one reported is the first overall."""
     for part in parts:
         if part[4] != _k.STATUS_OK:
-            _raise_bad_probability(part[5], part[6])
+            raise ContractViolationError(
+                f"stochastic model produced probability {part[6]!r} outside [0, 1] "
+                f"at draw {part[5]}"
+            )
     return [part[:4] for part in parts]
 
 
-def _estimate(m, value, a, b, s, n, workers, joint=False):
+def _estimate(m, value, a, b, s, n, joint=False):
     """Mean of ``value(lam)`` over draws 0..n-1 of ``s``: the body shared by
     every Monte Carlo estimator.
 
@@ -160,32 +150,39 @@ def _estimate(m, value, a, b, s, n, workers, joint=False):
       in the zoo (0, +/-1, 1/4) have exact n-fold sums, so summing every
       draw would give (x * n) / n = x with stderr 0.0: the stream is not
       walked;
-    * a model with a kernel runs it chunk by chunk, on its
-      ``kernel_rows(a, b)``;
-    * any other model calls ``value`` on every draw.
+    * a model with a kernel runs it on its ``kernel_rows(a, b)``: the
+      correlation as the one-pair case of ``_estimate_pairs``, the joint
+      table chunk by chunk through ``reduce_joint``;
+    * any other model calls ``value`` on every draw, made chunk by chunk.
 
-    Chunks are folded in chunk order, so ``workers`` never changes a bit.
-    Returns (mean, stderr), or four such pairs when ``joint``.
+    Chunks are folded in chunk order. Returns (mean, stderr), or four such
+    pairs when ``joint``.
     """
     if getattr(m, "draw_independent", False):
         x = value(s.sample(0))
         return [(p, 0.0) for p in x] if joint else (x, 0.0)
     kind = getattr(m, "kernel_kind", None)
+    if kind is not None and not joint:
+        [est] = _estimate_pairs(m, [(a, b)], s, n)
+        return est.value, est.stderr
     if kind is not None:
         (u, c_a), (v, c_b), sigma_b = m.kernel_rows(a, b)
-        reduce_fn = _k.reduce_joint if joint else _k.reduce_product
         # Empty params (offsets 0, sigma_b = -1) skip the kernel's offset adds.
         params = (c_a, c_b, sigma_b) if c_a or c_b or sigma_b != -1.0 else ()
-        parts = _kernel_parts(reduce_fn, kind, params, u, v, s, n, workers)
+
+        def job(start, count):
+            return _k.reduce_joint(kind, params, u.x, u.y, u.z, v.x, v.y, v.z,
+                                   s.kind_code, s.dim, s.seed, start, count)
+
+        parts = _checked_sums(run_chunk_jobs(job, n))
     else:
-        kind_code, dim, seed = s.kind_code, s.dim, s.seed
         acc = accumulate4 if joint else accumulate
 
         def job(start, count):
-            return acc(value(_k.lambda_at(kind_code, dim, seed, i))
-                       for i in range(start, start + count))
+            return acc(value(lam)
+                       for lam in _k.lambda_batch(s.kind_code, s.dim, s.seed, start, count))
 
-        parts = run_chunk_jobs(job, n, workers=workers)
+        parts = run_chunk_jobs(job, n)
     return combine_vec4(parts, n) if joint else combine_scalar(parts, n)
 
 
@@ -222,28 +219,23 @@ def _kernel_group(A, B, I, J, sigma_b):
     return [k[:3] for k in A], [k[:3] for k in B], I, J, params
 
 
-def _estimate_pairs(m, pairs, s, n, workers, draws=None):
+def _estimate_pairs(m, pairs, s, n, draws=None):
     """The kernel path of ``_estimate`` for every (a, b) of ``pairs`` at
     once: ``reduce_pairs`` makes each chunk's draws once for a whole group
     of pairs (or reads them from ``draws``, which it fills), and each pair's
-    chunks are folded as for a single estimate, so every estimate has the
-    bits of the one-pair call. The bad probability raised is the first one
-    of the earliest pair that has one, as when the pairs are asked one at a
+    chunks are folded on their own, so a pair's estimate does not depend on
+    the pairs asked with it. The bad probability raised is the first one of
+    the earliest pair that has one, as when the pairs are asked one at a
     time. A group holds at most _BATCH_PARTS pair-chunk results until it is
-    folded."""
-    n = require_n(n)
+    folded. ``n`` is a draw count already checked by ``require_n``."""
     out = []
     for A, B, I, J, params in _pair_groups(m, pairs, max(1, _BATCH_PARTS // chunk_count(n))):
         def job(start, count):
             return _k.reduce_pairs(m.kernel_kind, A, B, I, J,
                                    s.kind_code, s.dim, s.seed, start, count, draws, params)
 
-        parts = run_chunk_jobs(job, n, workers=workers)
-        for column in zip(*parts):
-            for part in column:
-                if part[4] != _k.STATUS_OK:
-                    _raise_bad_probability(part[5], part[6])
-            mean, stderr = combine_scalar([part[:4] for part in column], n)
+        for column in zip(*run_chunk_jobs(job, n)):
+            mean, stderr = combine_scalar(_checked_sums(column), n)
             out.append(CorrelationEstimate(value=mean, stderr=stderr, n=n, exact=False))
     return out
 
@@ -261,13 +253,13 @@ def estimate_correlation(
         raise ValueError(
             f"estimate_correlation needs a deterministic model, got {type(m).__name__}"
         )
-    n = require_n(n)
+    n = require_n(n, workers)
 
     def value(lam) -> float:
         alpha, beta = evaluate_deterministic(m, a, b, lam)
         return alpha * beta
 
-    mean, stderr = _estimate(m, value, a, b, s, n, workers)
+    mean, stderr = _estimate(m, value, a, b, s, n)
     return CorrelationEstimate(value=mean, stderr=stderr, n=n, exact=False)
 
 
@@ -285,13 +277,13 @@ def estimate_stochastic_correlation(
             f"estimate_stochastic_correlation needs a stochastic model, "
             f"got {type(m).__name__}"
         )
-    n = require_n(n)
+    n = require_n(n, workers)
 
     def value(lam) -> float:
         mean_a, mean_b = mean_outcomes(m, a, b, lam)
         return mean_a * mean_b
 
-    mean, stderr = _estimate(m, value, a, b, s, n, workers)
+    mean, stderr = _estimate(m, value, a, b, s, n)
     return CorrelationEstimate(value=mean, stderr=stderr, n=n, exact=False)
 
 
@@ -313,7 +305,7 @@ def estimate_joint(
         raise ValueError(
             f"estimate_joint needs a stochastic model, got {type(m).__name__}"
         )
-    n = require_n(n)
+    n = require_n(n, workers)
 
     def value(lam):
         p = evaluate_stochastic(m, a, b, lam)
@@ -324,7 +316,7 @@ def estimate_joint(
             p.p1_minus * p.p2_plus,
         )
 
-    pairs = _estimate(m, value, a, b, s, n, workers, joint=True)
+    pairs = _estimate(m, value, a, b, s, n, joint=True)
     return JointTable(
         p_pp=pairs[0][0], p_mm=pairs[1][0], p_pm=pairs[2][0], p_mp=pairs[3][0],
         stderr_pp=pairs[0][1], stderr_mm=pairs[1][1],
@@ -405,7 +397,7 @@ def series_correlation(
             f"series_correlation needs an anticorrelated series pair, "
             f"got {type(pair).__name__}"
         )
-    n = require_n(n)
+    n = require_n(n, workers)
     if pair.lambda_independent:
         a_val = evaluate_series(pair.alpha, a, b)
         # Negating every coefficient negates the accumulated sum exactly,
@@ -417,7 +409,7 @@ def series_correlation(
         a_val = evaluate_series(pair.alpha_at(lam), a, b)
         return a_val * (-a_val)
 
-    mean, stderr = _estimate(pair, value, a, b, s, n, workers)
+    mean, stderr = _estimate(pair, value, a, b, s, n)
     return CorrelationEstimate(value=mean, stderr=stderr, n=n, exact=False)
 
 
@@ -479,10 +471,11 @@ def _with_pairs(oracle, model, s, n, workers):
 
         def pairs(request):
             nonlocal draws, batches
+            count = require_n(n, workers)
             batches += 1
-            if batches == 2 and 24 * require_n(n) <= _DRAW_CACHE_BYTES:
+            if batches == 2 and 24 * count <= _DRAW_CACHE_BYTES:
                 draws = {}
-            return _estimate_pairs(model, request, s, n, workers, draws)
+            return _estimate_pairs(model, request, s, count, draws)
 
         oracle.pairs = pairs
     return oracle

@@ -121,10 +121,10 @@ def integrate(
     """Monte Carlo mean of ``f(lam)`` over ``n`` draws from ``sampler``.
 
     ``f`` may be any Python callable taking one draw (a tuple of floats) and
-    returning a float. The reduction is chunked so the result is bitwise
-    independent of ``workers``.
+    returning a float. The reduction is chunked, and ``workers`` (at
+    least 1) changes no bit of the result.
     """
-    n = require_n(n)
+    n = require_n(n, workers)
     kind_code = sampler.kind_code
     dim = sampler.dim
     seed = sampler.seed
@@ -133,7 +133,7 @@ def integrate(
         lams = _k.lambda_batch(kind_code, dim, seed, start, count)
         return accumulate(float(f(lam)) for lam in lams)
 
-    parts = run_chunk_jobs(job, n, workers=workers)
+    parts = run_chunk_jobs(job, n)
     mean, stderr = combine_scalar(parts, n)
     return MonteCarloEstimate(mean=mean, stderr=stderr, n=n)
 

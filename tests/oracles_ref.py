@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from eprb._pykernels import KIND_SIGN, PROB_SLACK, SAMPLER_SPHERE
+from eprb._backend import KIND_SIGN, PROB_SLACK, SAMPLER_SPHERE
 from eprb.analyticity import wirtinger_residual
 from eprb.correlation import quantum_correlation_complex
 from eprb.geometry import RiemannPoint
@@ -330,12 +330,15 @@ def ref_pq_report(w, radius: float, k: int, h: float, tol: float) -> tuple:
     first one; the stencil's own errors (a vanishing step, a point off the
     finite plane) raise as they did per point.
     """
+    # The disc test on x, y and R scaled by 2**-e, where R = m * 2**e.
+    m, e = math.frexp(radius)
     points = []
     for iy in range(k):
         y = -radius + (2.0 * radius * iy) / (k - 1)
         for ix in range(k):
             x = -radius + (2.0 * radius * ix) / (k - 1)
-            if x * x + y * y <= radius * radius:
+            sx, sy = math.ldexp(x, -e), math.ldexp(y, -e)
+            if sx * sx + sy * sy <= m * m:
                 points.append(RiemannPoint.finite(x, y))
     if not points:
         raise ValueError("need at least one point")

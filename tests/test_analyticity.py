@@ -144,6 +144,15 @@ def test_disc_grid_stays_inside_the_radius():
     assert (1.0, 0.0) in pts
 
 
+def test_disc_grid_clips_the_corners_at_extreme_radii():
+    # R*R overflows at 1e200 and underflows at 1e-200; the square is still
+    # clipped to the same 13 of 25 points as at R = 1
+    for radius in (1e200, 1e-200):
+        re, im = _disc_grid(radius, 5)
+        assert len(re) == len(_disc_grid(1.0, 5)[0]) == 13
+        assert all(math.hypot(x, y) <= radius for x, y in zip(re.tolist(), im.tolist()))
+
+
 def test_pq_nonanalyticity_report_at_infinity():
     rep = pq_nonanalyticity_report(INFINITY, radius=1.0, k=9)
     assert rep.verdict is Verdict.NON_ANALYTIC
@@ -198,8 +207,8 @@ def _grid_outcome(w, radius, k, h):
 W_POINTS = [INFINITY, RiemannPoint.finite(0.0, 0.0), RiemannPoint.finite(0.3, -0.7),
             RiemannPoint.finite(-1.2, 0.4), RiemannPoint.finite(1e10, 0.0),
             RiemannPoint.finite(1e200, 0.0)]
-# (radius, h): ordinary discs, a radius whose square underflows to 0 (every
-# corner of a 2 x 2 grid kept), radii at the edge of |z|^2 overflow with a
+# (radius, h): ordinary discs, a radius whose square underflows to 0 (its
+# grid clipped like any other), radii at the edge of |z|^2 overflow with a
 # step that still moves them or that straddles the edge, steps that vanish
 # against the point, a radius whose lattice overflows and a step that
 # carries the stencil off the plane.

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from eprb import _backend as bk
-from eprb import _pykernels as py
 from eprb.geometry import UnitVector3, Z_AXIS
 from eprb.models import (
     ConstantNonlocalModel,
@@ -28,7 +27,7 @@ SETTINGS = [
     ((0.36, 0.48, 0.8), (0.0, 0.0, 1.0)),
     ((0.0, 0.0, 0.0), (-0.0, 0.0, 0.0)),  # every dot product 0: the sign(0) = +1 tie
 ]
-SAMPLERS = [(py.SAMPLER_SPHERE, 3), (py.SAMPLER_CUBE, 3), (py.SAMPLER_CUBE, 64)]
+SAMPLERS = [(bk.SAMPLER_SPHERE, 3), (bk.SAMPLER_CUBE, 3), (bk.SAMPLER_CUBE, 64)]
 COUNTS = (1, 17, 4096)
 STARTS = (0, 2**32 - 7, 2**63 - 5000)
 SEEDS = (0, 2**63, 2**64 - 1)
@@ -42,16 +41,16 @@ def _kernel_cases():
 
 
 def test_numpy_reduce_product_matches_per_draw_reference():
-    for kind in (py.KIND_SIGN, py.KIND_LINEAR):
+    for kind in (bk.KIND_SIGN, bk.KIND_LINEAR):
         for case in _kernel_cases():
             args = (kind, ()) + case
-            assert py.reduce_product(*args) == ref_reduce_product(*args), args
+            assert bk.reduce_product(*args) == ref_reduce_product(*args), args
 
 
 def test_numpy_reduce_joint_matches_per_draw_reference():
     for case in _kernel_cases():
-        args = (py.KIND_LINEAR, ()) + case
-        assert py.reduce_joint(*args) == ref_reduce_joint(*args), args
+        args = (bk.KIND_LINEAR, ()) + case
+        assert bk.reduce_joint(*args) == ref_reduce_joint(*args), args
 
 
 # Distinct settings of each side for the batched kernel; I/J repeat rows and
@@ -73,12 +72,12 @@ def _ref_pairs(kind, A, B, I, J, sampler, dim, seed, start, count):
 
 
 def test_numpy_reduce_pairs_matches_the_per_pair_reference():
-    for kind in (py.KIND_SIGN, py.KIND_LINEAR):
+    for kind in (bk.KIND_SIGN, bk.KIND_LINEAR):
         for (sampler, dim), count, start, seed in itertools.product(
             SAMPLERS, COUNTS, STARTS, SEEDS
         ):
             args = (kind, PAIR_A, PAIR_B, PAIR_I, PAIR_J, sampler, dim, seed, start, count)
-            assert py.reduce_pairs(*args) == _ref_pairs(*args), args
+            assert bk.reduce_pairs(*args) == _ref_pairs(*args), args
 
 
 def test_numpy_sign_pairs_from_one_matrix_product_match_the_per_pair_reference():
@@ -97,12 +96,12 @@ def test_numpy_sign_pairs_from_one_matrix_product_match_the_per_pair_reference()
         B = [a, minus_a, tie, SETTINGS[1][1]]
         I = [0, 0, 1, 1, 2, 3, 0, 1]
         J = [0, 1, 2, 0, 3, 2, 0, 2]
-        args = (py.KIND_SIGN, A, B, I, J, sampler, dim, seed, start, count)
-        got = py.reduce_pairs(*args)
+        args = (bk.KIND_SIGN, A, B, I, J, sampler, dim, seed, start, count)
+        got = bk.reduce_pairs(*args)
         assert got == _ref_pairs(*args), args
         assert got[0][2] == got[0][3] == -1.0 and got[1][2] == got[1][3] == 1.0
         for p in (1, 2, 3):
-            assert py.reduce_product(py.KIND_SIGN, (), *A[I[p]], *B[J[p]],
+            assert bk.reduce_product(bk.KIND_SIGN, (), *A[I[p]], *B[J[p]],
                                      sampler, dim, seed, start, count) == got[p]
 
 
@@ -110,7 +109,7 @@ class OffsetSignModel(DeterministicModel):
     """A = sign(a . lam + c_a), B = sigma_b * sign(b . lam + c_b) with fixed
     offsets: the sign kind's general case."""
 
-    kernel_kind = py.KIND_SIGN
+    kernel_kind = bk.KIND_SIGN
 
     def __init__(self, c_a, c_b, sigma_b):
         self.c_a, self.c_b, self.sigma_b = c_a, c_b, sigma_b
@@ -161,15 +160,15 @@ def test_numpy_sign_kind_with_offsets_matches_the_per_draw_outcomes():
         for m, a, b in _sign_model_cases(lams):
             (u, c_a), (v, c_b), sigma_b = m.kernel_rows(a, b)
             product, joint = ref_sign_outcome_sums(lambda lam: m.outcomes(a, b, lam), lams)
-            ok = (py.STATUS_OK, -1, 0.0)
-            args = (py.KIND_SIGN, (c_a, c_b, sigma_b), *u.as_tuple(), *v.as_tuple(), *tail)
-            assert py.reduce_product(*args) == product + ok, (m, a, b, tail)
-            assert py.reduce_joint(*args) == joint + ok, (m, a, b, tail)
+            ok = (bk.STATUS_OK, -1, 0.0)
+            args = (bk.KIND_SIGN, (c_a, c_b, sigma_b), *u.as_tuple(), *v.as_tuple(), *tail)
+            assert bk.reduce_product(*args) == product + ok, (m, a, b, tail)
+            assert bk.reduce_joint(*args) == joint + ok, (m, a, b, tail)
             batches[sigma_b].append((u.as_tuple(), v.as_tuple(), c_a, c_b, product + ok))
         for sigma_b, rows in batches.items():
             A, B, c_a, c_b, want = (list(col) for col in zip(*rows))
             I = list(range(len(rows)))
-            assert py.reduce_pairs(py.KIND_SIGN, A, B, I, I, *tail, None,
+            assert bk.reduce_pairs(bk.KIND_SIGN, A, B, I, I, *tail, None,
                                    (c_a, c_b, sigma_b)) == want, (sigma_b, tail)
 
 
@@ -179,19 +178,19 @@ def test_numpy_reduce_pairs_across_several_blocks():
     rng = np.random.default_rng(5)
     settings = rng.normal(size=(6, 3)).tolist()
     for count, npairs in ((17, 1500), (4096, 9)):
-        assert npairs * count > py._BLOCK
+        assert npairs * count > bk._BLOCK
         I = rng.integers(0, 6, npairs).tolist()
         J = rng.integers(0, 6, npairs).tolist()
-        for kind in (py.KIND_SIGN, py.KIND_LINEAR):
-            args = (kind, settings, settings, I, J, py.SAMPLER_SPHERE, 3, 9, 2**40, count)
-            assert py.reduce_pairs(*args) == _ref_pairs(*args)
+        for kind in (bk.KIND_SIGN, bk.KIND_LINEAR):
+            args = (kind, settings, settings, I, J, bk.SAMPLER_SPHERE, 3, 9, 2**40, count)
+            assert bk.reduce_pairs(*args) == _ref_pairs(*args)
 
 
 def test_numpy_reduce_product_is_the_one_pair_case():
-    for kind in (py.KIND_SIGN, py.KIND_LINEAR):
+    for kind in (bk.KIND_SIGN, bk.KIND_LINEAR):
         for case in _kernel_cases():
             a, b, tail = case[:3], case[3:6], case[6:]
-            assert py.reduce_product(kind, (), *case) == py.reduce_pairs(
+            assert bk.reduce_product(kind, (), *case) == bk.reduce_pairs(
                 kind, [a], [b], [0], [0], *tail)[0]
 
 
@@ -208,19 +207,19 @@ def test_numpy_reduce_pairs_reports_each_pairs_first_bad_probability():
     J = [j for _ in range(5) for j in range(5)]
     seen = set()
     for seed, start in itertools.product((0, 3, 2**64 - 1), (0, 100, 2**63 - 5000)):
-        args = (py.KIND_LINEAR, CUBE_SIDES, CUBE_SIDES, I, J, py.SAMPLER_CUBE, 3,
+        args = (bk.KIND_LINEAR, CUBE_SIDES, CUBE_SIDES, I, J, bk.SAMPLER_CUBE, 3,
                 seed, start, 4096)
-        got = py.reduce_pairs(*args)
+        got = bk.reduce_pairs(*args)
         assert got == _ref_pairs(*args), args
         # the draw each side alone first goes bad at, with the other side safe
-        alone_a = [py.reduce_pairs(py.KIND_LINEAR, CUBE_SIDES, CUBE_SIDES, [i], [0],
-                                   py.SAMPLER_CUBE, 3, seed, start, 4096)[0][5]
+        alone_a = [bk.reduce_pairs(bk.KIND_LINEAR, CUBE_SIDES, CUBE_SIDES, [i], [0],
+                                   bk.SAMPLER_CUBE, 3, seed, start, 4096)[0][5]
                    for i in range(5)]
-        alone_b = [py.reduce_pairs(py.KIND_LINEAR, CUBE_SIDES, CUBE_SIDES, [0], [j],
-                                   py.SAMPLER_CUBE, 3, seed, start, 4096)[0][5]
+        alone_b = [bk.reduce_pairs(bk.KIND_LINEAR, CUBE_SIDES, CUBE_SIDES, [0], [j],
+                                   bk.SAMPLER_CUBE, 3, seed, start, 4096)[0][5]
                    for j in range(5)]
         for (i, j), res in zip(zip(I, J), got):
-            if res[4] == py.STATUS_OK:
+            if res[4] == bk.STATUS_OK:
                 continue
             ka = alone_a[i] if alone_a[i] >= 0 else math.inf
             kb = alone_b[j] if alone_b[j] >= 0 else math.inf
@@ -242,7 +241,7 @@ def test_numpy_reduce_pairs_reports_each_pairs_first_bad_probability():
 
 def test_numpy_sums_start_from_positive_zero_like_the_loop():
     # 0.0 + (-0.0) is +0.0: an all -0.0 chunk sums to +0.0, as in the loop
-    s, s2, mn, mx = py._accumulate(np.array([-0.0, -0.0]))
+    s, s2, mn, mx = bk._accumulate(np.array([-0.0, -0.0]))
     assert math.copysign(1.0, s) == 1.0 and math.copysign(1.0, s2) == 1.0
     assert math.copysign(1.0, mn) == -1.0 and math.copysign(1.0, mx) == -1.0
 
@@ -259,11 +258,11 @@ def test_numpy_kernels_report_the_first_bad_probability_like_the_reference():
     ]
     for a, b, above_one in cases:
         for seed in (0, 3, 2**64 - 1):
-            args = (py.KIND_LINEAR, (), *a, *b, py.SAMPLER_CUBE, 3, seed, 100, 4096)
-            got = py.reduce_product(*args)
+            args = (bk.KIND_LINEAR, (), *a, *b, bk.SAMPLER_CUBE, 3, seed, 100, 4096)
+            got = bk.reduce_product(*args)
             assert got == ref_reduce_product(*args), args
-            assert py.reduce_joint(*args) == ref_reduce_joint(*args), args
-            assert got[4] == py.STATUS_BAD_PROBABILITY
+            assert bk.reduce_joint(*args) == ref_reduce_joint(*args), args
+            assert got[4] == bk.STATUS_BAD_PROBABILITY
             assert got[5] > 100  # the partial sums cover at least one draw
             assert (got[6] > 1.0) == above_one
 
@@ -272,33 +271,33 @@ def test_numpy_sphere_draws_equal_the_scalar_draws():
     # sin/cos tripwire: numpy's vectorised libm must round every lane like
     # math.sin/math.cos; if this breaks, fix the kernel, never the draws
     for seed in (0, 7, 123456789, 2**64 - 1):
-        got = py.lambda_batch(py.SAMPLER_SPHERE, 3, seed, 0, 200_000)
-        assert got == [py.lambda_at(py.SAMPLER_SPHERE, 3, seed, i) for i in range(200_000)]
+        got = bk.lambda_batch(bk.SAMPLER_SPHERE, 3, seed, 0, 200_000)
+        assert got == [bk.lambda_at(bk.SAMPLER_SPHERE, 3, seed, i) for i in range(200_000)]
 
 
 def test_numpy_lambda_batch_across_chunk_edges():
-    for sampler, dim in ((py.SAMPLER_SPHERE, 3), (py.SAMPLER_CUBE, 1), (py.SAMPLER_CUBE, 64)):
+    for sampler, dim in ((bk.SAMPLER_SPHERE, 3), (bk.SAMPLER_CUBE, 1), (bk.SAMPLER_CUBE, 64)):
         for start, count in ((0, 0), (4000, 5000), (2**63 - 3, 3)):
-            got = py.lambda_batch(sampler, dim, 11, start, count)
-            assert got == [py.lambda_at(sampler, dim, 11, i) for i in range(start, start + count)]
+            got = bk.lambda_batch(sampler, dim, 11, start, count)
+            assert got == [bk.lambda_at(sampler, dim, 11, i) for i in range(start, start + count)]
 
 
 def test_numpy_kernels_keep_their_argument_errors():
     base = (0.0, 0.0, 1.0, 1.0, 0.0, 0.0)
     with pytest.raises(ValueError, match="outside 1..64"):
-        py.reduce_product(py.KIND_SIGN, (), *base, py.SAMPLER_CUBE, 65, 0, 0, 10)
+        bk.reduce_product(bk.KIND_SIGN, (), *base, bk.SAMPLER_CUBE, 65, 0, 0, 10)
     with pytest.raises(ValueError, match="unknown model kind code 7"):
-        py.reduce_product(7, (), *base, py.SAMPLER_SPHERE, 3, 0, 0, 10)
+        bk.reduce_product(7, (), *base, bk.SAMPLER_SPHERE, 3, 0, 0, 10)
     with pytest.raises(ValueError, match="unknown model kind code 7"):
-        py.reduce_joint(7, (), *base, py.SAMPLER_SPHERE, 3, 0, 0, 10)
-    for kind, params in ((py.KIND_LINEAR, (0.0, 0.0, -1.0)), (py.KIND_SIGN, (0.0, 0.0, 0.5))):
-        for fn in (py.reduce_product, py.reduce_joint):
+        bk.reduce_joint(7, (), *base, bk.SAMPLER_SPHERE, 3, 0, 0, 10)
+    for kind, params in ((bk.KIND_LINEAR, (0.0, 0.0, -1.0)), (bk.KIND_SIGN, (0.0, 0.0, 0.5))):
+        for fn in (bk.reduce_product, bk.reduce_joint):
             with pytest.raises(ValueError, match="do not fit model kind code"):
-                fn(kind, params, *base, py.SAMPLER_SPHERE, 3, 0, 0, 10)
+                fn(kind, params, *base, bk.SAMPLER_SPHERE, 3, 0, 0, 10)
     with pytest.raises(ValueError, match="must be >= 3"):
-        py.reduce_joint(py.KIND_LINEAR, (), *base, py.SAMPLER_CUBE, 2, 0, 0, 10)
+        bk.reduce_joint(bk.KIND_LINEAR, (), *base, bk.SAMPLER_CUBE, 2, 0, 0, 10)
     with pytest.raises(ValueError, match="unknown sampler kind code 9"):
-        py.reduce_product(py.KIND_SIGN, (), *base, 9, 3, 0, 0, 10)
+        bk.reduce_product(bk.KIND_SIGN, (), *base, 9, 3, 0, 0, 10)
 
 def test_backend_exports_constants():
     assert bk.MASK64 == 2**64 - 1

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eprb import _backend as _k
-from eprb import _mc, _pykernels
+from eprb import _mc, hidden_variables
 from eprb import correlation as correlation_module
 from eprb import (
     CoinModel,
@@ -109,6 +109,34 @@ def test_estimators_reject_n_past_the_int64_limit(monkeypatch):
                 estimator(m, Z_AXIS, X_AXIS, sphere_sampler(), n)
 
 
+_BELOW_ONE_CALLS = {
+    "kernel": lambda s, w: estimate_correlation(LocalSignModel(), Z_AXIS, X_AXIS, s, 100, w),
+    "kernel_joint": lambda s, w: estimate_joint(
+        LinearStochasticModel(), Z_AXIS, X_AXIS, s, 100, w),
+    "per_draw": lambda s, w: estimate_correlation(NoKernelSign(), Z_AXIS, X_AXIS, s, 100, w),
+    "fixed_outcome": lambda s, w: estimate_correlation(
+        FixedOutcomeModel(), Z_AXIS, X_AXIS, s, 100, w),
+    "coin": lambda s, w: estimate_stochastic_correlation(
+        CoinModel(), Z_AXIS, X_AXIS, s, 100, w),
+    "coin_joint": lambda s, w: estimate_joint(CoinModel(), Z_AXIS, X_AXIS, s, 100, w),
+    "series_delta": lambda s, w: series_correlation(
+        impose_anticorrelation(delta_coefficients()), Z_AXIS, X_AXIS, s, 100, w),
+    "integrate": lambda s, w: integrate(lambda lam: lam[0], s, 100, w),
+    "pairs": lambda s, w: make_correlation_oracle(LocalSignModel(), s, 100, w).pairs(
+        [(Z_AXIS, X_AXIS)]),
+}
+
+
+@pytest.mark.parametrize("path", sorted(_BELOW_ONE_CALLS))
+def test_workers_below_one_is_rejected_on_every_path(monkeypatch, path):
+    # rejected before any chunk is run, also where no chunk would run
+    monkeypatch.setattr(correlation_module, "run_chunk_jobs", _no_chunk_runs)
+    monkeypatch.setattr(hidden_variables, "run_chunk_jobs", _no_chunk_runs)
+    for workers in (0, -5):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            _BELOW_ONE_CALLS[path](sphere_sampler(), workers)
+
+
 def test_no_estimate_starts_a_thread(monkeypatch):
     # numpy chunks, per-draw Python draws and integrands hold the GIL, so
     # they run on the calling thread at any worker count
@@ -120,7 +148,6 @@ def test_no_estimate_starts_a_thread(monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(_mc, "ThreadPoolExecutor", CountingPool)
-    monkeypatch.setattr(_mc.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     s = sphere_sampler(seed=2)
     n = 3 * 4096
     integrate(lambda lam: lam[0], s, n, workers=2)
@@ -251,18 +278,18 @@ def test_a_plain_deterministic_subclass_takes_the_per_draw_path(monkeypatch):
     want = repr(estimate_correlation(LocalSignModel(), a, b, s, n))
     want_joint = repr(estimate_joint(DeterministicEmbedding(LocalSignModel()), a, b, s, n))
     draws = []
-    lambda_at = _k.lambda_at
+    lambda_batch = _k.lambda_batch
 
-    def counting(*args):
-        draws.append(args[-1])
-        return lambda_at(*args)
+    def counting(sampler_kind, dim, seed, start, count):
+        draws.extend(range(start, start + count))
+        return lambda_batch(sampler_kind, dim, seed, start, count)
 
     def no_kernel(*args):
         raise AssertionError("a kernel ran for a model without kernel_kind")
 
     for name in ("reduce_product", "reduce_joint", "reduce_pairs"):
         monkeypatch.setattr(_k, name, no_kernel)
-    monkeypatch.setattr(_k, "lambda_at", counting)
+    monkeypatch.setattr(_k, "lambda_batch", counting)
     oracle = make_correlation_oracle(PlainSign(), s, n)
     assert not hasattr(oracle, "pairs")
     assert repr(oracle(a, b)) == want and draws == list(range(n))
@@ -477,7 +504,7 @@ def _record_draws(monkeypatch):
     """Record the ``draws`` mapping of every reduce_pairs call and every
     (start, count) whose draws are made."""
     seen, made = [], []
-    reduce_pairs, columns = _k.reduce_pairs, _pykernels._lambda_columns
+    reduce_pairs, columns = _k.reduce_pairs, _k._lambda_columns
 
     def recording(kind, A, B, I, J, sampler_kind, dim, seed, start, count, draws=None, *rest):
         seen.append(draws)
@@ -488,7 +515,7 @@ def _record_draws(monkeypatch):
         return columns(sampler_kind, seed, start, count, ncomp)
 
     monkeypatch.setattr(_k, "reduce_pairs", recording)
-    monkeypatch.setattr(_pykernels, "_lambda_columns", making)
+    monkeypatch.setattr(_k, "_lambda_columns", making)
     return seen, made
 
 

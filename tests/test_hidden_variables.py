@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eprb import _mc, hidden_variables
-from eprb._mc import pool_size, run_chunk_jobs
+from eprb._mc import run_chunk_jobs
 from eprb.hidden_variables import (
     LambdaSampler,
     MonteCarloEstimate,
@@ -118,25 +118,6 @@ def test_integrate_worker_count_is_invisible():
     assert one.stderr == four.stderr
 
 
-def test_run_chunk_jobs_rejects_workers_below_one():
-    with pytest.raises(ValueError, match="workers must be >= 1"):
-        run_chunk_jobs(lambda start, count: count, 10, workers=0)
-    with pytest.raises(ValueError, match="workers must be >= 1"):
-        integrate(lambda lam: 1.0, sphere_sampler(), n=10, workers=-1)
-
-
-def test_pool_size_is_clamped_to_cpus_and_chunks(monkeypatch):
-    # the clamp is checked on the computed size; no thread is started
-    monkeypatch.setattr(_mc.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-    assert pool_size(1, 100) == 1
-    assert pool_size(2, 100) == 2
-    assert pool_size(10**9, 100) == 3
-    assert pool_size(10**9, 2) == 2
-    assert pool_size(8, 1) == 1
-    with pytest.raises(ValueError):
-        pool_size(0, 100)
-
-
 def test_sphere_component_mean_is_zero():
     s = sphere_sampler(seed=5)
     for axis in range(3):
@@ -202,8 +183,7 @@ def test_integrate_rejects_n_past_the_int64_limit(monkeypatch):
         integrate(lambda lam: 1.0, sphere_sampler(), n=2**63)
 
 
-def test_run_chunk_jobs_runs_every_chunk_on_the_calling_thread(monkeypatch):
-    monkeypatch.setattr(_mc.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+def test_run_chunk_jobs_runs_every_chunk_on_the_calling_thread():
     caller = threading.get_ident()
     n = 5 * 4096 + 7
     seen = []
@@ -212,11 +192,9 @@ def test_run_chunk_jobs_runs_every_chunk_on_the_calling_thread(monkeypatch):
         seen.append(threading.get_ident())
         return (start, count)
 
-    # chunk order, on this thread, at any worker count
-    for workers in (1, 3):
-        seen.clear()
-        assert run_chunk_jobs(job, n, workers=workers) == list(_mc.chunk_ranges(n))
-        assert set(seen) == {caller}
+    # chunk order, on this thread
+    assert run_chunk_jobs(job, n) == list(_mc.chunk_ranges(n))
+    assert set(seen) == {caller}
 
 
 @settings(max_examples=25)

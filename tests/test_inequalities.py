@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import eprb
 import eprb.cli
-from eprb import _pykernels
+from eprb import _backend
 from eprb import (
     ConstantNonlocalModel,
     ContractViolationError,
@@ -334,13 +334,13 @@ def test_batched_search_asks_the_pairs_the_plain_callable_asks(mode, budget):
 @pytest.mark.skipif(eprb.BACKEND_NAME != "python", reason="counts the numpy kernels' draws")
 def test_cli_search_makes_each_chunks_draws_at_most_twice(monkeypatch, capsys):
     made = collections.Counter()
-    columns = _pykernels._lambda_columns
+    columns = _backend._lambda_columns
 
     def making(sampler_kind, seed, start, count, ncomp):
         made[start, count] += 1
         return columns(sampler_kind, seed, start, count, ncomp)
 
-    monkeypatch.setattr(_pykernels, "_lambda_columns", making)
+    monkeypatch.setattr(_backend, "_lambda_columns", making)
     assert eprb.cli.run(["chsh", "--maximize", "--model", "linear", "--n", "512"]) == 0
     assert json.loads(capsys.readouterr().out)["evaluations"] > 500
     assert made == {(0, 512): 2}
