@@ -1,14 +1,16 @@
-"""The kernel backend: scalar per-draw functions and numpy chunk reductions.
+"""The kernel backend: the draw stream and the chunk reductions, as numpy
+arrays.
 
-``mix64``, ``stream_word``, ``uniform01``, ``lambda_at`` and
-``series_value`` work on one draw in plain Python floats: ``lambda_at`` is
-``LambdaSampler.sample`` and ``series_value`` evaluates a series pair's
-sides. ``lambda_batch``, ``reduce_pairs``, ``reduce_product`` and
-``reduce_joint`` compute a whole index range (one chunk of at most 4096
-draws) as uint64/float64 arrays with the same bits as the per-draw
-functions: uint64 products wrap mod 2**64 exactly like the masked integer
-arithmetic, each array operation rounds like its scalar counterpart, and
-sums of non-integer values run left to right.
+Every draw comes from one array stream: ``lambda_batch``, ``reduce_pairs``,
+``reduce_product`` and ``reduce_joint`` compute a whole index range (one
+chunk of at most 4096 draws) as uint64/float64 arrays, and ``lambda_at``,
+which is ``LambdaSampler.sample``, is the one-draw case of ``lambda_batch``.
+uint64 products wrap mod 2**64 exactly like masked integer arithmetic, and
+each array operation rounds like its scalar counterpart, so a draw has the
+same bits in any range that holds it. ``fold_rows`` is the one fold of
+chunk values into (sum, sum_sq, min, max): sums run left to right.
+``series_value`` stays a scalar function: it evaluates one series side at
+one pair of settings.
 ``reduce_pairs`` serves many setting pairs from one set of draws, which a
 caller may keep in a mapping it passes back, and ``reduce_product`` is its
 one-pair case. Sign-kind products are +/-1, so their sums are exact integers
@@ -34,7 +36,7 @@ an index range reproduces identical values.
 
 from __future__ import annotations
 
-from math import cos, inf, sin, sqrt
+from math import inf
 
 import numpy as np
 
@@ -75,48 +77,10 @@ STATUS_OK = 0
 STATUS_BAD_PROBABILITY = 1
 
 
-def mix64(x):
-    """SplitMix64 finalizer: a bijective 64-bit avalanche mix."""
-    x &= MASK64
-    x = ((x ^ (x >> 30)) * _MIX_M1) & MASK64
-    x = ((x ^ (x >> 27)) * _MIX_M2) & MASK64
-    return x ^ (x >> 31)
-
-
-def stream_word(seed, index, component):
-    """The 64-bit word backing component ``component`` of draw ``index``."""
-    h = mix64((seed + _GOLDEN) & MASK64)
-    h = mix64((h + ((index + 1) * _GOLDEN)) & MASK64)
-    h = mix64((h + ((component + 1) * _GOLDEN)) & MASK64)
-    return h
-
-
-def uniform01(seed, index, component):
-    """Uniform double in [0, 1) from the top 53 bits of the stream word."""
-    return (stream_word(seed, index, component) >> 11) * _INV_2_53
-
-
-def _sphere_lambda(seed, i):
-    # Inverse-CDF sphere point: z uniform on [-1, 1), azimuth uniform.
-    u0 = uniform01(seed, i, 0)
-    u1 = uniform01(seed, i, 1)
-    z = 2.0 * u0 - 1.0
-    phi = _TWO_PI * u1
-    s = sqrt(1.0 - z * z)
-    return (s * cos(phi), s * sin(phi), z)
-
-
-def _cube_lambda(seed, i, dim):
-    return tuple(uniform01(seed, i, j) for j in range(dim))
-
-
 def lambda_at(sampler_kind, dim, seed, index):
-    """One hidden-variable draw as a tuple of floats."""
-    if sampler_kind == SAMPLER_SPHERE:
-        return _sphere_lambda(seed, index)
-    if sampler_kind == SAMPLER_CUBE:
-        return _cube_lambda(seed, index, dim)
-    raise ValueError(f"unknown sampler kind code {sampler_kind}")
+    """One hidden-variable draw as a tuple of floats: the one-draw case of
+    lambda_batch."""
+    return lambda_batch(sampler_kind, dim, seed, index, 1)[0]
 
 
 def lambda_batch(sampler_kind, dim, seed, start, count):
@@ -130,7 +94,9 @@ def lambda_batch(sampler_kind, dim, seed, start, count):
 
 
 def _mix64_array(x):
-    """mix64 of every entry of a uint64 array, in place."""
+    """The SplitMix64 finalizer, a bijective 64-bit avalanche mix, of every
+    entry of a uint64 array, in place, or of one np.uint64 (returned).
+    A scalar's wrapping products warn unless overflow is ignored."""
     x ^= x >> _SHIFT_U64[30]
     x *= _MIX_M1_U64
     x ^= x >> _SHIFT_U64[27]
@@ -139,27 +105,43 @@ def _mix64_array(x):
     return x
 
 
-def _uniform_columns(seed, start, count, ncomp):
-    """uniform01(seed, i, j) for i in start .. start + count - 1, as one
-    float64 array per component j < ncomp (the rows of one 2-D array)."""
-    base = mix64((seed + _GOLDEN) & MASK64)
+def _stream_words(seed, start, count, ncomp):
+    """The 64-bit words backing components 0 .. ncomp - 1 of draws
+    start .. start + count - 1, as an (ncomp, count) uint64 array.
+
+    Word (j, i) is mix64(mix64(mix64(seed + G) + (i + 1) G) + (j + 1) G),
+    every sum and product taken mod 2**64, with mix64 the finalizer of
+    _mix64_array and G the golden-ratio constant _GOLDEN.
+    """
     with np.errstate(over="ignore"):
+        base = _mix64_array(np.uint64((seed + _GOLDEN) & MASK64))
         h = np.arange(count, dtype=np.uint64)
         h += np.uint64((start + 1) & MASK64)
         h *= _GOLDEN_U64
-        h += np.uint64(base)
+        h += base
         _mix64_array(h)
         # One row per component, mixed together.
         w = h + np.array([((j + 1) * _GOLDEN) & MASK64 for j in range(ncomp)],
                          dtype=np.uint64)[:, None]
-        _mix64_array(w)
-        w >>= _SHIFT_U64[11]
+        return _mix64_array(w)
+
+
+def _uniform_columns(seed, start, count, ncomp):
+    """Uniform doubles in [0, 1) from the top 53 bits of the stream words,
+    one float64 array per component j < ncomp (the rows of one 2-D array)."""
+    w = _stream_words(seed, start, count, ncomp)
+    w >>= _SHIFT_U64[11]
     return list(w.astype(np.float64) * _INV_2_53)
 
 
 def _lambda_columns(sampler_kind, seed, start, count, ncomp):
     """Components 0 .. ncomp - 1 of draws start .. start + count - 1, one
-    float64 array per component; the same bits as lambda_at."""
+    float64 array per component.
+
+    A sphere draw is the inverse-CDF point: z = 2 u0 - 1 uniform on [-1, 1),
+    azimuth 2 pi u1, radius sqrt(1 - z * z) in the xy-plane. A cube draw's
+    components are the uniforms themselves.
+    """
     if sampler_kind == SAMPLER_SPHERE:
         u0, u1 = _uniform_columns(seed, start, count, 2)
         z = 2.0 * u0 - 1.0
@@ -171,22 +153,32 @@ def _lambda_columns(sampler_kind, seed, start, count, ncomp):
     raise ValueError(f"unknown sampler kind code {sampler_kind}")
 
 
-def _accumulate(x):
-    """(sum, sum_sq, min, max) of ``x`` with the per-draw loop's bits.
+def fold_rows(x):
+    """(sum, sum_sq, min, max) of each row of the 2-D float64 array ``x``,
+    one tuple per row, with the bits of a loop that starts from (0.0, 0.0,
+    inf, -inf), adds the row's values and their squares left to right and
+    keeps a value as min (max) when it is strictly below (above) the one
+    kept so far.
 
     cumsum adds left to right like the loop (np.sum would add pairwise);
     the leading 0.0 + is the loop's starting value, which turns an all
     -0.0 sum into +0.0. argmin/argmax pick the first extreme like the
-    loop's strict comparisons.
+    loop's strict comparisons; a NaN, which no comparison keeps, reads as
+    +inf (-inf) there, so a row of NaNs keeps the starting inf (-inf).
+    Overflow and inf - inf give their IEEE values without a warning.
     """
-    if x.size == 0:
-        return 0.0, 0.0, inf, -inf
-    return (
-        0.0 + float(np.cumsum(x)[-1]),
-        0.0 + float(np.cumsum(x * x)[-1]),
-        float(x[x.argmin()]),
-        float(x[x.argmax()]),
-    )
+    if x.shape[1] == 0:
+        return [(0.0, 0.0, inf, -inf)] * len(x)
+    r = np.arange(len(x))
+    nan = np.isnan(x)
+    lo, hi = (np.where(nan, inf, x), np.where(nan, -inf, x)) if nan.any() else (x, x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return list(zip(
+            (0.0 + np.cumsum(x, axis=1)[:, -1]).tolist(),
+            (0.0 + np.cumsum(x * x, axis=1)[:, -1]).tolist(),
+            lo[r, lo.argmin(axis=1)].tolist(),
+            hi[r, hi.argmax(axis=1)].tolist(),
+        ))
 
 
 def _check_args(kind, params, sampler_kind, dim):
@@ -359,19 +351,12 @@ def reduce_pairs(kind, A, B, I, J, sampler_kind, dim, seed, start, count, draws=
     stops = _pair_stops(bad_a, bad_b, I, J, start, count)
     out = []
     for rows in _row_blocks(len(I), count):
-        x = fa[I[rows]] * fb[J[rows]]
-        r = np.arange(len(x))
-        out.extend(zip(
-            (0.0 + np.cumsum(x, axis=1)[:, -1]).tolist(),
-            (0.0 + np.cumsum(x * x, axis=1)[:, -1]).tolist(),
-            x[r, x.argmin(axis=1)].tolist(),
-            x[r, x.argmax(axis=1)].tolist(),
-        ))
+        out.extend(fold_rows(fa[I[rows]] * fb[J[rows]]))
     if stops is None:
         return [acc + (STATUS_OK, -1, 0.0) for acc in out]
     # A pair that stops early sums the draws before its first bad one.
     return [
-        acc + tail if k == count else _accumulate(fa[i, :k] * fb[j, :k]) + tail
+        acc + tail if k == count else fold_rows(fa[i:i + 1, :k] * fb[j:j + 1, :k])[0] + tail
         for acc, i, j, (k, tail) in zip(out, I, J, stops)
     ]
 
@@ -420,9 +405,9 @@ def reduce_joint(kind, params, ax, ay, az, bx, by, bz,
     p1_plus, p1_minus, bad_a = _side_probabilities(np.array([[ax, ay, az]]), l0, l1, l2, False)
     p2_plus, p2_minus, bad_b = _side_probabilities(np.array([[bx, by, bz]]), l0, l1, l2, True)
     [(k, tail)] = _pair_stops(bad_a, bad_b, [0], [0], start, count) or [(count, (STATUS_OK, -1, 0.0))]
-    accs = [_accumulate(x[0, :k]) for x in (p1_plus * p2_plus, p1_minus * p2_minus,
-                                            p1_plus * p2_minus, p1_minus * p2_plus)]
-    return tuple(zip(*accs)) + tail
+    x = np.concatenate((p1_plus * p2_plus, p1_minus * p2_minus,
+                        p1_plus * p2_minus, p1_minus * p2_plus))
+    return tuple(zip(*fold_rows(x[:, :k]))) + tail
 
 
 def series_value(coeffs, degree, c0, ax, ay, az, bx, by, bz):

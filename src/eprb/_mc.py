@@ -1,7 +1,8 @@
 """Chunked Monte Carlo reductions with worker-count-invariant results.
 
-Sums are accumulated serially inside fixed-size chunks and the per-chunk
-partial sums are folded in chunk order by a single combiner, so the float
+Sums are accumulated serially inside fixed-size chunks (by the kernels,
+or by ``_backend.fold_rows`` on per-draw values) and the per-chunk partial
+sums are folded in chunk order by a single combiner, so the float
 operation sequence, and therefore every bit of the result, is fixed by
 ``n`` alone. Every chunk job (the numpy kernels, per-draw Python code, a
 Python integrand) holds the GIL for most of its time, so all of them run in
@@ -94,27 +95,3 @@ def _finalize(s, s2, mn, mx, n):
         var = 0.0
     return mean, math.sqrt(var / n)
 
-
-def accumulate(xs):
-    """(sum, sum_sq, min, max) of the values in ``xs``, added in order.
-
-    The accumulation order matches the kernels: serial sum, sum of squares,
-    running min/max.
-    """
-    s = 0.0
-    s2 = 0.0
-    mn = math.inf
-    mx = -math.inf
-    for x in xs:
-        s += x
-        s2 += x * x
-        if x < mn:
-            mn = x
-        if x > mx:
-            mx = x
-    return s, s2, mn, mx
-
-
-def accumulate4(rows):
-    """Same as accumulate for 4-tuples of values, column by column."""
-    return tuple(zip(*(accumulate(col) for col in zip(*rows))))

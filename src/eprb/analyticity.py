@@ -298,6 +298,9 @@ def _disc_grid(radius: float, k: int) -> tuple[np.ndarray, np.ndarray]:
     R = m * 2**e with m in [0.5, 1), so its squares neither overflow nor
     underflow at any radius. Scaling by a power of two is exact, so where
     the unscaled squares are normal numbers the same points are kept.
+    A kept point that is not finite raises, and so does a finite lattice
+    whose k steps are not strictly increasing (at a subnormal radius they
+    can round onto each other), since its points would repeat.
     """
     m, e = math.frexp(radius)
     with np.errstate(all="ignore"):
@@ -310,6 +313,9 @@ def _disc_grid(radius: float, k: int) -> tuple[np.ndarray, np.ndarray]:
     if lost.any():
         first = int(np.argmax(lost))
         RiemannPoint.finite(re[first], im[first])  # raises: not a finite point
+    if np.isfinite(steps).all() and not (np.diff(steps) > 0.0).all():
+        raise ValueError(f"the {k} x {k} lattice over radius {radius!r} repeats points: its "
+                         "steps round onto each other; use a larger radius or a smaller grid")
     return re, im
 
 

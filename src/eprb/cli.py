@@ -6,7 +6,9 @@ statistics, ``analyticity`` onto the residual reports, ``models`` onto the
 zoo registry. Output is JSON (default) or CSV on stdout or a file.
 
 Exit codes: 0 on success, 1 for argument or validation problems, 2 when a
-model breaks its numerical contract mid-run.
+model breaks its numerical contract mid-run. When stdout is closed before
+the output is all written (a reader such as ``head`` stopped early), the
+exit code is 1 and nothing is printed to stderr.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import sys
 from typing import Iterable, Optional
 
@@ -375,4 +378,12 @@ def run(argv: Optional[list[str]] = None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe. Point stdout at devnull, so the
+        # interpreter's final flush of what is left does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)

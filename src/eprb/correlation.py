@@ -15,10 +15,10 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+import numpy as np
+
 from . import _backend as _k
 from ._mc import (
-    accumulate,
-    accumulate4,
     chunk_count,
     combine_scalar,
     combine_vec4,
@@ -176,11 +176,12 @@ def _estimate(m, value, a, b, s, n, joint=False):
 
         parts = _checked_sums(run_chunk_jobs(job, n))
     else:
-        acc = accumulate4 if joint else accumulate
-
         def job(start, count):
-            return acc(value(lam)
-                       for lam in _k.lambda_batch(s.kind_code, s.dim, s.seed, start, count))
+            x = np.array([value(lam) for lam in
+                          _k.lambda_batch(s.kind_code, s.dim, s.seed, start, count)],
+                         dtype=np.float64)
+            # One row of values, or with ``joint`` one row per entry.
+            return tuple(zip(*_k.fold_rows(x.T))) if joint else _k.fold_rows(x[None])[0]
 
         parts = run_chunk_jobs(job, n)
     return combine_vec4(parts, n) if joint else combine_scalar(parts, n)

@@ -12,8 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+import numpy as np
+
 from . import _backend as _k
-from ._mc import accumulate, combine_scalar, require_n, run_chunk_jobs
+from ._mc import combine_scalar, require_n, run_chunk_jobs
 from ._mc import chunk_count  # noqa: F401  (public here: chunks of an n-draw estimate)
 
 __all__ = [
@@ -131,7 +133,7 @@ def integrate(
 
     def job(start: int, count: int):
         lams = _k.lambda_batch(kind_code, dim, seed, start, count)
-        return accumulate(float(f(lam)) for lam in lams)
+        return _k.fold_rows(np.array([[float(f(lam)) for lam in lams]]))[0]
 
     parts = run_chunk_jobs(job, n)
     mean, stderr = combine_scalar(parts, n)

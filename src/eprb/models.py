@@ -451,11 +451,10 @@ def random_coefficients(
         scale = 1.0 / (9.0 * degree * degree)
     scale = float(scale)
     seed = int(coeff_seed) & _k.MASK64
-    flat = np.empty(degree * degree * 9)
-    for t in range(flat.size):
-        flat[t] = scale * (2.0 * _k.uniform01(seed, t, 0) - 1.0)
+    # Coefficient t is scale * (2u - 1) for u component 0 of cube draw t.
+    u = np.array(_k.lambda_batch(_k.SAMPLER_CUBE, 1, seed, 0, degree * degree * 9))
     return RealAnalyticCoefficients(
-        degree=degree, table=flat.reshape(degree, degree, 3, 3)
+        degree=degree, table=(scale * (2.0 * u - 1.0)).reshape(degree, degree, 3, 3)
     )
 
 

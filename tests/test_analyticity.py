@@ -153,6 +153,15 @@ def test_disc_grid_clips_the_corners_at_extreme_radii():
         assert all(math.hypot(x, y) <= radius for x, y in zip(re.tolist(), im.tolist()))
 
 
+def test_disc_grid_rejects_a_lattice_that_repeats_points():
+    # at R = 5e-324 the 5 steps round to -R, -R, 0, R, R: 9 points, 5 distinct
+    with pytest.raises(ValueError, match="5 x 5 lattice over radius 5e-324 repeats points"):
+        _disc_grid(5e-324, 5)
+    # a subnormal radius whose steps stay distinct keeps every point
+    re, im = _disc_grid(1e-310, 64)
+    assert len(set(zip(re.tolist(), im.tolist()))) == len(re) == 3096
+
+
 def test_pq_nonanalyticity_report_at_infinity():
     rep = pq_nonanalyticity_report(INFINITY, radius=1.0, k=9)
     assert rep.verdict is Verdict.NON_ANALYTIC

@@ -16,10 +16,12 @@ from eprb.models import (
     SettingBiasedSignModel,
 )
 from oracles_ref import (
+    ref_cube_point,
     ref_draw3,
     ref_reduce_joint,
     ref_reduce_product,
     ref_sign_outcome_sums,
+    ref_sphere_point,
 )
 
 SETTINGS = [
@@ -241,7 +243,7 @@ def test_numpy_reduce_pairs_reports_each_pairs_first_bad_probability():
 
 def test_numpy_sums_start_from_positive_zero_like_the_loop():
     # 0.0 + (-0.0) is +0.0: an all -0.0 chunk sums to +0.0, as in the loop
-    s, s2, mn, mx = bk._accumulate(np.array([-0.0, -0.0]))
+    [(s, s2, mn, mx)] = bk.fold_rows(np.array([[-0.0, -0.0]]))
     assert math.copysign(1.0, s) == 1.0 and math.copysign(1.0, s2) == 1.0
     assert math.copysign(1.0, mn) == -1.0 and math.copysign(1.0, mx) == -1.0
 
@@ -272,14 +274,16 @@ def test_numpy_sphere_draws_equal_the_scalar_draws():
     # math.sin/math.cos; if this breaks, fix the kernel, never the draws
     for seed in (0, 7, 123456789, 2**64 - 1):
         got = bk.lambda_batch(bk.SAMPLER_SPHERE, 3, seed, 0, 200_000)
-        assert got == [bk.lambda_at(bk.SAMPLER_SPHERE, 3, seed, i) for i in range(200_000)]
+        assert got == [ref_sphere_point(seed, i) for i in range(200_000)]
 
 
 def test_numpy_lambda_batch_across_chunk_edges():
     for sampler, dim in ((bk.SAMPLER_SPHERE, 3), (bk.SAMPLER_CUBE, 1), (bk.SAMPLER_CUBE, 64)):
         for start, count in ((0, 0), (4000, 5000), (2**63 - 3, 3)):
             got = bk.lambda_batch(sampler, dim, 11, start, count)
-            assert got == [bk.lambda_at(sampler, dim, 11, i) for i in range(start, start + count)]
+            ref = ref_sphere_point if sampler == bk.SAMPLER_SPHERE else (
+                lambda seed, i: ref_cube_point(seed, i, dim))
+            assert got == [ref(11, i) for i in range(start, start + count)]
 
 
 def test_numpy_kernels_keep_their_argument_errors():

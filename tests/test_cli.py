@@ -386,6 +386,13 @@ def test_step_lost_against_the_point_is_the_per_point_error(capsys):
         assert err == f"error: {ref.value}\n"
 
 
+def test_lattice_that_repeats_points_is_exit_one(capsys):
+    code, out, err = run_cli(capsys, "analyticity", "--w", "inf", "--radius", "5e-324",
+                             "--grid", "5")
+    assert code == 1 and out == ""
+    assert err.startswith("error: the 5 x 5 lattice over radius 5e-324 repeats points")
+
+
 def test_non_finite_residual_is_exit_one(capsys):
     code, out, err = run_cli(capsys, "analyticity", "--w=1e10,0", "--radius", "1e150",
                              "--h", "1e140", "--grid", "5")
@@ -451,6 +458,19 @@ def test_module_entry_point():
     )
     assert out.returncode == 0
     assert json.loads(out.stdout)["command"] == "models"
+
+
+def test_reader_closing_stdout_early_is_exit_one_with_nothing_on_stderr():
+    # a 195 x 195 grid writes megabytes, far more than a pipe buffers
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "eprb", "analyticity", "--w", "inf", "--grid", "195"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 1
+    assert err == b""
 
 
 @pytest.mark.skipif(shutil.which("eprb") is None, reason="console script not on PATH")

@@ -50,8 +50,7 @@ def test_sphere_draws_are_unit_and_match_reference():
         lam = s.sample(i)
         assert len(lam) == 3
         assert abs(math.sqrt(sum(c * c for c in lam)) - 1.0) < 1e-12
-        ref = ref_sphere_point(42, i)
-        assert max(abs(g - r) for g, r in zip(lam, ref)) < 1e-15
+        assert lam == ref_sphere_point(42, i)
 
 
 def test_cube_draws_in_unit_box_and_match_reference():
@@ -61,6 +60,13 @@ def test_cube_draws_in_unit_box_and_match_reference():
         assert len(lam) == 5
         assert all(0.0 <= c < 1.0 for c in lam)
         assert lam == ref_cube_point(7, i, 5)
+
+
+def test_sample_past_the_64_bit_index_wrap_matches_the_reference():
+    # the stream adds index + 1 mod 2**64: these indices wrap in uint64
+    for i in (2**63 - 1, 2**64 - 1, 2**64 + 5, 3 * 2**64 + 17):
+        assert sphere_sampler(seed=9).sample(i) == ref_sphere_point(9, i)
+        assert cube_sampler(dim=5, seed=9).sample(i) == ref_cube_point(9, i, 5)
 
 
 def test_sample_is_pure_and_batch_agrees():
