@@ -9,8 +9,9 @@ uint64 products wrap mod 2**64 exactly like masked integer arithmetic, and
 each array operation rounds like its scalar counterpart, so a draw has the
 same bits in any range that holds it. ``fold_rows`` is the one fold of
 chunk values into (sum, sum_sq, min, max): sums run left to right.
-``series_value`` stays a scalar function: it evaluates one series side at
-one pair of settings.
+``series_values`` evaluates many series of one degree at one pair of
+settings, one term at a time over all of them, with the bits of the scalar
+loop per series.
 ``reduce_pairs`` serves many setting pairs from one set of draws, which a
 caller may keep in a mapping it passes back, and ``reduce_product`` is its
 one-pair case. Sign-kind products are +/-1, so their sums are exact integers
@@ -410,36 +411,45 @@ def reduce_joint(kind, params, ax, ay, az, bx, by, bz,
     return tuple(zip(*fold_rows(x[:, :k]))) + tail
 
 
-def series_value(coeffs, degree, c0, ax, ay, az, bx, by, bz):
-    """Truncated double power series in the setting components.
+def series_powers(ax, ay, az, bx, by, bz):
+    """The setting powers a series reads: (pa, pb), (3, MAX_DEGREE) arrays
+    with pa[r, i - 1] = a_r ** i and pb[s, j - 1] = b_s ** j. cumprod
+    multiplies along the power axis in order, so each power is the iterated
+    product a_r * a_r * ... of a loop."""
+    x = np.array([ax, ay, az, bx, by, bz], dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = np.cumprod(np.repeat(x[:, None], MAX_DEGREE, axis=1), axis=1)
+    return p[:3], p[3:]
 
-    value = c0 + sum over i,j in 1..degree and r,s in 1..3 of
-    coeffs[i,j,r,s] * (a_r)^i * (b_s)^j, with coeffs flattened C-order.
-    Accumulation order (i, j, r, s) and left-associated products are part of
-    the backend contract.
+
+def series_values(coeffs, c0, pa, pb):
+    """Truncated double power series at one pair of settings, one value per
+    series, as a float64 array.
+
+    Row k of the (m, degree, degree, 3, 3) array ``coeffs`` is one series'
+    coefficients and ``c0`` its constant (one float, or one per row):
+    value_k = c0 + sum over i, j in 1..degree and r, s in 1..3 of
+    coeffs[k, i-1, j-1, r, s] * (a_r)^i * (b_s)^j, with the powers read
+    from ``pa`` and ``pb`` of series_powers. Each term is
+    (coeff * a_r^i) * b_s^j, and the terms are added to c0 one at a time
+    in (i, j, r, s) order (cumsum along the term axis adds in order): the
+    bits of the scalar loop. Overflow and inf - inf give their IEEE values
+    without a warning.
     """
+    coeffs = np.asarray(coeffs, dtype=np.float64)
+    degree = coeffs.shape[1] if coeffs.ndim == 5 else 0
     if degree < 1 or degree > MAX_DEGREE:
         raise ValueError(f"series degree {degree} outside 1..{MAX_DEGREE}")
-    n = degree * degree * 9
-    if len(coeffs) != n:
-        raise ValueError(f"expected {n} coefficients, got {len(coeffs)}")
-    # pa[r][i] = component_r ** i by iterated multiply, i = 1..degree
-    pa = [[0.0] * (degree + 1) for _ in range(3)]
-    pb = [[0.0] * (degree + 1) for _ in range(3)]
-    comps_a = (ax, ay, az)
-    comps_b = (bx, by, bz)
-    for r in range(3):
-        pa[r][1] = comps_a[r]
-        pb[r][1] = comps_b[r]
-        for i in range(2, degree + 1):
-            pa[r][i] = pa[r][i - 1] * comps_a[r]
-            pb[r][i] = pb[r][i - 1] * comps_b[r]
-    acc = c0
-    t = 0
-    for i in range(1, degree + 1):
-        for j in range(1, degree + 1):
-            for r in range(3):
-                for s in range(3):
-                    acc += float(coeffs[t]) * pa[r][i] * pb[s][j]
-                    t += 1
-    return acc
+    if coeffs.shape[2:] != (degree, 3, 3):
+        raise ValueError(
+            f"expected (m, {degree}, {degree}, 3, 3) coefficients, got {coeffs.shape}")
+    shape = (degree, degree, 3, 3)
+    fa = np.broadcast_to(pa[:, :degree].T[:, None, :, None], shape).reshape(-1, 1)
+    fb = np.broadcast_to(pb[:, :degree].T[None, :, None, :], shape).reshape(-1, 1)
+    # One row per term after the constant's row, one column per series.
+    t = np.empty((1 + fa.size, len(coeffs)))
+    t[0] = c0
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.multiply(coeffs.reshape(len(coeffs), -1).T, fa, out=t[1:])
+        t[1:] *= fb
+        return np.cumsum(t, axis=0)[-1]

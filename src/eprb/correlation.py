@@ -32,6 +32,7 @@ from .models import (
     AnticorrelatedSeriesPair,
     DeterministicModel,
     QuantumCorrelationModel,
+    RealAnalyticCoefficients,
     StochasticModel,
     evaluate_deterministic,
     evaluate_series,
@@ -63,6 +64,11 @@ MAX_STEPS = 100000
 # and at most 2**16 per-chunk pair results held before they are folded.
 _BATCH_SETTINGS = 64
 _BATCH_PARTS = 1 << 16
+
+# A draw-dependent series chunk holds at most this many coefficients of
+# one degree before it evaluates them (4 MiB): a whole 4096-draw chunk up
+# to degree 3, and 227 draws at a time at degree 16.
+_SERIES_BLOCK = 1 << 19
 
 # A batched oracle keeps its chunks' draws, three doubles a draw, only
 # while they take at most this many bytes (n up to about 1.4 million).
@@ -391,7 +397,9 @@ def series_correlation(
 
     The second side is exactly the negation of the first, so every per-draw
     product is -A^2 <= 0. Draw-independent pairs collapse to a closed form
-    and come back exact.
+    and come back exact. A draw-dependent pair calls its generator once per
+    draw and evaluates the series a chunk at a time (``_series_chunk``),
+    with the bits of one scalar evaluation per draw.
     """
     if not isinstance(pair, AnticorrelatedSeriesPair):
         raise ValueError(
@@ -406,12 +414,55 @@ def series_correlation(
         value = a_val * (-a_val)
         return CorrelationEstimate(value=value, stderr=0.0, n=0, exact=True)
 
-    def value(lam) -> float:
-        a_val = evaluate_series(pair.alpha_at(lam), a, b)
-        return a_val * (-a_val)
+    powers = _k.series_powers(a.x, a.y, a.z, b.x, b.y, b.z)
 
-    mean, stderr = _estimate(pair, value, a, b, s, n)
+    def job(start, count):
+        v = _series_chunk(pair, powers, _k.lambda_batch(s.kind_code, s.dim, s.seed, start, count),
+                          start)
+        return _k.fold_rows((v * -v)[None])[0]
+
+    mean, stderr = combine_scalar(run_chunk_jobs(job, n), n)
     return CorrelationEstimate(value=mean, stderr=stderr, n=n, exact=False)
+
+
+def _series_chunk(pair, powers, lams, start):
+    """The first side's series value at each draw of ``lams`` (draws
+    ``start`` ...), as a float64 array in draw order.
+
+    The generator is called once per draw, in draw order. Each result's
+    coefficients and constant are copied into a buffer for its degree and
+    the result is dropped; a buffer is evaluated by ``series_values`` when
+    it is full (at most _SERIES_BLOCK coefficients) and at the end.
+    """
+    values = np.empty(len(lams))
+    rows = {}  # degree -> (coefficients, constants, draw positions)
+
+    def flush(degree):
+        coeffs, c0, at = rows[degree]
+        values[at] = _k.series_values(coeffs[:len(at)], c0[:len(at)], *powers)
+        at.clear()
+
+    for k, lam in enumerate(lams):
+        c = pair.alpha_at(lam)
+        if not isinstance(c, RealAnalyticCoefficients):
+            raise ValueError(
+                f"series generator returned {type(c).__name__} at draw {start + k}, "
+                f"expected RealAnalyticCoefficients"
+            )
+        d = c.degree
+        if d not in rows:
+            cap = min(len(lams), max(1, _SERIES_BLOCK // (9 * d * d)))
+            rows[d] = np.empty((cap, d, d, 3, 3)), np.empty(cap), []
+        coeffs, c0, at = rows[d]
+        coeffs[len(at)] = c.table
+        c0[len(at)] = c.effective_constant()
+        at.append(k)
+        if len(at) == len(c0):
+            flush(d)
+    for d in rows:
+        if rows[d][2]:
+            flush(d)
+    return values
 
 
 def make_correlation_oracle(

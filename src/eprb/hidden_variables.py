@@ -68,13 +68,18 @@ class LambdaSampler:
         return _KIND_CODES[self.kind]
 
     def sample(self, index: int) -> tuple[float, ...]:
-        """Draw number ``index`` (0-based) of this stream."""
+        """Draw number ``index`` (0-based) of this stream: the one-draw case
+        of ``sample_batch``, which is far cheaper per draw for reading many
+        consecutive draws."""
         index = int(index)
         if index < 0:
             raise ValueError(f"sample index must be >= 0, got {index}")
         return _k.lambda_at(self.kind_code, self.dim, self.seed, index)
 
     def sample_batch(self, start: int, count: int) -> list[tuple[float, ...]]:
+        """Draws ``start .. start + count - 1`` as a list of tuples, computed
+        a 4096-draw chunk of arrays at a time: the fast way to read many
+        draws, with the bits of ``sample`` called on each index."""
         start = int(start)
         count = int(count)
         if start < 0:

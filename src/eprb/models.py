@@ -384,7 +384,7 @@ class RealAnalyticCoefficients:
                 f"coefficient tensor must have shape {(degree, degree, 3, 3)}, "
                 f"got {table.shape}"
             )
-        if not np.all(np.isfinite(table)):
+        if not np.isfinite(table).all():
             raise ValueError("coefficient tensor must be finite")
         c0 = float(self.constant_term)
         if not self.includes_constant_term and c0 != 0.0:
@@ -396,8 +396,6 @@ class RealAnalyticCoefficients:
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "constant_term", c0)
-        # Kernel calls take the tensor flattened in (i, j, r, s) order.
-        object.__setattr__(self, "_flat", tuple(table.ravel().tolist()))
 
     def negated(self) -> "RealAnalyticCoefficients":
         return RealAnalyticCoefficients(
@@ -419,10 +417,8 @@ def evaluate_series(
     Not clamped to [-1, 1]: a truncated series is an honest polynomial and
     clamping would destroy the smooth structure the residual checks probe.
     """
-    return _k.series_value(
-        c._flat, c.degree, c.effective_constant(),
-        a.x, a.y, a.z, b.x, b.y, b.z,
-    )
+    pa, pb = _k.series_powers(a.x, a.y, a.z, b.x, b.y, b.z)
+    return float(_k.series_values(c.table[None], c.effective_constant(), pa, pb)[0])
 
 
 def _checked_degree(value) -> int:

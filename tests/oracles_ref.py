@@ -2,13 +2,16 @@
 
 Quadrature instead of Monte Carlo, a from-scratch word mixer instead of the
 kernel one, per-draw scalar loops instead of the chunk-array kernels,
-brute-force polynomial loops instead of the flattened evaluator, a dense
+brute-force polynomial loops instead of the array series evaluator, a dense
 numpy scan instead of the pattern search. test_oracles.py pins each of these
 against closed forms before any other module trusts them; test_backends.py
-holds the kernels to the per-draw loops bit for bit. The grid-scan loop and
-the one-pair-at-a-time budget wrapper are the plain forms of the settings
-search's numpy scan and batched wrapper, which test_inequalities.py holds
-to them. The per-point disc report is the plain form of the analyticity
+holds the kernels to the per-draw loops bit for bit. The scalar series
+loop is the plain form of the array series evaluator, which
+test_backends.py holds to it, and the per-draw series estimate built on it
+is the plain form of the chunked one, which test_correlation.py holds to
+it. The grid-scan loop and the one-pair-at-a-time budget wrapper are the
+plain forms of the settings search's numpy scan and batched wrapper, which
+test_inequalities.py holds to them. The per-point disc report is the plain form of the analyticity
 module's whole-grid stencil, which test_analyticity.py holds to it.
 """
 
@@ -239,6 +242,46 @@ def series_brute(table, constant: float, a, b) -> float:
                 for j in range(1, degree + 1):
                     terms.append(table[i - 1, j - 1, r, s] * a[r] ** i * b[s] ** j)
     return math.fsum(terms)
+
+
+def ref_series_value(coeffs, degree: int, c0: float, a, b) -> float:
+    """The scalar series loop the array evaluator reproduces bit for bit:
+    powers by iterated multiply, each term (coeff * a_r^i) * b_s^j added
+    to c0 in (i, j, r, s) order; ``coeffs`` flattened C-order."""
+    pa = [[0.0] * (degree + 1) for _ in range(3)]
+    pb = [[0.0] * (degree + 1) for _ in range(3)]
+    for r in range(3):
+        pa[r][1] = a[r]
+        pb[r][1] = b[r]
+        for i in range(2, degree + 1):
+            pa[r][i] = pa[r][i - 1] * a[r]
+            pb[r][i] = pb[r][i - 1] * b[r]
+    acc = c0
+    t = 0
+    for i in range(1, degree + 1):
+        for j in range(1, degree + 1):
+            for r in range(3):
+                for s in range(3):
+                    acc += float(coeffs[t]) * pa[r][i] * pb[s][j]
+                    t += 1
+    return acc
+
+
+def ref_series_parts(generator, a, b, sampler_kind: int, seed: int, n: int) -> list:
+    """Per-chunk (sum, sum_sq, min, max) of the draw-dependent series
+    product -A^2 over draws 0..n-1, by the per-draw loop: the generator's
+    coefficients at each draw evaluated by ref_series_value, accumulated in
+    draw order within each 4096-draw chunk."""
+    parts = []
+    for start in range(0, n, 4096):
+        acc = [0.0, 0.0, math.inf, -math.inf]
+        for i in range(start, min(n, start + 4096)):
+            c = generator(ref_draw3(sampler_kind, seed, i))
+            v = ref_series_value(c.table.ravel().tolist(), c.degree, c.effective_constant(),
+                                 a, b)
+            _ref_accumulate(acc, v * -v)
+        parts.append(tuple(acc))
+    return parts
 
 
 def chsh_scan_coplanar(grid: int = 720) -> float:

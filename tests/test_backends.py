@@ -20,6 +20,7 @@ from oracles_ref import (
     ref_draw3,
     ref_reduce_joint,
     ref_reduce_product,
+    ref_series_value,
     ref_sign_outcome_sums,
     ref_sphere_point,
 )
@@ -284,6 +285,62 @@ def test_numpy_lambda_batch_across_chunk_edges():
             ref = ref_sphere_point if sampler == bk.SAMPLER_SPHERE else (
                 lambda seed, i: ref_cube_point(seed, i, dim))
             assert got == [ref(11, i) for i in range(start, start + count)]
+
+
+# Coefficients and setting components that reach the loop's corner cases:
+# signed zeros, subnormals, sums that overflow to +/-inf, and (through a
+# component far off the unit sphere, whose powers overflow) infinite terms
+# that meet as inf - inf = NaN.
+_SERIES_SPECIALS = (0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1.7e308, -1.7e308)
+
+
+def _series_case(rng, degree, rows, special):
+    def pick(lo, hi, size):
+        x = rng.uniform(lo, hi, size)
+        if special:
+            mask = rng.random(size) < 0.3
+            x[mask] = rng.choice(_SERIES_SPECIALS, int(mask.sum()))
+        return x
+
+    coeffs = pick(-2.0, 2.0, (rows, degree, degree, 3, 3))
+    c0 = pick(-1.0, 1.0, rows)
+    a, b = (tuple(float(rng.choice((0.0, -0.0, 1.0, -1.0, 1e200, -1e200, x)) if special else x)
+                  for x in rng.uniform(-1.0, 1.0, 3)) for _ in range(2))
+    return coeffs, c0, a, b
+
+
+def test_series_values_are_the_scalar_loop_per_row():
+    # repr tells -0.0 from 0.0 and matches nan with nan; pytest turns a
+    # RuntimeWarning from an overflowing sum into an error
+    rng = np.random.default_rng(11)
+    seen = set()
+    for degree in range(1, bk.MAX_DEGREE + 1):
+        for rows, special in ((1, False), (7, False), (7, True), (40, True)):
+            coeffs, c0, a, b = _series_case(rng, degree, rows, special)
+            got = bk.series_values(coeffs, c0, *bk.series_powers(*a, *b)).tolist()
+            want = [ref_series_value(coeffs[k].ravel().tolist(), degree, float(c0[k]), a, b)
+                    for k in range(rows)]
+            assert repr(got) == repr(want), (degree, rows)
+            seen.update(repr(v) for v in want if not math.isfinite(v) or v == 0.0)
+    assert {"inf", "-inf", "nan"} <= seen
+
+
+def test_series_powers_are_the_iterated_products():
+    # repr keeps the sign of zero; underflow and overflow are quiet
+    a, b = (0.3, -0.7, 1e200), (-0.0, 1e-200, -1.0 + 2.0**-52)
+    pa, pb = bk.series_powers(*a, *b)
+    for x, row in zip(a + b, np.concatenate((pa, pb)).tolist()):
+        want = [x]
+        while len(want) < bk.MAX_DEGREE:
+            want.append(want[-1] * x)
+        assert repr(row) == repr(want)
+
+
+def test_series_values_reject_a_wrong_shape():
+    pa, pb = bk.series_powers(0.0, 0.0, 1.0, 1.0, 0.0, 0.0)
+    for shape in ((1, 2, 2, 3), (1, 2, 3, 3, 3), (1, 0, 0, 3, 3), (1, 17, 17, 3, 3)):
+        with pytest.raises(ValueError, match="series degree|coefficients"):
+            bk.series_values(np.zeros(shape), 0.0, pa, pb)
 
 
 def test_numpy_kernels_keep_their_argument_errors():

@@ -21,6 +21,7 @@ from eprb import (
     LinearStochasticModel,
     LocalSignModel,
     QuantumCorrelationModel,
+    RealAnalyticCoefficients,
     RiemannPoint,
     SettingBiasedSignModel,
     SettingsQuad,
@@ -46,11 +47,20 @@ from eprb import (
     series_correlation,
     sphere_sampler,
     stereographic_project,
+    unit_from_angles,
     unit_from_plane_angle,
 )
-from eprb.correlation import pair_needs_sampler
+from eprb.correlation import CorrelationEstimate, pair_needs_sampler
 from eprb.models import _BUILDERS
-from oracles_ref import linear_joint_quad, ref_accumulate4, ref_fold4, sign_curve_quad
+from oracles_ref import (
+    linear_joint_quad,
+    ref_accumulate4,
+    ref_draw3,
+    ref_fold4,
+    ref_series_parts,
+    ref_series_value,
+    sign_curve_quad,
+)
 
 angles = st.floats(min_value=0.0, max_value=math.pi)
 coords = st.floats(min_value=-3.0, max_value=3.0)
@@ -103,11 +113,19 @@ def test_estimators_reject_n_past_the_int64_limit(monkeypatch):
         (estimate_stochastic_correlation, LinearStochasticModel()),
         (estimate_joint, LinearStochasticModel()),
         (series_correlation, pair),
+        (series_correlation, _UNCALLED_SERIES_PAIR),
     ]
     for estimator, m in calls:
         for n in (2**63, 10**30):
             with pytest.raises(ValueError, match=r"n must be <= 2\*\*63 - 1"):
                 estimator(m, Z_AXIS, X_AXIS, sphere_sampler(), n)
+
+
+def _no_generator_call(lam):
+    raise AssertionError("the series generator ran for arguments that should have been rejected")
+
+
+_UNCALLED_SERIES_PAIR = impose_anticorrelation(delta_coefficients(), generator=_no_generator_call)
 
 
 _BELOW_ONE_CALLS = {
@@ -122,6 +140,8 @@ _BELOW_ONE_CALLS = {
     "coin_joint": lambda s, w: estimate_joint(CoinModel(), Z_AXIS, X_AXIS, s, 100, w),
     "series_delta": lambda s, w: series_correlation(
         impose_anticorrelation(delta_coefficients()), Z_AXIS, X_AXIS, s, 100, w),
+    "series_generator": lambda s, w: series_correlation(
+        _UNCALLED_SERIES_PAIR, Z_AXIS, X_AXIS, s, 100, w),
     "integrate": lambda s, w: integrate(lambda lam: lam[0], s, 100, w),
     "pairs": lambda s, w: make_correlation_oracle(LocalSignModel(), s, 100, w).pairs(
         [(Z_AXIS, X_AXIS)]),
@@ -442,6 +462,156 @@ def test_series_correlation_draw_dependent_path():
     # constant generator: every draw contributes the same value
     assert est.stderr == 0.0
     assert abs(est.value - -(Z_AXIS.dot(b)) ** 2) < 1e-14
+
+
+_BASE2 = random_coefficients(coeff_seed=5, degree=2)
+_BASES = {d: random_coefficients(coeff_seed=40 + d, degree=d) for d in range(1, 17)}
+
+
+def _scaled_series(lam):
+    # the seeded degree-2 table scaled by a factor in [0, 1] from the draw
+    return RealAnalyticCoefficients(degree=2, table=_BASE2.table * (0.5 + 0.5 * lam[0]))
+
+
+def _mixed_series(lam):
+    # degrees 1, 2, 3 and 5 in one chunk, each with a constant term
+    d = (1, 2, 3, 5)[int(4.0 * lam[0]) % 4]
+    return RealAnalyticCoefficients(degree=d, table=_BASES[d].table * (lam[1] - 0.5),
+                                    constant_term=lam[2] - 0.25, includes_constant_term=True)
+
+
+_BASE16 = random_coefficients(coeff_seed=16, degree=16)
+
+
+def _degree16_series(lam):
+    return RealAnalyticCoefficients(degree=16, table=_BASE16.table * lam[2])
+
+
+def _any_degree_series(lam):
+    # every degree 1..16 in one chunk, a constant term on about half the draws
+    d = 1 + int(16.0 * lam[1]) % 16
+    c0 = lam[0] - 0.5 if lam[2] > 0.5 else 0.0
+    return RealAnalyticCoefficients(degree=d, table=_BASES[d].table * (lam[0] - 0.5),
+                                    constant_term=c0, includes_constant_term=c0 != 0.0)
+
+
+# (generator, sampler, n, repr) recorded with the per-draw scalar loop.
+_FROZEN_SERIES = [
+    (_scaled_series, sphere_sampler(seed=7), 4097,
+     "CorrelationEstimate(value=-0.000152241008242271, stderr=2.130636995790668e-06, "
+     "n=4097, exact=False)"),
+    (_scaled_series, sphere_sampler(seed=3), 4096,
+     "CorrelationEstimate(value=-0.00015278004666112268, stderr=2.120538113521071e-06, "
+     "n=4096, exact=False)"),
+    (_mixed_series, cube_sampler(3, seed=11), 9000,
+     "CorrelationEstimate(value=-0.14342949620982476, stderr=0.0016991315679710567, "
+     "n=9000, exact=False)"),
+    (_mixed_series, cube_sampler(3, seed=12), 2,
+     "CorrelationEstimate(value=-0.21112203748111624, stderr=0.2039854443322186, "
+     "n=2, exact=False)"),
+]
+_FROZEN_DEGREE16 = [
+    (5, "CorrelationEstimate(value=-2.4673211778210677e-09, stderr=9.694100628638458e-10, "
+        "n=5, exact=False)"),
+    (4100, "CorrelationEstimate(value=-2.6191614606393417e-09, stderr=3.631671415900002e-11, "
+           "n=4100, exact=False)"),
+]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_frozen_draw_dependent_series_estimates(workers):
+    a, b = unit_from_plane_angle(0.3), unit_from_angles(2.1, 0.8)
+    for generator, s, n, want in _FROZEN_SERIES:
+        pair = impose_anticorrelation(_BASE2, generator=generator)
+        assert repr(series_correlation(pair, a, b, s, n, workers)) == want
+    a, b = unit_from_angles(0.9, 0.4), unit_from_angles(1.7, 2.5)
+    pair = impose_anticorrelation(_BASE2, generator=_degree16_series)
+    for n, want in _FROZEN_DEGREE16:
+        assert repr(series_correlation(pair, a, b, sphere_sampler(seed=16), n, workers)) == want
+
+
+def _series_reference(generator, a, b, s, n):
+    parts = ref_series_parts(generator, a.as_tuple(), b.as_tuple(), s.kind_code, s.seed, n)
+    mean, stderr = _mc.combine_scalar(parts, n)
+    return CorrelationEstimate(value=mean, stderr=stderr, n=n, exact=False)
+
+
+def test_draw_dependent_series_estimates_are_the_per_draw_loop():
+    a, b = unit_from_angles(0.6, 1.2), unit_from_angles(2.4, -0.4)
+    for generator, s in ((_mixed_series, cube_sampler(3, seed=4)),
+                         (_scaled_series, sphere_sampler(seed=5))):
+        pair = impose_anticorrelation(_BASE2, generator=generator)
+        for n in (2, 4096, 4097, 9000):
+            want = repr(_series_reference(generator, a, b, s, n))
+            for workers in (1, 2):
+                assert repr(series_correlation(pair, a, b, s, n, workers)) == want, (n, workers)
+
+
+def test_series_chunks_of_every_degree_are_the_per_draw_loop(monkeypatch):
+    # the default block holds a whole chunk up to degree 3 and fills
+    # mid-chunk above it; a 100-coefficient block fills after every draw
+    # of degree 4 and up and after a few draws of degrees 1 to 3
+    a, b = unit_from_angles(1.1, 0.5), unit_from_angles(0.2, 2.9)
+    s = sphere_sampler(seed=6)
+    pair = impose_anticorrelation(_BASE2, generator=_any_degree_series)
+    want = repr(_series_reference(_any_degree_series, a, b, s, 4097))
+    for block in (correlation_module._SERIES_BLOCK, 100):
+        monkeypatch.setattr(correlation_module, "_SERIES_BLOCK", block)
+        for workers in (1, 2):
+            assert repr(series_correlation(pair, a, b, s, 4097, workers)) == want, block
+
+
+def test_series_chunk_values_keep_signed_zeros_infinities_and_nans():
+    # per draw: a -0.0 constant over -0.0 coefficients (the sum stays
+    # -0.0 at positive settings), coefficients whose sum overflows to +inf
+    # or -inf, and settings off the unit sphere whose overflowing powers
+    # give inf - inf = NaN
+    tables = [np.full((1, 1, 3, 3), -0.0), np.full((1, 1, 3, 3), 1.7e308),
+              np.full((2, 2, 3, 3), -1.7e308), np.ones((2, 2, 3, 3)),
+              np.full((1, 1, 3, 3), 0.25)]
+    signed = np.ones((2, 2, 3, 3))
+    signed[0, 0, 0, 0] = -1.0
+    tables.append(signed)
+
+    def generator(lam):
+        k = int(lam[0] * 1e6) % len(tables)
+        return RealAnalyticCoefficients(degree=len(tables[k]), table=tables[k],
+                                        constant_term=-0.0 if k == 0 else 0.5,
+                                        includes_constant_term=True)
+
+    pair = impose_anticorrelation(_BASE2, generator=generator)
+    s = cube_sampler(3, seed=9)
+    lams = s.sample_batch(0, 300)
+    seen = set()
+    for a, b in (((1.0, 0.5, 0.25), (0.5, 1.0, 0.75)), ((1e200, 0.5, 0.5), (1e200, -1e200, 0.5))):
+        powers = _k.series_powers(*a, *b)
+        got = correlation_module._series_chunk(pair, powers, lams, 0).tolist()
+        want = []
+        for lam in lams:
+            c = generator(lam)
+            want.append(ref_series_value(c.table.ravel().tolist(), c.degree,
+                                         c.effective_constant(), a, b))
+        assert repr(got) == repr(want)
+        seen.update(repr(v) for v in want)
+    assert {"-0.0", "inf", "-inf", "nan"} <= seen
+
+
+def test_series_generator_must_return_coefficients():
+    base = delta_coefficients()
+    calls = []
+
+    def generator(lam):
+        calls.append(lam)
+        return base.table if len(calls) == 4100 else base
+
+    pair = impose_anticorrelation(base, generator=generator)
+    with pytest.raises(ValueError, match="returned ndarray at draw 4099"):
+        series_correlation(pair, Z_AXIS, X_AXIS, sphere_sampler(), 5000)
+    assert len(calls) == 4100
+    pair = impose_anticorrelation(base, generator=lambda lam: None)
+    with pytest.raises(ValueError, match="returned NoneType at draw 0, expected "
+                                         "RealAnalyticCoefficients"):
+        series_correlation(pair, Z_AXIS, X_AXIS, sphere_sampler(), 5000, workers=2)
 
 
 def test_series_correlation_type_check():

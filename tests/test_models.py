@@ -35,8 +35,9 @@ from eprb import (
     sphere_sampler,
     zoo,
 )
+from eprb import _backend as _k
 from eprb import models as models_module
-from oracles_ref import series_brute
+from oracles_ref import ref_series_value, series_brute
 
 angles = st.floats(min_value=0.0, max_value=2.0 * math.pi)
 
@@ -324,11 +325,19 @@ def test_negated_flips_value_exactly():
     assert evaluate_series(c.negated(), a, b) == -evaluate_series(c, a, b)
 
 
-def test_flat_coefficients_are_the_table_floats():
-    for degree in (1, 2, 4):
-        c = random_coefficients(coeff_seed=degree, degree=degree)
-        assert c._flat == tuple(float(x) for x in c.table.ravel())
-        assert all(type(x) is float for x in c._flat)
+def test_evaluate_series_is_the_one_row_series_values():
+    for degree, constant in ((1, 0.0), (2, -0.375), (4, 0.0), (16, 0.5)):
+        c = RealAnalyticCoefficients(
+            degree=degree, table=random_coefficients(coeff_seed=degree, degree=degree).table,
+            constant_term=constant, includes_constant_term=constant != 0.0,
+        )
+        a, b = unit(0.4, phi=0.3), unit(2.2, phi=1.7)
+        pa, pb = _k.series_powers(*a.as_tuple(), *b.as_tuple())
+        [row] = _k.series_values(c.table[None], c.effective_constant(), pa, pb).tolist()
+        got = evaluate_series(c, a, b)
+        assert type(got) is float and got == row
+        assert got == ref_series_value(c.table.ravel().tolist(), degree, constant,
+                                       a.as_tuple(), b.as_tuple())
 
 
 def test_random_coefficients_reproducible_and_bounded():
