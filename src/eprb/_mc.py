@@ -18,7 +18,7 @@ from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 
 # ThreadPoolExecutor is unused here. perfbench's tracer counts thread pools
 # by wrapping this name, until it reads a trace the program writes itself
-# (ROADMAP item 4).
+# (ROADMAP item 2).
 
 CHUNK_SIZE = 4096
 

@@ -5,7 +5,8 @@ onto the correlation estimators, ``chsh``/``bell`` onto the inequality
 statistics, ``analyticity`` onto the residual reports, ``models`` onto the
 zoo registry. Output is JSON (default) or CSV on stdout or a file.
 
-Exit codes: 0 on success, 1 for argument or validation problems, 2 when a
+Exit codes: 0 on success, 1 for argument or validation problems and for
+a result holding NaN or an infinity (nothing is written then), 2 when a
 model breaks its numerical contract mid-run. When stdout is closed before
 the output is all written (a reader such as ``head`` stopped early), the
 exit code is 1 and nothing is printed to stderr.
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import os
 import sys
 from typing import Iterable, Optional
@@ -201,6 +203,13 @@ def _model_and_sampler(ns: argparse.Namespace):
     return name, model, sampler
 
 
+def _named_oracle(ns: argparse.Namespace):
+    """The model's name and its correlation oracle at the sampled options."""
+    name, model, sampler = _model_and_sampler(ns)
+    return name, make_correlation_oracle(
+        model, sampler, int(_setting(ns, "n")), workers=int(_setting(ns, "workers")))
+
+
 def _emit(ns: argparse.Namespace, text: str | Iterable[str]) -> None:
     """Write ``text``, one string or an iterable of pieces, to --output or stdout."""
     pieces = (text,) if isinstance(text, str) else text
@@ -215,8 +224,24 @@ def _emit(ns: argparse.Namespace, text: str | Iterable[str]) -> None:
         sys.stdout.writelines(pieces)
 
 
+def _finite(obj, field=None):
+    """``obj``, checked to hold no NaN or infinity in its dicts and lists.
+    JSON has no such numbers and a CSV reader would not take one as a
+    number, so a result holding one is an error that names its field,
+    raised before anything is written."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        raise _UsageError(f"result field {field!r} is not finite: {obj!r}")
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            _finite(value, key if field is None else f"{field}.{key}")
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            _finite(value, f"{field}[{i}]")
+    return obj
+
+
 def _emit_json(ns: argparse.Namespace, obj) -> None:
-    _emit(ns, json.dumps(obj, indent=2) + "\n")
+    _emit(ns, json.dumps(_finite(obj), indent=2) + "\n")
 
 
 def _csv_bool(flag: bool) -> str:
@@ -224,14 +249,12 @@ def _csv_bool(flag: bool) -> str:
 
 
 def _cmd_correlate(ns: argparse.Namespace) -> int:
-    name, model, sampler = _model_and_sampler(ns)
+    name, oracle = _named_oracle(ns)
     a = _vector(ns, "a")
     b = _vector(ns, "b")
-    oracle = make_correlation_oracle(
-        model, sampler, int(_setting(ns, "n")), workers=int(_setting(ns, "workers"))
-    )
     est = oracle(a, b)
     if _setting(ns, "format") == "csv":
+        _finite(est.to_json())
         lines = [
             "value,stderr,n,model,exact",
             f"{est.value!r},{est.stderr!r},{est.n},{name},{_csv_bool(est.exact)}",
@@ -256,6 +279,7 @@ def _cmd_sweep(ns: argparse.Namespace) -> int:
         workers=int(_setting(ns, "workers")),
     )
     if _setting(ns, "format") == "csv":
+        _finite({"rows": [est.to_json() for _, est in rows]})
         lines = ["theta_rad,value,stderr,n,model,exact"]
         for theta, est in rows:
             lines.append(
@@ -282,10 +306,7 @@ def _cmd_sweep(ns: argparse.Namespace) -> int:
 
 
 def _cmd_chsh(ns: argparse.Namespace) -> int:
-    name, model, sampler = _model_and_sampler(ns)
-    oracle = make_correlation_oracle(
-        model, sampler, int(_setting(ns, "n")), workers=int(_setting(ns, "workers"))
-    )
+    name, oracle = _named_oracle(ns)
     if _setting(ns, "maximize"):
         result = maximize_chsh(
             oracle, int(_setting(ns, "budget")), mode=str(_setting(ns, "mode"))
@@ -314,10 +335,7 @@ def _cmd_chsh(ns: argparse.Namespace) -> int:
 
 
 def _cmd_bell(ns: argparse.Namespace) -> int:
-    name, model, sampler = _model_and_sampler(ns)
-    oracle = make_correlation_oracle(
-        model, sampler, int(_setting(ns, "n")), workers=int(_setting(ns, "workers"))
-    )
+    name, oracle = _named_oracle(ns)
     report = bell_statistic(
         oracle, _vector(ns, "a"), _vector(ns, "b"), _vector(ns, "c")
     )

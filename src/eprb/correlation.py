@@ -27,7 +27,7 @@ from ._mc import (
 )
 from .errors import ContractViolationError
 from .geometry import RiemannPoint, UnitVector3, Z_AXIS, unit_from_plane_angle
-from .hidden_variables import LambdaSampler
+from .hidden_variables import LambdaSampler, fold_draws
 from .models import (
     AnticorrelatedSeriesPair,
     DeterministicModel,
@@ -144,34 +144,60 @@ def _checked_sums(parts):
     return [part[:4] for part in parts]
 
 
-def _estimate(m, value, a, b, s, n, joint=False):
-    """Mean of ``value(lam)`` over draws 0..n-1 of ``s``: the body shared by
-    every Monte Carlo estimator.
+# The estimator families, each with the word that names it in errors.
+_FAMILIES = {DeterministicModel: "deterministic", StochasticModel: "stochastic"}
 
-    ``value`` is the model's per-draw product (with ``joint``, the 4-tuple of
-    joint probabilities), contract check included. One of three paths runs,
-    all giving the same bits:
+
+def _estimate(m, family, name, a, b, s, n, workers, joint=False):
+    """The body of every Monte Carlo estimator ``name``: the mean over
+    draws 0..n-1 of ``s`` of the per-draw outcome product of ``m`` at
+    (a, b), as a CorrelationEstimate, or with ``joint`` the means of the
+    four joint-probability products, as a JointTable.
+
+    ``m`` must belong to ``family``, which picks the per-draw value: the
+    checked outcome product of a deterministic model, the product of a
+    stochastic model's outcome averages, or its four joint products. One
+    of three paths runs, all giving the same bits:
 
     * a draw-independent model is evaluated once, at draw 0. Its values
       in the zoo (0, +/-1, 1/4) have exact n-fold sums, so summing every
-      draw would give (x * n) / n = x with stderr 0.0: the stream is not
-      walked;
+      draw would give (x * n) / n = x with stderr 0.0, as a float also
+      where a model's outcomes are ints: the stream is not walked;
     * a model with a kernel runs it on its ``kernel_rows(a, b)``: the
       correlation as the one-pair case of ``_estimate_pairs``, the joint
       table chunk by chunk through ``reduce_joint``;
-    * any other model calls ``value`` on every draw, made chunk by chunk.
+    * any other model is evaluated on every draw by ``fold_draws``.
 
-    Chunks are folded in chunk order. Returns (mean, stderr), or four such
-    pairs when ``joint``.
+    Chunks are folded in chunk order.
     """
-    if getattr(m, "draw_independent", False):
-        x = value(s.sample(0))
-        return [(p, 0.0) for p in x] if joint else (x, 0.0)
-    kind = getattr(m, "kernel_kind", None)
-    if kind is not None and not joint:
+    if not isinstance(m, family):
+        raise ValueError(f"{name} needs a {_FAMILIES[family]} model, got {type(m).__name__}")
+    n = require_n(n, workers)
+    if family is DeterministicModel:
+        def value(lam):
+            alpha, beta = evaluate_deterministic(m, a, b, lam)
+            return (alpha * beta,)
+    elif joint:
+        def value(lam):
+            p = evaluate_stochastic(m, a, b, lam)
+            return (
+                p.p1_plus * p.p2_plus,
+                p.p1_minus * p.p2_minus,
+                p.p1_plus * p.p2_minus,
+                p.p1_minus * p.p2_plus,
+            )
+    else:
+        def value(lam):
+            mean_a, mean_b = mean_outcomes(m, a, b, lam)
+            return (mean_a * mean_b,)
+
+    kind = m.kernel_kind
+    if m.draw_independent:
+        pairs = [(float(x), 0.0) for x in value(s.sample(0))]
+    elif kind is not None and not joint:
         [est] = _estimate_pairs(m, [(a, b)], s, n)
-        return est.value, est.stderr
-    if kind is not None:
+        return est
+    elif kind is not None:
         (u, c_a), (v, c_b), sigma_b = m.kernel_rows(a, b)
         # Empty params (offsets 0, sigma_b = -1) skip the kernel's offset adds.
         params = (c_a, c_b, sigma_b) if c_a or c_b or sigma_b != -1.0 else ()
@@ -180,17 +206,14 @@ def _estimate(m, value, a, b, s, n, joint=False):
             return _k.reduce_joint(kind, params, u.x, u.y, u.z, v.x, v.y, v.z,
                                    s.kind_code, s.dim, s.seed, start, count)
 
-        parts = _checked_sums(run_chunk_jobs(job, n))
+        pairs = combine_vec4(_checked_sums(run_chunk_jobs(job, n)), n)
     else:
-        def job(start, count):
-            x = np.array([value(lam) for lam in
-                          _k.lambda_batch(s.kind_code, s.dim, s.seed, start, count)],
-                         dtype=np.float64)
-            # One row of values, or with ``joint`` one row per entry.
-            return tuple(zip(*_k.fold_rows(x.T))) if joint else _k.fold_rows(x[None])[0]
-
-        parts = run_chunk_jobs(job, n)
-    return combine_vec4(parts, n) if joint else combine_scalar(parts, n)
+        pairs = fold_draws(
+            lambda lams, start: np.array([value(lam) for lam in lams], dtype=np.float64).T, s, n)
+    means, stderrs = zip(*pairs)
+    if joint:
+        return JointTable(*means, *stderrs, n=n)
+    return CorrelationEstimate(value=means[0], stderr=stderrs[0], n=n, exact=False)
 
 
 def _pair_groups(m, pairs, max_pairs):
@@ -256,18 +279,7 @@ def estimate_correlation(
     workers: int = 1,
 ) -> CorrelationEstimate:
     """Mean outcome product of a deterministic model over draws 0..n-1."""
-    if not isinstance(m, DeterministicModel):
-        raise ValueError(
-            f"estimate_correlation needs a deterministic model, got {type(m).__name__}"
-        )
-    n = require_n(n, workers)
-
-    def value(lam) -> float:
-        alpha, beta = evaluate_deterministic(m, a, b, lam)
-        return alpha * beta
-
-    mean, stderr = _estimate(m, value, a, b, s, n)
-    return CorrelationEstimate(value=mean, stderr=stderr, n=n, exact=False)
+    return _estimate(m, DeterministicModel, "estimate_correlation", a, b, s, n, workers)
 
 
 def estimate_stochastic_correlation(
@@ -279,19 +291,7 @@ def estimate_stochastic_correlation(
     workers: int = 1,
 ) -> CorrelationEstimate:
     """Mean product of the two parties' per-draw outcome averages."""
-    if not isinstance(m, StochasticModel):
-        raise ValueError(
-            f"estimate_stochastic_correlation needs a stochastic model, "
-            f"got {type(m).__name__}"
-        )
-    n = require_n(n, workers)
-
-    def value(lam) -> float:
-        mean_a, mean_b = mean_outcomes(m, a, b, lam)
-        return mean_a * mean_b
-
-    mean, stderr = _estimate(m, value, a, b, s, n)
-    return CorrelationEstimate(value=mean, stderr=stderr, n=n, exact=False)
+    return _estimate(m, StochasticModel, "estimate_stochastic_correlation", a, b, s, n, workers)
 
 
 def estimate_joint(
@@ -308,28 +308,7 @@ def estimate_joint(
     p_pp + p_mm - p_pm - p_mp agrees with estimate_stochastic_correlation
     to within accumulation roundoff.
     """
-    if not isinstance(m, StochasticModel):
-        raise ValueError(
-            f"estimate_joint needs a stochastic model, got {type(m).__name__}"
-        )
-    n = require_n(n, workers)
-
-    def value(lam):
-        p = evaluate_stochastic(m, a, b, lam)
-        return (
-            p.p1_plus * p.p2_plus,
-            p.p1_minus * p.p2_minus,
-            p.p1_plus * p.p2_minus,
-            p.p1_minus * p.p2_plus,
-        )
-
-    pairs = _estimate(m, value, a, b, s, n, joint=True)
-    return JointTable(
-        p_pp=pairs[0][0], p_mm=pairs[1][0], p_pm=pairs[2][0], p_mp=pairs[3][0],
-        stderr_pp=pairs[0][1], stderr_mm=pairs[1][1],
-        stderr_pm=pairs[2][1], stderr_mp=pairs[3][1],
-        n=n,
-    )
+    return _estimate(m, StochasticModel, "estimate_joint", a, b, s, n, workers, joint=True)
 
 
 def quantum_correlation(a: UnitVector3, b: UnitVector3) -> CorrelationEstimate:
@@ -416,12 +395,11 @@ def series_correlation(
 
     powers = _k.series_powers(a.x, a.y, a.z, b.x, b.y, b.z)
 
-    def job(start, count):
-        v = _series_chunk(pair, powers, _k.lambda_batch(s.kind_code, s.dim, s.seed, start, count),
-                          start)
-        return _k.fold_rows((v * -v)[None])[0]
+    def rows(lams, start):
+        v = _series_chunk(pair, powers, lams, start)
+        return (v * -v)[None]
 
-    mean, stderr = combine_scalar(run_chunk_jobs(job, n), n)
+    [(mean, stderr)] = fold_draws(rows, s, n)
     return CorrelationEstimate(value=mean, stderr=stderr, n=n, exact=False)
 
 
@@ -487,23 +465,19 @@ def make_correlation_oracle(
             return series_correlation(model, a, b, sampler, n, workers=workers)
 
         return series_oracle
-    if isinstance(model, DeterministicModel):
-        if s is None:
-            raise ValueError("deterministic models need a sampler")
+    family = next((f for f in _FAMILIES if isinstance(model, f)), None)
+    if family is None:
+        raise ValueError(f"no correlation estimator for {type(model).__name__}")
+    if s is None:
+        raise ValueError(f"{_FAMILIES[family]} models need a sampler")
 
-        def det_oracle(a: UnitVector3, b: UnitVector3) -> CorrelationEstimate:
-            return estimate_correlation(model, a, b, s, n, workers=workers)
+    def oracle(a: UnitVector3, b: UnitVector3) -> CorrelationEstimate:
+        # Looked up at each call, so a wrapper installed later is used.
+        estimator = (estimate_correlation if family is DeterministicModel
+                     else estimate_stochastic_correlation)
+        return estimator(model, a, b, s, n, workers=workers)
 
-        return _with_pairs(det_oracle, model, s, n, workers)
-    if isinstance(model, StochasticModel):
-        if s is None:
-            raise ValueError("stochastic models need a sampler")
-
-        def stoch_oracle(a: UnitVector3, b: UnitVector3) -> CorrelationEstimate:
-            return estimate_stochastic_correlation(model, a, b, s, n, workers=workers)
-
-        return _with_pairs(stoch_oracle, model, s, n, workers)
-    raise ValueError(f"no correlation estimator for {type(model).__name__}")
+    return _with_pairs(oracle, model, s, n, workers)
 
 
 def _with_pairs(oracle, model, s, n, workers):

@@ -132,17 +132,26 @@ def integrate(
     least 1) changes no bit of the result.
     """
     n = require_n(n, workers)
-    kind_code = sampler.kind_code
-    dim = sampler.dim
-    seed = sampler.seed
-
-    def job(start: int, count: int):
-        lams = _k.lambda_batch(kind_code, dim, seed, start, count)
-        return _k.fold_rows(np.array([[float(f(lam)) for lam in lams]]))[0]
-
-    parts = run_chunk_jobs(job, n)
-    mean, stderr = combine_scalar(parts, n)
+    [(mean, stderr)] = fold_draws(
+        lambda lams, start: np.array([[float(f(lam)) for lam in lams]]), sampler, n)
     return MonteCarloEstimate(mean=mean, stderr=stderr, n=n)
+
+
+def fold_draws(rows, s, n):
+    """(mean, stderr) of each row of per-draw values over draws 0..n-1 of
+    ``s``: the one loop of every estimate that evaluates Python code per
+    draw.
+
+    ``rows(lams, start)`` gets one chunk's draws (draw ``start`` first, as
+    ``lambda_batch`` makes them) and returns a float64 array with one row
+    per quantity and one column per draw. Each row's chunks are folded by
+    ``fold_rows`` and combined in chunk order by ``combine_scalar``.
+    ``n`` is a draw count already checked by ``require_n``.
+    """
+    def job(start, count):
+        return _k.fold_rows(rows(_k.lambda_batch(s.kind_code, s.dim, s.seed, start, count), start))
+
+    return [combine_scalar(column, n) for column in zip(*run_chunk_jobs(job, n))]
 
 
 def sphere_sampler(seed: int = 0) -> LambdaSampler:

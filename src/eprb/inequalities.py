@@ -286,8 +286,8 @@ def _scan_values(values: np.ndarray):
     g = values.shape[0]
     cols = np.arange(g)
     rows = []
-    # inf - inf gives NaN quietly, as with Python floats.
-    with np.errstate(invalid="ignore"):
+    # Overflow gives inf and inf - inf gives NaN quietly, as with Python floats.
+    with np.errstate(over="ignore", invalid="ignore"):
         for jb in range(g):
             col = values[:, jb:jb + 1]
             t1 = np.abs(col - values)  # t1[ia, jbp] = |P(a, b) - P(a, b')|
@@ -361,7 +361,9 @@ def maximize_chsh(
     and budget the outcome is deterministic.
 
     Coplanar mode searches one angle per setting in the x-z plane; full
-    mode searches polar and azimuthal angles per setting.
+    mode searches polar and azimuthal angles per setting. When every grid
+    quad's statistic is NaN there is no start point, and ValueError is
+    raised.
     """
     budget = int(budget)
     if budget < 100:
@@ -391,6 +393,9 @@ def maximize_chsh(
         ]
         step = math.pi / (n_theta - 1)
     grid_s, idx = _grid_scan(oracle, [_vector(coords, mode) for coords in grid])
+    if idx is None:
+        raise ValueError("every grid quad's CHSH statistic is NaN: the oracle "
+                         "returned NaN or infinite correlations")
     start = [x for i in idx for x in grid[i]]
 
     best_angles, _ = _pattern_search(oracle, start, grid_s, step, mode)

@@ -281,8 +281,10 @@ class DeterministicEmbedding(StochasticModel):
 
     Probabilities are exactly 0 or 1, so mean outcomes reproduce the wrapped
     model's +/-1 outcomes bit for bit and the two correlation estimators
-    agree exactly on a shared draw stream. It runs on the wrapped model's
-    kernel, when it has one, for the correlation and the joint table.
+    agree exactly on a shared draw stream. It takes the wrapped model's
+    hooks: its kernel, when it has one, for the correlation and the joint
+    table, and its draw independence, whose 0 and +/-1 values keep exact
+    n-fold sums.
     """
 
     def __init__(self, inner: DeterministicModel) -> None:
@@ -290,6 +292,7 @@ class DeterministicEmbedding(StochasticModel):
         self.psi_label = inner.psi_label
         self.locality_class = inner.locality_class
         self.kernel_kind = inner.kernel_kind
+        self.draw_independent = inner.draw_independent
 
     def kernel_rows(self, a, b):
         return self.inner.kernel_rows(a, b)

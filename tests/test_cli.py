@@ -400,6 +400,36 @@ def test_non_finite_residual_is_exit_one(capsys):
     assert err.startswith("error: residual at RiemannPoint(-1e+150j) is nan with step 1e+140")
 
 
+OVERFLOWING_SERIES = ["--model", "series_random", "--params", '{"scale": 1e300, "degree": 3}']
+
+
+@pytest.mark.parametrize("args, message", [
+    (["correlate", "--a=0.6,0,0.8", "--b=0,0.6,0.8"], "'value' is not finite: -inf"),
+    (["correlate", "--a=0.6,0,0.8", "--b=0,0.6,0.8", "--format", "csv"],
+     "'value' is not finite: -inf"),
+    (["chsh", "--a=0.6,0,0.8", "--b=0,0.6,0.8", "--a-prime=0,0,1", "--b-prime=1,0,0"],
+     "'s_value' is not finite: nan"),
+    (["bell", "--a=0.6,0,0.8", "--b=0,0.6,0.8", "--c=0,0,1"], "'excess' is not finite: nan"),
+    (["sweep", "--steps", "3"], "'rows[0].value' is not finite: -inf"),
+    (["sweep", "--steps", "3", "--format", "csv"], "'rows[0].value' is not finite: -inf"),
+])
+def test_a_non_finite_result_is_exit_one_before_anything_is_written(
+        capsys, tmp_path, args, message):
+    code, out, err = run_cli(capsys, *args, *OVERFLOWING_SERIES)
+    assert code == 1 and out == ""
+    assert err == f"error: result field {message}\n"
+    path = tmp_path / "out.txt"
+    assert run([*args, *OVERFLOWING_SERIES, "--output", str(path)]) == 1
+    assert not path.exists()
+
+
+def test_a_search_with_no_number_among_its_grid_quads_is_exit_one(capsys):
+    code, out, err = run_cli(capsys, "chsh", "--maximize", "--model", "series_random",
+                             "--params", '{"scale": 1e300}', "--budget", "200")
+    assert code == 1 and out == ""
+    assert err.startswith("error: every grid quad's CHSH statistic is NaN")
+
+
 def test_analyticity_writes_the_same_bytes_to_stdout_and_to_a_file(capsys, tmp_path):
     args = ["analyticity", "--w=0.3,-0.7", "--grid", "64"]
     code, out, _ = run_cli(capsys, *args)

@@ -1,8 +1,10 @@
 """Random command lines and config files against the CLI, at small sizes.
 
 Whatever the input, ``run`` must return exit code 0, 1 or 2 and raise
-nothing: a wrong-typed value, an out-of-range number or a missing file is a
-usage error (1), a model leaving its contract is 2, and a traceback is a bug.
+nothing: a wrong-typed value, an out-of-range number, a missing file or a
+result that overflows to NaN or infinity is a usage error (1), a model
+leaving its contract is 2, and a traceback is a bug. JSON printed on a
+successful run must parse without NaN or Infinity.
 Sizes stay small (n <= 64, grid <= 7, steps <= 5, budget <= 400) so each
 example runs in milliseconds.
 """
@@ -10,6 +12,7 @@ example runs in milliseconds.
 import contextlib
 import io
 import json
+import math
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -48,7 +51,8 @@ small = {
 PARAM_VALUES = {
     "alpha": st.sampled_from([1, -1, 1.0, 0.5]), "beta": st.sampled_from([1, -1, "-1"]),
     "bias": st.floats(-2, 2), "degree": st.integers(-1, 17), "coeff_seed": st.integers(),
-    "scale": st.none() | st.floats(-2, 2), "u": st.sampled_from([[0, 0, 1], [1, 0, 0], [1, 1]]),
+    "scale": st.none() | st.floats(-2, 2) | st.sampled_from([1e300, -1e300, 1e160, -1e120]),
+    "u": st.sampled_from([[0, 0, 1], [1, 0, 0], [1, 1]]),
     "v": st.sampled_from([[0, 1, 0], [0.6, 0, 0.8]]), "psi": st.sampled_from(["singlet", 3]),
 }
 params = st.dictionaries(
@@ -106,6 +110,49 @@ def test_cli_never_raises_and_exits_zero_one_or_two(tmp_path, data):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
         argv = argv + [f"--config={path}"]
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = run(argv)
     assert code in (0, 1, 2), argv
+    if code == 0 and out.getvalue().startswith("{"):
+        json.loads(out.getvalue(), parse_constant=_reject_constant)
+
+
+def _reject_constant(name):
+    raise AssertionError(f"the output holds {name}, which is not JSON")
+
+
+# series_random's coefficients are bounded by "scale", so a large scale
+# overflows its products to infinity and its CHSH and Bell sums to NaN.
+SERIES_ARGV = {
+    "correlate": ["correlate", "--a=0.6,0,0.8", "--b=0,0.6,0.8"],
+    "sweep": ["sweep", "--steps=3"],
+    "chsh": ["chsh", "--a=0.6,0,0.8", "--b=0,0.6,0.8", "--a-prime=0,0,1", "--b-prime=1,0,0"],
+    "maximize": ["chsh", "--maximize", "--budget=100"],
+    "bell": ["bell", "--a=0.6,0,0.8", "--b=0,0.6,0.8", "--c=0,0,1"],
+}
+
+
+@given(command=st.sampled_from(sorted(SERIES_ARGV)), csv=st.booleans(),
+       scale=st.floats() | st.sampled_from([1e300, -1e300, 1e160, 1e155, -1e120, 1e100]),
+       degree=st.integers(1, 4))
+@settings(max_examples=80, deadline=None)
+def test_series_results_print_only_finite_numbers(command, csv, scale, degree):
+    argv = SERIES_ARGV[command] + ["--model=series_random", "--n=64",
+                                   "--params=" + json.dumps({"scale": scale, "degree": degree})]
+    csv = csv and command in ("correlate", "sweep")
+    if csv:
+        argv.append("--format=csv")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    if code != 0:
+        assert code == 1 and out.getvalue() == "" and err.getvalue().startswith("error: ")
+    elif csv:
+        header, *rows = out.getvalue().splitlines()
+        for row in rows:
+            fields = dict(zip(header.split(","), row.split(",")))
+            assert math.isfinite(float(fields["value"])), row
+            assert math.isfinite(float(fields["stderr"])), row
+    else:
+        json.loads(out.getvalue(), parse_constant=_reject_constant)

@@ -50,7 +50,8 @@ from eprb import (
     unit_from_angles,
     unit_from_plane_angle,
 )
-from eprb.correlation import CorrelationEstimate, pair_needs_sampler
+from eprb.correlation import CorrelationEstimate, JointTable, pair_needs_sampler
+from eprb.hidden_variables import MonteCarloEstimate
 from eprb.models import _BUILDERS
 from oracles_ref import (
     linear_joint_quad,
@@ -99,6 +100,57 @@ def test_estimate_correlation_type_check():
         estimate_correlation(LocalSignModel(), Z_AXIS, X_AXIS, sphere_sampler(), 1)
 
 
+def test_estimator_and_oracle_errors_name_the_estimator_and_the_family():
+    s = sphere_sampler()
+    for estimator, model, message in (
+        (estimate_correlation, CoinModel(),
+         "estimate_correlation needs a deterministic model, got CoinModel"),
+        (estimate_correlation, QuantumCorrelationModel(),
+         "estimate_correlation needs a deterministic model, got QuantumCorrelationModel"),
+        (estimate_stochastic_correlation, LocalSignModel(),
+         "estimate_stochastic_correlation needs a stochastic model, got LocalSignModel"),
+        (estimate_joint, FixedOutcomeModel(),
+         "estimate_joint needs a stochastic model, got FixedOutcomeModel"),
+    ):
+        # the model is checked ahead of n and workers
+        for n, workers in ((100, 1), (1, 1), (100, 0)):
+            with pytest.raises(ValueError) as info:
+                estimator(model, Z_AXIS, X_AXIS, s, n, workers)
+            assert str(info.value) == message
+    draw_dependent = impose_anticorrelation(delta_coefficients(), generator=_no_generator_call)
+    for model, message in (
+        (NoKernelSign(), "deterministic models need a sampler"),
+        (FixedOutcomeModel(), "deterministic models need a sampler"),
+        (CoinModel(), "stochastic models need a sampler"),
+        (DeterministicEmbedding(LocalSignModel()), "stochastic models need a sampler"),
+        (draw_dependent, "draw-dependent series pair needs a sampler"),
+        (42, "no correlation estimator for int"),
+    ):
+        with pytest.raises(ValueError) as info:
+            make_correlation_oracle(model)
+        assert str(info.value) == message
+
+
+def test_oracles_look_their_estimator_up_at_each_call(monkeypatch):
+    # a wrapper installed on the module after the oracle was made is used
+    s, calls = sphere_sampler(seed=2), []
+    for name, model in (("estimate_correlation", NoKernelSign()),
+                        ("estimate_correlation", LocalSignModel()),
+                        ("estimate_stochastic_correlation", NoKernelLinear()),
+                        ("estimate_stochastic_correlation", CoinModel())):
+        oracle = make_correlation_oracle(model, s, 100)
+        original = getattr(correlation_module, name)
+
+        def counting(*args, _original=original, _name=name, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(correlation_module, name, counting)
+        assert repr(oracle(Z_AXIS, X_AXIS)) == repr(original(model, Z_AXIS, X_AXIS, s, 100))
+        monkeypatch.undo()
+        assert calls.pop() == name and not calls
+
+
 def _no_chunk_runs(*args, **kwargs):
     raise AssertionError("chunks ran for an n that should have been rejected")
 
@@ -106,12 +158,18 @@ def _no_chunk_runs(*args, **kwargs):
 def test_estimators_reject_n_past_the_int64_limit(monkeypatch):
     # rejected before any chunk is run
     monkeypatch.setattr(correlation_module, "run_chunk_jobs", _no_chunk_runs)
+    monkeypatch.setattr(hidden_variables, "run_chunk_jobs", _no_chunk_runs)
     pair = impose_anticorrelation(delta_coefficients())
     calls = [
         (estimate_correlation, LocalSignModel()),
         (estimate_correlation, FixedOutcomeModel()),
+        (estimate_correlation, NoKernelSign()),
         (estimate_stochastic_correlation, LinearStochasticModel()),
+        (estimate_stochastic_correlation, NoKernelLinear()),
+        (estimate_stochastic_correlation, DeterministicEmbedding(FixedOutcomeModel())),
         (estimate_joint, LinearStochasticModel()),
+        (estimate_joint, NoKernelLinear()),
+        (estimate_joint, CoinModel()),
         (series_correlation, pair),
         (series_correlation, _UNCALLED_SERIES_PAIR),
     ]
@@ -133,6 +191,11 @@ _BELOW_ONE_CALLS = {
     "kernel_joint": lambda s, w: estimate_joint(
         LinearStochasticModel(), Z_AXIS, X_AXIS, s, 100, w),
     "per_draw": lambda s, w: estimate_correlation(NoKernelSign(), Z_AXIS, X_AXIS, s, 100, w),
+    "per_draw_stochastic": lambda s, w: estimate_stochastic_correlation(
+        NoKernelLinear(), Z_AXIS, X_AXIS, s, 100, w),
+    "per_draw_joint": lambda s, w: estimate_joint(NoKernelLinear(), Z_AXIS, X_AXIS, s, 100, w),
+    "embedded_fixed_outcome": lambda s, w: estimate_joint(
+        DeterministicEmbedding(FixedOutcomeModel()), Z_AXIS, X_AXIS, s, 100, w),
     "fixed_outcome": lambda s, w: estimate_correlation(
         FixedOutcomeModel(), Z_AXIS, X_AXIS, s, 100, w),
     "coin": lambda s, w: estimate_stochastic_correlation(
@@ -176,6 +239,11 @@ def test_no_estimate_starts_a_thread(monkeypatch):
     estimate_correlation(LocalSignModel(), Z_AXIS, X_AXIS, s, n, workers=2)
     estimate_joint(LinearStochasticModel(), Z_AXIS, X_AXIS, s, n, workers=2)
     make_correlation_oracle(LocalSignModel(), s, n, workers=2).pairs([(Z_AXIS, X_AXIS)])
+    estimate_correlation(NoKernelSign(), Z_AXIS, X_AXIS, s, n, workers=2)
+    estimate_stochastic_correlation(NoKernelLinear(), Z_AXIS, X_AXIS, s, n, workers=2)
+    estimate_joint(NoKernelLinear(), Z_AXIS, X_AXIS, s, n, workers=2)
+    series_correlation(impose_anticorrelation(_BASE2, generator=_scaled_series),
+                       Z_AXIS, X_AXIS, s, n, workers=2)
     assert pools == []
 
 
@@ -362,6 +430,121 @@ def test_embedding_reproduces_deterministic_estimator_bitwise():
     embedded = estimate_stochastic_correlation(DeterministicEmbedding(inner), a, b, s, 10000)
     assert direct.value == embedded.value
     assert direct.stderr == embedded.stderr
+
+
+def test_embedding_of_a_draw_independent_model_walks_no_draws(monkeypatch):
+    # the embedding takes its inner model's draw independence, with the
+    # bits of walking every draw (its 0 and +/-1 values sum exactly)
+    a, b = Z_AXIS, unit_from_plane_angle(2.0)
+    assert DeterministicEmbedding(FixedOutcomeModel()).draw_independent
+    assert not DeterministicEmbedding(PerDrawFixed()).draw_independent
+    assert not DeterministicEmbedding(LocalSignModel()).draw_independent
+    cases = [(s, n, w, alpha, beta)
+             for s in (sphere_sampler(seed=3), cube_sampler(dim=5, seed=4))
+             for n, w in itertools.product((2, 4097), (1, 2))
+             for alpha, beta in ((1.0, -1.0), (-1.0, -1.0))]
+    walked = {}
+    for s, n, w, alpha, beta in cases:
+        per_draw = DeterministicEmbedding(PerDrawFixed(alpha, beta))
+        walked[s, n, w, alpha, beta] = [
+            repr(estimator(per_draw, a, b, s, n, w))
+            for estimator in (estimate_stochastic_correlation, estimate_joint)]
+
+    draws, lambda_batch = [], _k.lambda_batch
+
+    def counting(sampler_kind, dim, seed, start, count):
+        draws.extend(range(start, start + count))
+        return lambda_batch(sampler_kind, dim, seed, start, count)
+
+    monkeypatch.setattr(_k, "lambda_batch", counting)
+    for s, n, w, alpha, beta in cases:
+        model = DeterministicEmbedding(FixedOutcomeModel(alpha, beta))
+        assert [repr(estimator(model, a, b, s, n, w))
+                for estimator in (estimate_stochastic_correlation, estimate_joint)
+                ] == walked[s, n, w, alpha, beta]
+        assert make_correlation_oracle(model, s, n, w)(a, b).value == alpha * beta
+    # one evaluation at draw 0 per estimate, the draw-independent model's
+    assert draws == [0] * (3 * len(cases))
+
+
+def test_draw_independent_int_outcomes_give_the_walked_floats():
+    class IntFixed(DeterministicModel):
+        draw_independent = True
+
+        def outcomes(self, a, b, lam):
+            return (1, -1)
+
+    class IntFixedWalked(IntFixed):
+        draw_independent = False
+
+    s = sphere_sampler(seed=1)
+    for estimator, model, walked in (
+        (estimate_correlation, IntFixed(), IntFixedWalked()),
+        (estimate_stochastic_correlation, DeterministicEmbedding(IntFixed()),
+         DeterministicEmbedding(IntFixedWalked())),
+        (estimate_joint, DeterministicEmbedding(IntFixed()),
+         DeterministicEmbedding(IntFixedWalked())),
+    ):
+        assert repr(estimator(model, Z_AXIS, X_AXIS, s, 100)) == repr(
+            estimator(walked, Z_AXIS, X_AXIS, s, 100))
+
+
+def _per_draw_reference(value, s, n):
+    """(mean, stderr) of each component of ``value(lam)`` over draws
+    0..n-1, by the per-draw loop: accumulated in draw order within each
+    4096-draw chunk, the chunks folded in chunk order."""
+    parts = [ref_accumulate4([value(ref_draw3(s.kind_code, s.seed, i))
+                              for i in range(start, min(n, start + 4096))])
+             for start in range(0, n, 4096)]
+    return [_mc._finalize(*f, n) for f in ref_fold4(parts)]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_per_draw_estimates_are_the_per_draw_loop(workers):
+    # every estimator's per-draw path and integrate share one chunk loop
+    a, b = unit_from_angles(0.6, 1.2), unit_from_angles(2.4, -0.4)
+
+    def product(m):
+        def value(lam):
+            alpha, beta = m.outcomes(a, b, lam)
+            return (alpha * beta,)
+        return value
+
+    def joint(lam):
+        p = LinearStochasticModel().probabilities(a, b, lam)
+        return (p.p1_plus * p.p2_plus, p.p1_minus * p.p2_minus,
+                p.p1_plus * p.p2_minus, p.p1_minus * p.p2_plus)
+
+    def mean_product(lam):
+        p = LinearStochasticModel().probabilities(a, b, lam)
+        return ((p.p1_plus - p.p1_minus) * (p.p2_plus - p.p2_minus),)
+
+    sign, nonlocal_sign = NoKernelSign(), NoKernelNonlocal(0.1)
+    for s in (sphere_sampler(seed=11), cube_sampler(dim=3, seed=12)):
+        for n in (2, 4096, 4097, 9000):
+            cases = [
+                (estimate_correlation(sign, a, b, s, n, workers), product(sign)),
+                (estimate_correlation(nonlocal_sign, a, b, s, n, workers),
+                 product(nonlocal_sign)),
+                (estimate_stochastic_correlation(DeterministicEmbedding(nonlocal_sign),
+                                                 a, b, s, n, workers), product(nonlocal_sign)),
+            ]
+            if s.kind == "uniform_sphere":
+                cases += [
+                    (estimate_stochastic_correlation(NoKernelLinear(), a, b, s, n, workers),
+                     mean_product),
+                    (estimate_joint(NoKernelLinear(), a, b, s, n, workers), joint),
+                ]
+            for est, value in cases:
+                want = _per_draw_reference(value, s, n)
+                if isinstance(est, CorrelationEstimate):
+                    want = CorrelationEstimate(*want[0], n=n)
+                else:
+                    want = JointTable(*[m for m, _ in want], *[e for _, e in want], n=n)
+                assert repr(est) == repr(want), (est, s, n)
+            got = integrate(lambda lam: lam[0] * lam[1] - lam[2], s, n, workers)
+            mean, stderr = _per_draw_reference(lambda lam: (lam[0] * lam[1] - lam[2],), s, n)[0]
+            assert repr(got) == repr(MonteCarloEstimate(mean, stderr, n))
 
 
 def test_joint_table_linear_aligned():

@@ -215,6 +215,15 @@ def test_maximize_validation():
         maximize_chsh(quantum_correlation, budget=1000, mode="full")
 
 
+def test_maximize_without_a_number_on_the_grid_raises():
+    def nan_oracle(a, b):
+        return CorrelationEstimate(value=math.nan, stderr=0.0, n=0, exact=True)
+
+    for mode, budget in (("coplanar", 200), ("full", 5000)):
+        with pytest.raises(ValueError, match="every grid quad's CHSH statistic is NaN"):
+            maximize_chsh(nan_oracle, budget, mode=mode)
+
+
 def test_maximize_quantum_finds_the_tsirelson_value():
     result = maximize_chsh(quantum_correlation, budget=10**6)
     assert abs(result.s_value - TWO_SQRT_TWO) < 1e-6
@@ -422,10 +431,10 @@ def test_batched_chsh_raises_the_first_bad_pairs_error():
 
 def test_grid_scan_matches_the_loop_it_replaced():
     # ties come from a handful of repeated values, signed zeros included;
-    # a few matrices hold infinities and NaNs
+    # a few matrices hold infinities, NaNs and values whose sums overflow
     rng = random.Random(23)
     few = [0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 0.25]
-    odd = few + [math.inf, -math.inf, math.nan]
+    odd = few + [math.inf, -math.inf, math.nan, 1.7e308, -1.7e308]
     for trial in range(2400):
         g = rng.randint(1, 14)
         pick = [
