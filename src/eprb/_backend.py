@@ -71,7 +71,7 @@ MAX_DIM = 64
 MAX_DEGREE = 16
 
 # Band allowed around [0, 1] before a probability counts as a contract
-# violation; matches the stochastic-model tolerance used in eprb.models.
+# violation, here and in eprb.models' per-draw check.
 PROB_SLACK = 1e-9
 
 STATUS_OK = 0

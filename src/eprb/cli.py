@@ -244,8 +244,23 @@ def _emit_json(ns: argparse.Namespace, obj) -> None:
     _emit(ns, json.dumps(_finite(obj), indent=2) + "\n")
 
 
-def _csv_bool(flag: bool) -> str:
-    return "true" if flag else "false"
+def _emit_csv(ns: argparse.Namespace, rows: list[dict]) -> None:
+    """Write ``rows``, dicts with one set of keys, as CSV: the keys, then a line
+    a row, with strings as they are, flags as true or false, numbers as repr."""
+    def cell(x) -> str:
+        if isinstance(x, bool):
+            return "true" if x else "false"
+        return x if isinstance(x, str) else repr(x)
+
+    lines = [",".join(rows[0])] + [",".join(map(cell, row.values())) for row in rows]
+    _emit(ns, "\n".join(lines) + "\n")
+
+
+def _estimate_row(est, name: str, **lead) -> dict:
+    """An estimate's output row: the ``lead`` columns, then value, stderr,
+    n, model and exact."""
+    return {**lead, "value": est.value, "stderr": est.stderr, "n": est.n,
+            "model": name, "exact": est.exact}
 
 
 def _cmd_correlate(ns: argparse.Namespace) -> int:
@@ -254,12 +269,7 @@ def _cmd_correlate(ns: argparse.Namespace) -> int:
     b = _vector(ns, "b")
     est = oracle(a, b)
     if _setting(ns, "format") == "csv":
-        _finite(est.to_json())
-        lines = [
-            "value,stderr,n,model,exact",
-            f"{est.value!r},{est.stderr!r},{est.n},{name},{_csv_bool(est.exact)}",
-        ]
-        _emit(ns, "\n".join(lines) + "\n")
+        _emit_csv(ns, [_finite(_estimate_row(est, name))])
     else:
         _emit_json(ns, {
             "command": "correlate",
@@ -273,35 +283,13 @@ def _cmd_correlate(ns: argparse.Namespace) -> int:
 
 def _cmd_sweep(ns: argparse.Namespace) -> int:
     name, model, sampler = _model_and_sampler(ns)
-    steps = int(_setting(ns, "steps"))
-    rows = correlation_sweep(
-        model, steps, sampler, int(_setting(ns, "n")),
-        workers=int(_setting(ns, "workers")),
-    )
+    results = correlation_sweep(model, int(_setting(ns, "steps")), sampler,
+                                int(_setting(ns, "n")), workers=int(_setting(ns, "workers")))
+    rows = [_estimate_row(est, name, theta_rad=theta) for theta, est in results]
     if _setting(ns, "format") == "csv":
-        _finite({"rows": [est.to_json() for _, est in rows]})
-        lines = ["theta_rad,value,stderr,n,model,exact"]
-        for theta, est in rows:
-            lines.append(
-                f"{theta!r},{est.value!r},{est.stderr!r},{est.n},{name},{_csv_bool(est.exact)}"
-            )
-        _emit(ns, "\n".join(lines) + "\n")
+        _emit_csv(ns, _finite(rows, "rows"))
     else:
-        _emit_json(ns, {
-            "command": "sweep",
-            "model": name,
-            "rows": [
-                {
-                    "theta_rad": theta,
-                    "value": est.value,
-                    "stderr": est.stderr,
-                    "n": est.n,
-                    "model": name,
-                    "exact": est.exact,
-                }
-                for theta, est in rows
-            ],
-        })
+        _emit_json(ns, {"command": "sweep", "model": name, "rows": rows})
     return 0
 
 

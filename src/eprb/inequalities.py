@@ -363,7 +363,8 @@ def maximize_chsh(
     Coplanar mode searches one angle per setting in the x-z plane; full
     mode searches polar and azimuthal angles per setting. When every grid
     quad's statistic is NaN there is no start point, and ValueError is
-    raised.
+    raised; so it is when the best grid statistic or the final one is
+    infinite, a sum of overflowing correlations and not a violation.
     """
     budget = int(budget)
     if budget < 100:
@@ -396,6 +397,9 @@ def maximize_chsh(
     if idx is None:
         raise ValueError("every grid quad's CHSH statistic is NaN: the oracle "
                          "returned NaN or infinite correlations")
+    if not math.isfinite(grid_s):
+        raise ValueError("the best grid quad's CHSH statistic is inf: the oracle's "
+                         "correlations overflow")
     start = [x for i in idx for x in grid[i]]
 
     best_angles, _ = _pattern_search(oracle, start, grid_s, step, mode)
@@ -403,6 +407,9 @@ def maximize_chsh(
     # Accepted states were always evaluated in full, so the report below is
     # served from cache and cannot blow the budget.
     report = chsh_statistic(oracle, quad)
+    if not math.isfinite(report.s_value):
+        raise ValueError(f"the searched quad's CHSH statistic is {report.s_value!r}: "
+                         "the oracle's correlations overflow")
     return MaximizeResult(
         quad=quad,
         report=report,

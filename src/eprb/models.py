@@ -15,7 +15,8 @@ call the evaluator on every draw: ``kernel_kind`` names the kernel (sign or
 linear) that computes the model's per-draw product, on the rows
 ``kernel_rows(a, b)`` gives for each setting pair; ``draw_independent``
 marks a model whose per-draw product never changes, so one evaluation gives
-the estimate.
+the estimate. The sign models write their rule once, as ``kernel_rows``:
+their per-draw ``outcomes`` are those rows evaluated at one draw.
 """
 
 from __future__ import annotations
@@ -57,9 +58,6 @@ __all__ = [
     "zoo",
 ]
 
-# Stochastic outputs may stray this far outside [0, 1] before we call it a
-# contract violation (matches the kernel's PROB_SLACK).
-_PROB_SLACK = 1e-9
 _NORM_TOL = 1e-12
 
 
@@ -91,11 +89,6 @@ class SingleProbabilities:
         return self.p2_plus - self.p2_minus
 
 
-def _sign(d: float) -> float:
-    # Tie convention: sign(0) = +1, matching the kernels.
-    return 1.0 if d >= 0.0 else -1.0
-
-
 def _dot3(v: UnitVector3, lam: Sequence[float]) -> float:
     if len(lam) < 3:
         raise ValueError(
@@ -111,8 +104,9 @@ class DeterministicModel:
     that reproduces ``outcomes`` bit for bit on the rows ``kernel_rows``
     gives; None means estimators call ``outcomes`` per draw.
     ``draw_independent`` promises that the outcome product is the same on
-    every draw, so one evaluation gives the estimate. A subclass that
-    changes ``outcomes`` must reset the hooks it inherits.
+    every draw, so one evaluation gives the estimate. The sign models'
+    ``outcomes`` are their ``kernel_rows`` evaluated per draw; a subclass
+    that overrides ``outcomes`` must reset the hooks it inherits.
     """
 
     psi_label: str = "singlet"
@@ -160,13 +154,21 @@ class StochasticModel:
         raise NotImplementedError
 
 
-class LocalSignModel(DeterministicModel):
-    """First party reports sign(a . lam), second reports -sign(b . lam)."""
+class _SignKernelModel(DeterministicModel):
+    """A deterministic model that is the sign kernel on its ``kernel_rows``:
+    its outcomes at one draw are A = sign(u . lam + c_A) and
+    B = sigma_B * sign(v . lam + c_B), with sign(0) = +1."""
 
     kernel_kind = _k.KIND_SIGN
 
     def outcomes(self, a, b, lam):
-        return (_sign(_dot3(a, lam)), -_sign(_dot3(b, lam)))
+        (u, c_a), (v, c_b), sigma_b = self.kernel_rows(a, b)
+        d_a, d_b = _dot3(u, lam) + c_a, _dot3(v, lam) + c_b
+        return (1.0 if d_a >= 0.0 else -1.0), sigma_b * (1.0 if d_b >= 0.0 else -1.0)
+
+
+class LocalSignModel(_SignKernelModel):
+    """First party reports sign(a . lam), second reports -sign(b . lam)."""
 
 
 class CoinModel(StochasticModel):
@@ -200,17 +202,16 @@ class LinearStochasticModel(StochasticModel):
         )
 
 
-class ConstantNonlocalModel(DeterministicModel):
+class ConstantNonlocalModel(_SignKernelModel):
     """Outcomes depend on the draw but not on either setting.
 
     A = sign(u . lam), B = -sign(v . lam) for fixed internal axes u, v. The
     settings are accepted and ignored, which is exactly what makes the
     four-correlation combination collapse to the trivial bound. It is the
-    sign model evaluated at (u, v), so it runs on the sign kernel.
+    sign model evaluated at (u, v).
     """
 
     locality_class = LocalityClass.CONSTANT_NONLOCAL
-    kernel_kind = _k.KIND_SIGN
 
     def __init__(
         self,
@@ -224,9 +225,6 @@ class ConstantNonlocalModel(DeterministicModel):
 
     def kernel_rows(self, a, b):
         return (self.u, 0.0), (self.v, 0.0), -1.0
-
-    def outcomes(self, a, b, lam):
-        return (_sign(_dot3(self.u, lam)), -_sign(_dot3(self.v, lam)))
 
 
 class FixedOutcomeModel(DeterministicModel):
@@ -250,7 +248,7 @@ class FixedOutcomeModel(DeterministicModel):
         return (self.alpha, self.beta)
 
 
-class SettingBiasedSignModel(DeterministicModel):
+class SettingBiasedSignModel(_SignKernelModel):
     """A deliberately nonlocal sign model used as the nonvanishing witness
     for the four-setting cross term.
 
@@ -260,7 +258,6 @@ class SettingBiasedSignModel(DeterministicModel):
     """
 
     locality_class = LocalityClass.GENERAL_NONLOCAL
-    kernel_kind = _k.KIND_SIGN
 
     def __init__(self, bias: float = 0.1, psi_label: str = "singlet") -> None:
         self.bias = float(bias)
@@ -268,12 +265,6 @@ class SettingBiasedSignModel(DeterministicModel):
 
     def kernel_rows(self, a, b):
         return (a, a.dot(b)), (b, self.bias), 1.0
-
-    def outcomes(self, a, b, lam):
-        return (
-            _sign(a.dot(b) + _dot3(a, lam)),
-            _sign(_dot3(b, lam) + self.bias),
-        )
 
 
 class DeterministicEmbedding(StochasticModel):
@@ -341,7 +332,7 @@ def evaluate_stochastic(
     p = m.probabilities(a, b, lam)
     for name in ("p1_plus", "p1_minus", "p2_plus", "p2_minus"):
         value = getattr(p, name)
-        if not (-_PROB_SLACK <= value <= 1.0 + _PROB_SLACK):
+        if not (-_k.PROB_SLACK <= value <= 1.0 + _k.PROB_SLACK):
             raise ContractViolationError(
                 f"stochastic model produced {name} = {value!r} outside [0, 1]"
             )

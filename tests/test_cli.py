@@ -430,6 +430,13 @@ def test_a_search_with_no_number_among_its_grid_quads_is_exit_one(capsys):
     assert err.startswith("error: every grid quad's CHSH statistic is NaN")
 
 
+def test_a_search_whose_best_grid_quad_overflows_is_exit_one(capsys):
+    code, out, err = run_cli(capsys, "chsh", "--maximize", "--model", "series_random",
+                             "--params", '{"scale": 1e155}', "--n", "64", "--budget", "200")
+    assert code == 1 and out == ""
+    assert err.startswith("error: the best grid quad's CHSH statistic is inf")
+
+
 def test_analyticity_writes_the_same_bytes_to_stdout_and_to_a_file(capsys, tmp_path):
     args = ["analyticity", "--w=0.3,-0.7", "--grid", "64"]
     code, out, _ = run_cli(capsys, *args)

@@ -33,6 +33,7 @@ from eprb import (
     build_model,
     chsh_statistic,
     correlation_sweep,
+    cross_term,
     cube_sampler,
     delta_coefficients,
     estimate_correlation,
@@ -80,6 +81,18 @@ class NoKernelLinear(LinearStochasticModel):
 
 
 class NoKernelNonlocal(SettingBiasedSignModel):
+    kernel_kind = None
+
+
+class ShiftedNonlocal(SettingBiasedSignModel):
+    """nonlocal_sign with A's offset a . b - 0.5: only its kernel rows say so."""
+
+    def kernel_rows(self, a, b):
+        (u, c_a), row_b, sigma_b = super().kernel_rows(a, b)
+        return (u, c_a - 0.5), row_b, sigma_b
+
+
+class NoKernelShiftedNonlocal(ShiftedNonlocal):
     kernel_kind = None
 
 
@@ -355,6 +368,36 @@ def test_sign_kernel_offsets_and_embeddings_match_their_per_draw_twins():
                     batched = make_correlation_oracle(model, stream, n, workers).pairs(pairs)
                     assert [repr(e) for e in batched] == [
                         repr(estimators[0](per_draw, p, q, stream, n, workers)) for p, q in pairs]
+
+
+def test_a_sign_model_that_overrides_only_its_kernel_rows_is_that_model_per_draw():
+    # the kernel, the per-draw path of the kernel_kind = None twin, the
+    # embedding's joint table and cross_term all read the overridden rows
+    a, b = UnitVector3(0.36, 0.48, 0.8), unit_from_plane_angle(2.2)
+    pairs = [(a, b), (b, a), (Z_AXIS, b), (a, -a)]
+    s = sphere_sampler(seed=4)
+    shifted, twin = ShiftedNonlocal(0.1), NoKernelShiftedNonlocal(0.1)
+    for n, workers in itertools.product((2, 4097, 9000), (1, 2)):
+        for p, q in pairs:
+            want = repr(estimate_correlation(twin, p, q, s, n, workers))
+            assert repr(estimate_correlation(shifted, p, q, s, n, workers)) == want, (p, q, n)
+            joint = [estimate_joint(DeterministicEmbedding(m), p, q, s, n, workers)
+                     for m in (shifted, twin)]
+            assert repr(joint[0]) == repr(joint[1]), (p, q, n)
+    assert estimate_correlation(shifted, a, b, s, 9000) != estimate_correlation(
+        SettingBiasedSignModel(0.1), a, b, s, 9000)
+
+    def product(p, q, lam):
+        (u, c_a), (v, c_b), sigma_b = shifted.kernel_rows(p, q)
+        d_a = u.x * lam[0] + u.y * lam[1] + u.z * lam[2] + c_a
+        d_b = v.x * lam[0] + v.y * lam[1] + v.z * lam[2] + c_b
+        return (1.0 if d_a >= 0.0 else -1.0) * sigma_b * (1.0 if d_b >= 0.0 else -1.0)
+
+    q = SettingsQuad(a=a, b=b, a_prime=Z_AXIS, b_prime=unit_from_plane_angle(0.4))
+    for lam in s.sample_batch(0, 2000):
+        assert cross_term(shifted, q, lam) == (
+            product(q.a, q.b, lam) * product(q.a_prime, q.b_prime, lam)
+            - product(q.a, q.b_prime, lam) * product(q.a_prime, q.b, lam)), lam
 
 
 def test_a_plain_deterministic_subclass_takes_the_per_draw_path(monkeypatch):

@@ -24,13 +24,15 @@ A_PRIME, B_PRIME = "1,0,0", "0.8,0,-0.6"
 def commands(model):
     """The frozen commands for one model, by label."""
     corr = ["correlate", "--model", model, f"--a={A}", f"--b={B}"] + COMMON
+    sweep = ["sweep", "--model", model, "--steps", "3"] + COMMON
     return {
         "correlate": corr,
         "correlate_csv": corr + ["--format", "csv"],
         "chsh": ["chsh", "--model", model, f"--a={A}", f"--b={B}",
                  f"--a-prime={A_PRIME}", f"--b-prime={B_PRIME}"] + COMMON,
         "bell": ["bell", "--model", model, f"--a={A}", f"--b={B}", f"--c={C}"] + COMMON,
-        "sweep": ["sweep", "--model", model, "--steps", "3"] + COMMON,
+        "sweep": sweep,
+        "sweep_csv": sweep + ["--format", "csv"],
     }
 
 
@@ -40,6 +42,8 @@ def output_digest(argv, path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+# The ``sweep_csv`` digests were recorded later, from the implementation that
+# built each CSV row by hand in its own command; the same rule holds.
 DIGESTS = {
     "quantum": {
         "correlate": "0757ddd8a80dc0bb24c0678f5e421cd30c674ac7eac8ec13d732b3fc61f8b4b7",
@@ -47,6 +51,7 @@ DIGESTS = {
         "chsh": "0c425a6bab9cf27bde5531e4124d1a5225d49d3961e0ee9509f327bac62082e7",
         "bell": "6bade859020cd819ddb4323ad96e0cbb3aad39b26bff17023b94bd1836b36b96",
         "sweep": "abca7b68e5a0ed28fc87f6238a5ac250a4160d4f14cc3b6d21c59ae01c705070",
+        "sweep_csv": "1f3c3557f3ea1ee4e987414d41d36580cc44a0cdd77593a27df8e9e9f452c435",
     },
     "local_sign": {
         "correlate": "96f446ae2dc665197f078202d25620715246be35860b33357fc6d7986c3de18f",
@@ -54,6 +59,7 @@ DIGESTS = {
         "chsh": "ebf9da39290cab104b019ea14ae20b7cf22b02deb9f627fa2a5adb23ea0ad11b",
         "bell": "023a6e984de99310818790f145c4fb9305b5850f913d2b1814a1302f284ccc79",
         "sweep": "a37a61bebcf155b28c66b46497817c0572ae0bb17e4492e1ada4b5369570239d",
+        "sweep_csv": "11f6a5c0e2db457d138e4a90b62761c14f3c061c4e8338cddcf6c27a79bc7925",
     },
     "coin": {
         "correlate": "396a215b581041aa0cd561ebfc24c3be105122104975caef488e1379280e937d",
@@ -61,6 +67,7 @@ DIGESTS = {
         "chsh": "88d2da3feb5d6811354bf53d2f83c8a02429503a75436d747678ac98f042cd29",
         "bell": "50b21156a90f12ebd4999e07efa0be8324c397231eadee4f24c0032e0e9642c5",
         "sweep": "9748df5a0103fdcb3d61618051a8791bb3a5ddd54febeeeb1bb79d5f03932629",
+        "sweep_csv": "0ba1edfea0b4e3e5442ffc6eeb55d210672f89810e9e9487845528a1f75aaed5",
     },
     "linear": {
         "correlate": "f6a1b446a5944aa5a6210aee62e684ad74ba3b4669aab9f8465fff8e97e62a79",
@@ -68,6 +75,7 @@ DIGESTS = {
         "chsh": "25c6cc2dc191d6e46b7c35a6715f7756f0aeeac901086928b4d15c0610615536",
         "bell": "32692cff5da5db0f4853267279f289856031c99a7085885bc442cb30a49dcf1e",
         "sweep": "ffbe992dacce2dbd9b81091e880749a2d2bc2de70114690a30c12a8c0e059abb",
+        "sweep_csv": "8b7ccb2f8ebad07626ca31d3f30df7cd4b20c5768e110568e175242da1f1efef",
     },
     "constant": {
         "correlate": "12c50eb821af80057df6e237fe20eb9923e3e639e7f2fd3f34029cbb55f717f9",
@@ -75,6 +83,7 @@ DIGESTS = {
         "chsh": "50bbeb0c0274ab61add4d074fd9b319154ae52c8ca2497d8d3a7fc86d1b2e183",
         "bell": "573e149e098ee1e96b6e463c5044b070a1ab7e9acbd458249a9c0726ace8b7ba",
         "sweep": "573baeead835984e7b2d79f1b2d6615d07557fd4b8e21362edf45383d4ebbf93",
+        "sweep_csv": "7a169a7b6dee8dd575be5dac1c9ecbf0d73ffa56c7aaa1bb9f705e56c426f272",
     },
     "fixed": {
         "correlate": "cfcaa717cf7916ffb847ef79226d0dc501626b0eaf15838a4822bf083de0adff",
@@ -82,6 +91,7 @@ DIGESTS = {
         "chsh": "5eace384c4deb150f3a01df3094c2c2d7d30976144a0ad44103bf376cb5a31b1",
         "bell": "ecd1655f95fba8017df099b3a66d865d846555c2cf70aa074938d0c950b190ba",
         "sweep": "cdf674fd8c07cd7084303f8a72eb9d7040cad43ffe2681958de5d9408b6bb966",
+        "sweep_csv": "b23748a978d51f39e88f55e7a7142836157415407cc12dedd58cf99caa5d9060",
     },
     "nonlocal_sign": {
         "correlate": "6c5d70eb4a8375ccf719392b6b5a5a4efc588cfe30fb6ee98f908f278e95d954",
@@ -89,6 +99,7 @@ DIGESTS = {
         "chsh": "c9c1f7b23635ded170f93e9fa560e97eb6938c7f4ed53fa43f50071e25b8a928",
         "bell": "86d4718df4b38cbbf72f2e8732885c133540023bdf3e9cecd37f94b70688fb94",
         "sweep": "43bae38ddd70a8f1e649e4006fff134ac798ad3e5401ca96202dd34d1ddbdc55",
+        "sweep_csv": "cb6dac6fb9bc4ef6bd002230bf9315e82e439fc18fa2976d0c311255d6b97c34",
     },
     "series_delta": {
         "correlate": "51fe0d8b3053ced86ec3a34876eb290602262824a4009bd8f81fdc811f2aa7a4",
@@ -96,6 +107,7 @@ DIGESTS = {
         "chsh": "7ff89d50313057ea2a9d90741a8694b9d32d4be0e9bb404e45ca87269fd6becc",
         "bell": "269b55a09cb8ef45a8c5d2b5039c98ca11834e1ff4489d853327c90eeb2a30f6",
         "sweep": "86178b0874d77b7795079d38576a52916e9a00b3fb4d857debab2bbd2cfb1284",
+        "sweep_csv": "c90798e31c06e608c8cad948144ad5842831d279b0f006966ae7b1e5e4196994",
     },
     "series_random": {
         "correlate": "41d8721827467f5c97878214969bb400b306207ce742e60de52658886529143f",
@@ -103,6 +115,7 @@ DIGESTS = {
         "chsh": "e234314369d0015400692799857846341f3f483c7aabbcd13428bfb6f597bc3c",
         "bell": "29671c6a2221ea0ea36f540e09a934275b10741e4971b93f0295d0d9826fa0d4",
         "sweep": "3ab5ceaa45d2ba21dae112336d72e224b79e2490463f9323f8b10992f0bd01e6",
+        "sweep_csv": "2e20454cc492314bbfae7ce9db41a6af46de67ab907f82a0758cc819dfa949a4",
     },
 }
 

@@ -224,6 +224,26 @@ def test_maximize_without_a_number_on_the_grid_raises():
             maximize_chsh(nan_oracle, budget, mode=mode)
 
 
+def test_maximize_rejects_an_infinite_statistic():
+    # an overflowing series pair makes the best grid quad's statistic inf
+    oracle = make_correlation_oracle(
+        eprb.build_model("series_random", {"scale": 1e155}), sphere_sampler(), 64)
+    with pytest.raises(ValueError, match="the best grid quad's CHSH statistic is inf"):
+        maximize_chsh(oracle, 200)
+
+    # finite on the 24 x 24 grid, inf at the first pair the search asks
+    calls = []
+
+    def late_overflow(a, b):
+        calls.append((a, b))
+        if len(calls) == 24 * 24 + 1:
+            return CorrelationEstimate(value=math.inf, stderr=0.0, n=0, exact=True)
+        return quantum_correlation(a, b)
+
+    with pytest.raises(ValueError, match="the searched quad's CHSH statistic is inf"):
+        maximize_chsh(late_overflow, 10**4)
+
+
 def test_maximize_quantum_finds_the_tsirelson_value():
     result = maximize_chsh(quantum_correlation, budget=10**6)
     assert abs(result.s_value - TWO_SQRT_TWO) < 1e-6
@@ -340,7 +360,6 @@ def test_batched_search_asks_the_pairs_the_plain_callable_asks(mode, budget):
     assert repr(result) == repr(plain)
 
 
-@pytest.mark.skipif(eprb.BACKEND_NAME != "python", reason="counts the numpy kernels' draws")
 def test_cli_search_makes_each_chunks_draws_at_most_twice(monkeypatch, capsys):
     made = collections.Counter()
     columns = _backend._lambda_columns

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -249,6 +250,33 @@ def test_setting_biased_model_sees_remote_setting():
     a_out_near = m.outcomes(Z_AXIS, Z_AXIS, lam)[0]
     a_out_far = m.outcomes(Z_AXIS, -Z_AXIS, lam)[0]
     assert a_out_near == 1.0 and a_out_far == -1.0
+
+
+def test_sign_models_outcomes_are_their_rules_written_out():
+    # each sign model's outcomes come from its kernel rows; here each rule
+    # is written out on its own, on draws with exact ties (sign(0) = +1):
+    # a . lam = 0, b . lam + bias = 0 and a . b + a . lam = 0
+    def sign(d):
+        return 1.0 if d >= 0.0 else -1.0
+
+    def dot(v, lam):
+        return v.x * lam[0] + v.y * lam[1] + v.z * lam[2]
+
+    u, v = UnitVector3(0.36, 0.48, 0.8), unit(2.2, 0.3)
+    rules = [
+        (LocalSignModel(), lambda a, b, lam: (sign(dot(a, lam)), -sign(dot(b, lam)))),
+        (ConstantNonlocalModel(u, v), lambda a, b, lam: (sign(dot(u, lam)), -sign(dot(v, lam)))),
+    ] + [
+        (SettingBiasedSignModel(bias), lambda a, b, lam, bias=bias: (
+            sign(a.dot(b) + dot(a, lam)), sign(dot(b, lam) + bias)))
+        for bias in (0.1, -0.0, -0.25, math.nan)
+    ]
+    settings_ = [Z_AXIS, X_AXIS, -Z_AXIS, u, v, unit(1.1, 2.0)]
+    lams = list(draws(5, 200)) + [(0.0, 0.0, 0.0), (-0.0, 1.0, -0.0), (0.0, 0.0, 0.25),
+                                  (0.0, 0.0, 1.0), (0.0, 0.0, -1.0)]
+    for m, rule in rules:
+        for a, b, lam in itertools.product(settings_, settings_, lams):
+            assert m.outcomes(a, b, lam) == rule(a, b, lam), (m, a, b, lam)
 
 
 def test_deterministic_embedding_is_exact():
