@@ -111,11 +111,23 @@ def _chsh_sum(ests: Sequence[CorrelationEstimate]) -> tuple[float, float, float]
     return term1 + term2, term1, term2
 
 
+def _finite(name: str, value: float) -> float:
+    """``value``, checked to be finite: a statistic holding NaN or an
+    infinity comes from overflowing correlations and is not a verdict."""
+    if not math.isfinite(value):
+        raise ValueError(f"result field {name!r} is not finite: {value!r}")
+    return value
+
+
 def chsh_statistic(P: CorrelationOracle, q: SettingsQuad) -> ChshReport:
-    """Evaluate the four-correlation statistic at ``q`` using oracle ``P``."""
+    """Evaluate the four-correlation statistic at ``q`` using oracle ``P``.
+
+    Raises ValueError when S is NaN or infinite.
+    """
     ests = ask_pairs(P, _quad_pairs(q))
     est_ab, est_ab_prime, est_apbp, est_apb = ests
     s_value, term1, term2 = _chsh_sum(ests)
+    _finite("s_value", s_value)
     stderr = math.sqrt(
         est_ab.stderr ** 2
         + est_ab_prime.stderr ** 2
@@ -165,9 +177,12 @@ class BellReport:
 def bell_statistic(
     P: CorrelationOracle, a: UnitVector3, b: UnitVector3, c: UnitVector3
 ) -> BellReport:
-    """Excess |P(a,b) - P(a,c)| - (1 + P(b,c)); positive means violation."""
+    """Excess |P(a,b) - P(a,c)| - (1 + P(b,c)); positive means violation.
+
+    Raises ValueError when the excess is NaN or infinite.
+    """
     est_ab, est_ac, est_bc = ask_pairs(P, [(a, b), (a, c), (b, c)])
-    excess = abs(est_ab.value - est_ac.value) - (1.0 + est_bc.value)
+    excess = _finite("excess", abs(est_ab.value - est_ac.value) - (1.0 + est_bc.value))
     stderr = math.sqrt(
         est_ab.stderr ** 2 + est_ac.stderr ** 2 + est_bc.stderr ** 2
     )
@@ -402,14 +417,15 @@ def maximize_chsh(
                          "correlations overflow")
     start = [x for i in idx for x in grid[i]]
 
-    best_angles, _ = _pattern_search(oracle, start, grid_s, step, mode)
+    best_angles, best_s = _pattern_search(oracle, start, grid_s, step, mode)
+    # A NaN trial is never accepted, so best_s is finite or inf.
+    if not math.isfinite(best_s):
+        raise ValueError(f"the searched quad's CHSH statistic is {best_s!r}: "
+                         "the oracle's correlations overflow")
     quad = _quad_from_angles(best_angles, mode)
     # Accepted states were always evaluated in full, so the report below is
-    # served from cache and cannot blow the budget.
+    # served from cache, cannot blow the budget and has S = best_s.
     report = chsh_statistic(oracle, quad)
-    if not math.isfinite(report.s_value):
-        raise ValueError(f"the searched quad's CHSH statistic is {report.s_value!r}: "
-                         "the oracle's correlations overflow")
     return MaximizeResult(
         quad=quad,
         report=report,

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import math
@@ -487,6 +488,34 @@ def test_n_past_the_int64_limit_is_exit_one(capsys, monkeypatch):
     )
     assert code == 1 and out == ""
     assert "n must be <= 2**63 - 1" in err
+
+
+def test_runs_in_one_process_build_the_grammar_once_and_share_no_state(
+        tmp_path, capsys, monkeypatch):
+    built = []
+    build = cli._build_parser.__wrapped__
+
+    def counted():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "_build_parser", functools.cache(counted))
+    argv = ["correlate", "--model", "local_sign", "--a", "0,0,1", "--b", "0.6,0,0.8"]
+    code, out, err = run_cli(capsys, *argv, "--n", "two")
+    assert code == 1 and out == ""
+    assert err == "error: argument --n: invalid int value: 'two'\n"
+    with pytest.raises(SystemExit) as info:
+        run([*argv, "--help"])
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: eprb correlate")
+    obj = run_json(capsys, *argv, "--config", _write_config(tmp_path, {"n": 64, "seed": 5}))
+    assert obj["n"] == 64
+    code, out, err = run_cli(capsys, *argv)
+    fresh = subprocess.run([sys.executable, "-m", "eprb", *argv], capture_output=True)
+    assert fresh.returncode == 0 and fresh.stderr == b""
+    assert (code, out.encode(), err) == (0, fresh.stdout, "")
+    assert json.loads(out)["n"] == 100000
+    assert len(built) == 1
 
 
 def test_module_entry_point():

@@ -16,12 +16,14 @@ from eprb import (
     ConstantNonlocalModel,
     ContractViolationError,
     CorrelationEstimate,
+    DeterministicEmbedding,
     FixedOutcomeModel,
     LinearStochasticModel,
     LocalSignModel,
     SettingBiasedSignModel,
     SettingsQuad,
     Z_AXIS,
+    ask_pairs,
     bell_statistic,
     chsh_statistic,
     cross_term,
@@ -158,6 +160,98 @@ def test_bell_report_json_shape():
     obj = report.to_json()
     assert set(obj) == {"excess", "correlations", "stderr", "violated"}
     assert [c["pair"] for c in obj["correlations"]] == ["ab", "ac", "bc"]
+
+
+def _overflowing_series_oracle():
+    # its correlations overflow to -inf, so sums and differences of them are NaN
+    return make_correlation_oracle(
+        eprb.build_model("series_random", {"scale": 1e300, "degree": 3}), sphere_sampler(), 64)
+
+
+A_TILTED, B_TILTED = UnitVector3(0.6, 0.0, 0.8), UnitVector3(0.0, 0.6, 0.8)
+
+
+def test_chsh_statistic_rejects_a_non_finite_value():
+    q = SettingsQuad(a=A_TILTED, b=B_TILTED, a_prime=Z_AXIS, b_prime=UnitVector3(1.0, 0.0, 0.0))
+    with pytest.raises(ValueError) as info:
+        chsh_statistic(_overflowing_series_oracle(), q)
+    assert str(info.value) == "result field 's_value' is not finite: nan"
+
+
+def test_bell_statistic_rejects_a_non_finite_excess():
+    with pytest.raises(ValueError) as info:
+        bell_statistic(_overflowing_series_oracle(), A_TILTED, B_TILTED, Z_AXIS)
+    assert str(info.value) == "result field 'excess' is not finite: nan"
+
+
+# --- the local bound on the sample ---
+
+U = 2.0 ** -53  # unit roundoff of float64
+
+
+def _local_slack(n: int, linear: bool) -> float:
+    """Rounding allowance delta with S <= 2 + delta for every quad of a local
+    or setting-constant model estimated on n shared draws. It follows from
+    the operations that form S, not from statistics.
+
+    On the sample itself the bound is exact: |m_A(a)(m_B(b) - m_B(b'))| +
+    |m_A(a')(m_B(b') + m_B(b))| <= 2 M**2 on each draw, for per-draw
+    outcome means bounded by M, and so for the sample means x. If each
+    computed correlation v is within rho of its x, the three roundings in
+    S = |v1 - v2| + |v3 + v4| give S <= (2 M**2 + 4 rho)(1 + U)**2.
+
+    Sign kind (and the draw-independent 0 and +/-1): M = 1, every pair sum
+    is an exact integer k and v = fl(k / n), so rho = U and delta is 8U plus
+    O(U**2); 2 + delta rounds to 2 + 2 ulp(2), the largest S admitted.
+
+    Linear kind: each side's factor p_plus - p_minus, from a dot product of
+    a unit setting and a unit draw (each a few U off unit length), the two
+    1 +/- d, halvings and a difference, is at most about 1 + 12U, so
+    M = 1 + 16U. Each product is rounded once, and each passes through at
+    most n - 1 of the left-to-right additions (within a chunk, then chunk
+    sums in chunk order), so the sum is off by at most gamma(n - 1) times
+    the sum of |products|; then v = fl(sum / n). delta is then about 9e-15
+    at n = 2 and 4.4e-11 at n = 100000.
+    """
+    if not linear:
+        m2, rho = 1.0, U
+    else:
+        m2 = (1.0 + 16.0 * U) ** 2
+        gamma = (n - 1) * U / (1.0 - (n - 1) * U)
+        rho = m2 * (U + gamma * (1.0 + U) + U * (1.0 + U) * (1.0 + gamma))
+    # (2 M**2 + 4 rho)(1 + U)**2 - 2, each term formed on its own, as the
+    # small ones would vanish beside 2
+    return 2.0 * (m2 - 1.0) + 4.0 * rho + (2.0 * m2 + 4.0 * rho) * (2.0 * U + U * U)
+
+
+LOCAL_AND_CONSTANT = {
+    "local_sign": LocalSignModel(),
+    "linear": LinearStochasticModel(),
+    "coin": eprb.build_model("coin"),
+    "constant": ConstantNonlocalModel(),
+    "fixed": FixedOutcomeModel(),
+    "embedded local_sign": DeterministicEmbedding(LocalSignModel()),
+    "embedded constant": DeterministicEmbedding(ConstantNonlocalModel()),
+}
+
+
+@pytest.mark.parametrize("n", [2, 4097, 100000])
+def test_local_and_constant_models_keep_the_bound_on_the_sample(n):
+    # every quad of the 24-angle coplanar grid, and every quad of 8 random
+    # directions, each from one batch over the same draws
+    grid = [unit_from_plane_angle(k * 2.0 * math.pi / 24) for k in range(24)]
+    rng = random.Random(n)
+    scattered = [unit_from_angles(math.acos(rng.uniform(-1.0, 1.0)),
+                                  rng.uniform(0.0, 2.0 * math.pi)) for _ in range(8)]
+    for name, model in LOCAL_AND_CONSTANT.items():
+        delta = _local_slack(n, model.kernel_kind == _backend.KIND_LINEAR)
+        for seed in (1, 2, 3):
+            oracle = make_correlation_oracle(model, sphere_sampler(seed=seed), n)
+            for points in (grid, scattered):
+                g = len(points)
+                ests = ask_pairs(oracle, [(p, q) for p in points for q in points])
+                s, _ = _scan_values(np.array([e.value for e in ests]).reshape(g, g))
+                assert s <= 2.0 + delta, (name, seed, s, delta)
 
 
 # --- cross term ---
