@@ -13,6 +13,7 @@ by ``require_n`` and otherwise change nothing.
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 
@@ -62,20 +63,20 @@ def run_chunk_jobs(job, n):
     return [job(start, count) for start, count in chunk_ranges(n)]
 
 
+# The (sum, sum_sq, min, max) of no draws, where every fold starts.
+NO_SUMS = (0.0, 0.0, math.inf, -math.inf)
+
+
+def fold_part(acc, part):
+    """``acc`` (sum, sum_sq, min, max) with the next chunk's ``part`` folded in."""
+    s, s2, mn, mx = acc
+    ps, ps2, pmn, pmx = part
+    return s + ps, s2 + ps2, pmn if pmn < mn else mn, pmx if pmx > mx else mx
+
+
 def combine_scalar(parts, n):
     """Fold per-chunk (sum, sum_sq, min, max) into (mean, stderr)."""
-    s = 0.0
-    s2 = 0.0
-    mn = math.inf
-    mx = -math.inf
-    for ps, ps2, pmn, pmx in parts:
-        s += ps
-        s2 += ps2
-        if pmn < mn:
-            mn = pmn
-        if pmx > mx:
-            mx = pmx
-    return _finalize(s, s2, mn, mx, n)
+    return _finalize(*functools.reduce(fold_part, parts, NO_SUMS), n)
 
 
 def combine_vec4(parts, n):

@@ -383,6 +383,8 @@ def run(argv: Optional[list[str]] = None) -> int:
             raise _UsageError("a subcommand is required (try --help)")
         _merge_config(ns, parser.commands[ns.command])
         return _HANDLERS[ns.command](ns)
+    except SystemExit as exc:  # argparse's exit after printing --help
+        return exc.code
     except ContractViolationError as exc:
         print(f"contract violation: {exc}", file=sys.stderr)
         return 2

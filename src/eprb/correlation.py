@@ -19,9 +19,11 @@ import numpy as np
 
 from . import _backend as _k
 from ._mc import (
-    chunk_count,
+    NO_SUMS,
+    chunk_ranges,
     combine_scalar,
     combine_vec4,
+    fold_part,
     require_n,
     run_chunk_jobs,
 )
@@ -59,11 +61,9 @@ __all__ = [
 # Largest number of angles a sweep evaluates, one estimate each.
 MAX_STEPS = 100000
 
-# Bounds of one batched kernel pass: at most 64 distinct settings a side,
-# so its per-setting factor arrays stay at most 64 x 4096 doubles a side,
-# and at most 2**16 per-chunk pair results held before they are folded.
+# Bound of one batched kernel pass: at most 64 distinct settings a side,
+# so its per-setting factor arrays stay at most 64 x 4096 doubles a side.
 _BATCH_SETTINGS = 64
-_BATCH_PARTS = 1 << 16
 
 # A draw-dependent series chunk holds at most this many coefficients of
 # one degree before it evaluates them (4 MiB): a whole 4096-draw chunk up
@@ -216,16 +216,15 @@ def _estimate(m, family, name, a, b, s, n, workers, joint=False):
     return CorrelationEstimate(value=means[0], stderr=stderrs[0], n=n, exact=False)
 
 
-def _pair_groups(m, pairs, max_pairs):
-    """Split ``pairs`` in order into runs of at most ``max_pairs`` pairs
-    with at most _BATCH_SETTINGS distinct kernel rows a side and one
-    sigma_B; each run as (A, B, I, J, params), the kernel's distinct
-    settings, pair indices and params."""
+def _pair_groups(m, pairs):
+    """Split ``pairs`` in order into runs with at most _BATCH_SETTINGS
+    distinct kernel rows a side and one sigma_B; each run as (A, B, I, J,
+    params), the kernel's distinct settings, pair indices and params."""
     A, B, I, J, sigma = {}, {}, [], [], None
     for a, b in pairs:
         (u, c_a), (v, c_b), sigma_b = m.kernel_rows(a, b)
         ka, kb = (u.x, u.y, u.z, c_a), (v.x, v.y, v.z, c_b)
-        if I and (len(I) == max_pairs or sigma_b != sigma
+        if I and (sigma_b != sigma
                   or (ka not in A and len(A) == _BATCH_SETTINGS)
                   or (kb not in B and len(B) == _BATCH_SETTINGS)):
             yield _kernel_group(A, B, I, J, sigma)
@@ -251,23 +250,26 @@ def _kernel_group(A, B, I, J, sigma_b):
 
 def _estimate_pairs(m, pairs, s, n, draws=None):
     """The kernel path of ``_estimate`` for every (a, b) of ``pairs`` at
-    once: ``reduce_pairs`` makes each chunk's draws once for a whole group
-    of pairs (or reads them from ``draws``, which it fills), and each pair's
-    chunks are folded on their own, so a pair's estimate does not depend on
-    the pairs asked with it. The bad probability raised is the first one of
-    the earliest pair that has one, as when the pairs are asked one at a
-    time. A group holds at most _BATCH_PARTS pair-chunk results until it is
-    folded. ``n`` is a draw count already checked by ``require_n``."""
-    out = []
-    for A, B, I, J, params in _pair_groups(m, pairs, max(1, _BATCH_PARTS // chunk_count(n))):
-        def job(start, count):
-            return _k.reduce_pairs(m.kernel_kind, A, B, I, J,
-                                   s.kind_code, s.dim, s.seed, start, count, draws, params)
-
-        for column in zip(*run_chunk_jobs(job, n)):
-            mean, stderr = combine_scalar(_checked_sums(column), n)
-            out.append(CorrelationEstimate(value=mean, stderr=stderr, n=n, exact=False))
-    return out
+    once, in one pass over the chunks: ``reduce_pairs`` makes each chunk's
+    draws once for a whole group of pairs (or reads them from ``draws``,
+    which it fills), and each pair folds its chunks as they come into a
+    running sum of its own, so a pair's estimate does not depend on the
+    pairs asked with it, and the memory held does not depend on ``n``. A
+    pair's first bad probability replaces its sums; the one raised is that
+    of the earliest pair that has one, as when the pairs are asked one at a
+    time. ``n`` is a draw count already checked by ``require_n``."""
+    groups = list(_pair_groups(m, pairs))
+    accs = [NO_SUMS] * len(pairs)
+    for start, count in chunk_ranges(n):
+        parts = []
+        for A, B, I, J, params in groups:
+            parts += _k.reduce_pairs(m.kernel_kind, A, B, I, J,
+                                     s.kind_code, s.dim, s.seed, start, count, draws, params)
+        # A pair's sums (4 fields) fold its parts until a bad part (7 fields) replaces them.
+        accs = [acc if len(acc) > 4 else part if part[4] != _k.STATUS_OK
+                else fold_part(acc, part[:4]) for acc, part in zip(accs, parts)]
+    _checked_sums([acc for acc in accs if len(acc) > 4])
+    return [CorrelationEstimate(*combine_scalar((acc,), n), n=n) for acc in accs]
 
 
 def estimate_correlation(

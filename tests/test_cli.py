@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from eprb import analyticity, cli, correlation
+from eprb import _backend, analyticity, cli, correlation
 from eprb.cli import run
 from eprb.geometry import INFINITY
 from oracles_ref import TWO_SQRT_TWO, ref_pq_report
@@ -482,6 +482,7 @@ def test_n_past_the_int64_limit_is_exit_one(capsys, monkeypatch):
         raise AssertionError("chunks ran for an n that should have been rejected")
 
     monkeypatch.setattr(correlation, "run_chunk_jobs", no_chunk_runs)
+    monkeypatch.setattr(_backend, "reduce_pairs", no_chunk_runs)
     code, out, err = run_cli(
         capsys, "correlate", "--model", "local_sign", "--a", "0,0,1", "--b", "1,0,0",
         "--n", str(2**63),
@@ -504,10 +505,10 @@ def test_runs_in_one_process_build_the_grammar_once_and_share_no_state(
     code, out, err = run_cli(capsys, *argv, "--n", "two")
     assert code == 1 and out == ""
     assert err == "error: argument --n: invalid int value: 'two'\n"
-    with pytest.raises(SystemExit) as info:
-        run([*argv, "--help"])
-    assert info.value.code == 0
-    assert capsys.readouterr().out.startswith("usage: eprb correlate")
+    code, out, err = run_cli(capsys, *argv, "--help")
+    assert (code, err) == (0, "") and out.startswith("usage: eprb correlate")
+    fresh = subprocess.run([sys.executable, "-m", "eprb", *argv, "--help"], capture_output=True)
+    assert (fresh.returncode, fresh.stdout, fresh.stderr) == (0, out.encode(), b"")
     obj = run_json(capsys, *argv, "--config", _write_config(tmp_path, {"n": 64, "seed": 5}))
     assert obj["n"] == 64
     code, out, err = run_cli(capsys, *argv)

@@ -1,6 +1,8 @@
 import itertools
 import math
 import random
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from eprb import (
     SettingsQuad,
     UnitVector3,
     X_AXIS,
+    Y_AXIS,
     Z_AXIS,
     antipodal_contrast,
     ask_pairs,
@@ -172,6 +175,7 @@ def test_estimators_reject_n_past_the_int64_limit(monkeypatch):
     # rejected before any chunk is run
     monkeypatch.setattr(correlation_module, "run_chunk_jobs", _no_chunk_runs)
     monkeypatch.setattr(hidden_variables, "run_chunk_jobs", _no_chunk_runs)
+    monkeypatch.setattr(_k, "reduce_pairs", _no_chunk_runs)
     pair = impose_anticorrelation(delta_coefficients())
     calls = [
         (estimate_correlation, LocalSignModel()),
@@ -229,6 +233,7 @@ def test_workers_below_one_is_rejected_on_every_path(monkeypatch, path):
     # rejected before any chunk is run, also where no chunk would run
     monkeypatch.setattr(correlation_module, "run_chunk_jobs", _no_chunk_runs)
     monkeypatch.setattr(hidden_variables, "run_chunk_jobs", _no_chunk_runs)
+    monkeypatch.setattr(_k, "reduce_pairs", _no_chunk_runs)
     for workers in (0, -5):
         with pytest.raises(ValueError, match="workers must be >= 1"):
             _BELOW_ONE_CALLS[path](sphere_sampler(), workers)
@@ -890,11 +895,56 @@ def test_oracle_pairs_give_the_per_pair_estimates(monkeypatch):
                 passes.clear()
                 assert [repr(e) for e in oracle.pairs(pairs)] == want
                 assert max(max(a, b) for a, b, _ in passes) == 3
-            with monkeypatch.context() as m:
-                m.setattr(correlation_module, "_BATCH_PARTS", 24)
-                passes.clear()
-                assert [repr(e) for e in oracle.pairs(pairs)] == want
-                assert max(p for _, _, p in passes) == 24 // _mc.chunk_count(n)
+
+
+def _peak_bytes(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_memory_held_by_an_estimate_does_not_grow_with_n(monkeypatch):
+    # each pair folds its chunks as they come, so 256 chunks hold no more
+    # than 16 do; 12 pairs in two kernel passes of three settings a side.
+    # Cube draws are the cheapest, and settings in the second and fourth
+    # quadrants of the x-z plane keep the linear model's probabilities in
+    # [0, 1] on the cube.
+    monkeypatch.setattr(correlation_module, "_BATCH_SETTINGS", 3)
+    points = [unit_from_plane_angle(math.pi / 2 + 0.3 * (k // 2) + math.pi * (k % 2))
+              for k in range(12)]
+    pairs = [(points[3 * g + i], points[6 + 3 * g + j])
+             for g in range(2) for i in range(3) for j in range(2)]
+    assert len(list(correlation_module._pair_groups(LocalSignModel(), pairs))) == 2
+    s = cube_sampler(3, seed=1)
+    calls = [lambda n: estimate_correlation(LocalSignModel(), Z_AXIS, X_AXIS, s, n)]
+    for model in (LocalSignModel(), LinearStochasticModel()):
+        calls.append(lambda n, m=model: make_correlation_oracle(m, s, n).pairs(pairs))
+    for call in calls:
+        call(2)
+        small, large = (_peak_bytes(lambda: call(n)) for n in (2**16, 2**20))
+        assert abs(large - small) < 32 << 10, (small, large)
+
+
+def test_the_bad_probability_raised_is_the_earliest_pairs_across_chunks_and_groups(monkeypatch):
+    # late goes bad in chunk 5, early in chunk 0: the pair asked first
+    # decides, in one kernel pass or in one pass per pair
+    late = UnitVector3(math.sin(3e-4), 0.0, math.cos(3e-4))
+    early = UnitVector3(math.sin(0.3), 0.0, math.cos(0.3))
+    oracle = make_correlation_oracle(LinearStochasticModel(), cube_sampler(3, seed=0), 30000)
+    late_bad = "probability 1.0000390244574922 outside [0, 1] at draw 22565"
+    early_bad = "probability 1.0390326098568647 outside [0, 1] at draw 4"
+    for request, message in (([(Z_AXIS, Y_AXIS), (late, Y_AXIS), (early, Y_AXIS)], late_bad),
+                             ([(early, Y_AXIS), (late, Y_AXIS)], early_bad)):
+        with pytest.raises(ContractViolationError, match=re.escape(message)):
+            for a, b in request:
+                oracle(a, b)
+        for settings_a_side in (64, 1):
+            monkeypatch.setattr(correlation_module, "_BATCH_SETTINGS", settings_a_side)
+            with pytest.raises(ContractViolationError, match=re.escape(message)):
+                oracle.pairs(request)
 
 
 def _record_draws(monkeypatch):
