@@ -1,14 +1,14 @@
 """Chunked Monte Carlo reductions with worker-count-invariant results.
 
-Sums are accumulated serially inside fixed-size chunks (by the kernels,
-or by ``_backend.fold_rows`` on per-draw values) and the per-chunk partial
-sums are folded in chunk order by a single combiner, so the float
-operation sequence, and therefore every bit of the result, is fixed by
-``n`` alone. Every chunk job (the numpy kernels, per-draw Python code, a
-Python integrand) holds the GIL for most of its time, so all of them run in
-chunk order on the calling thread, where extra threads would add start-up
-cost and memory but no speed. The public ``workers`` arguments are checked
-by ``require_n`` and otherwise change nothing.
+Sums are accumulated serially inside fixed-size chunks (by the kernels, or
+by ``_backend.fold_rows`` on per-draw values), and the one chunk driver,
+``run_chunk_jobs``, folds each row's chunk sums into a running sum in chunk
+order: every bit of a result is fixed by ``n`` alone, and a row's memory
+does not depend on ``n``. Chunk jobs (numpy kernels, per-draw Python code,
+a Python integrand) hold the GIL for most of their time, so all run on the
+calling thread, where extra threads would add start-up cost and memory but
+no speed. The public ``workers`` arguments are checked by ``require_n`` and
+otherwise change nothing.
 """
 
 from __future__ import annotations
@@ -56,11 +56,20 @@ def chunk_ranges(n, first=0):
 
 def run_chunk_jobs(job, n):
     """Run ``job(start, count)`` over every chunk, in chunk order, on the
-    calling thread, and return the results as a list in chunk order.
+    calling thread, and return one running accumulator per row.
 
+    A job returns one part per row: (sum, sum_sq, min, max), optionally
+    followed by (status, bad_index, bad_value). Each row folds its parts
+    with ``fold_part`` until a part with a nonzero status replaces its
+    sums; the row then keeps that 7-field part and ignores its later ones.
     The first failing chunk's exception propagates.
     """
-    return [job(start, count) for start, count in chunk_ranges(n)]
+    accs = []
+    for start, count in chunk_ranges(n):
+        parts = job(start, count)
+        accs = [acc if len(acc) > 4 else part if any(part[4:5]) else fold_part(acc, part[:4])
+                for acc, part in zip(accs or [NO_SUMS] * len(parts), parts)]
+    return accs
 
 
 # The (sum, sum_sq, min, max) of no draws, where every fold starts.

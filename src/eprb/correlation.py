@@ -18,15 +18,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import _backend as _k
-from ._mc import (
-    NO_SUMS,
-    chunk_ranges,
-    combine_scalar,
-    combine_vec4,
-    fold_part,
-    require_n,
-    run_chunk_jobs,
-)
+from ._mc import combine_scalar, require_n, run_chunk_jobs
+from ._mc import combine_vec4  # noqa: F401  (unused: perfbench's tracer wraps it here)
 from .errors import ContractViolationError
 from .geometry import RiemannPoint, UnitVector3, Z_AXIS, unit_from_plane_angle
 from .hidden_variables import LambdaSampler, fold_draws
@@ -131,17 +124,17 @@ class JointTable:
         }
 
 
-def _checked_sums(parts):
-    """The (sum, sum_sq, min, max) of kernel chunk results, after raising the
-    first bad probability among them. Chunks stop at their first bad draw,
-    so in chunk order the first one reported is the first overall."""
-    for part in parts:
-        if part[4] != _k.STATUS_OK:
+def _checked_sums(accs, n):
+    """(mean, stderr) of each row's ``run_chunk_jobs`` accumulator over ``n``
+    draws, after raising the first row's bad probability: a row keeps its
+    first bad part, and a kernel chunk stops at its first bad draw."""
+    for acc in accs:
+        if len(acc) > 4:
             raise ContractViolationError(
-                f"stochastic model produced probability {part[6]!r} outside [0, 1] "
-                f"at draw {part[5]}"
+                f"stochastic model produced probability {acc[6]!r} outside [0, 1] "
+                f"at draw {acc[5]}"
             )
-    return [part[:4] for part in parts]
+    return [combine_scalar((acc,), n) for acc in accs]
 
 
 # The estimator families, each with the word that names it in errors.
@@ -203,10 +196,11 @@ def _estimate(m, family, name, a, b, s, n, workers, joint=False):
         params = (c_a, c_b, sigma_b) if c_a or c_b or sigma_b != -1.0 else ()
 
         def job(start, count):
-            return _k.reduce_joint(kind, params, u.x, u.y, u.z, v.x, v.y, v.z,
-                                   s.kind_code, s.dim, s.seed, start, count)
+            r = _k.reduce_joint(kind, params, u.x, u.y, u.z, v.x, v.y, v.z,
+                                s.kind_code, s.dim, s.seed, start, count)
+            return [row + r[4:] for row in zip(*r[:4])]
 
-        pairs = combine_vec4(_checked_sums(run_chunk_jobs(job, n)), n)
+        pairs = _checked_sums(run_chunk_jobs(job, n), n)
     else:
         pairs = fold_draws(
             lambda lams, start: np.array([value(lam) for lam in lams], dtype=np.float64).T, s, n)
@@ -250,26 +244,22 @@ def _kernel_group(A, B, I, J, sigma_b):
 
 def _estimate_pairs(m, pairs, s, n, draws=None):
     """The kernel path of ``_estimate`` for every (a, b) of ``pairs`` at
-    once, in one pass over the chunks: ``reduce_pairs`` makes each chunk's
-    draws once for a whole group of pairs (or reads them from ``draws``,
-    which it fills), and each pair folds its chunks as they come into a
+    once, in one pass of ``run_chunk_jobs``: ``reduce_pairs`` makes each
+    chunk's draws once for a whole group of pairs (or reads them from
+    ``draws``, which it fills), and each pair is a row of the driver with a
     running sum of its own, so a pair's estimate does not depend on the
-    pairs asked with it, and the memory held does not depend on ``n``. A
-    pair's first bad probability replaces its sums; the one raised is that
-    of the earliest pair that has one, as when the pairs are asked one at a
-    time. ``n`` is a draw count already checked by ``require_n``."""
+    pairs asked with it, and the memory held does not depend on ``n``. The
+    bad probability raised is that of the earliest pair that has one, as
+    when the pairs are asked one at a time. ``n`` is a draw count already
+    checked by ``require_n``."""
     groups = list(_pair_groups(m, pairs))
-    accs = [NO_SUMS] * len(pairs)
-    for start, count in chunk_ranges(n):
-        parts = []
-        for A, B, I, J, params in groups:
-            parts += _k.reduce_pairs(m.kernel_kind, A, B, I, J,
-                                     s.kind_code, s.dim, s.seed, start, count, draws, params)
-        # A pair's sums (4 fields) fold its parts until a bad part (7 fields) replaces them.
-        accs = [acc if len(acc) > 4 else part if part[4] != _k.STATUS_OK
-                else fold_part(acc, part[:4]) for acc, part in zip(accs, parts)]
-    _checked_sums([acc for acc in accs if len(acc) > 4])
-    return [CorrelationEstimate(*combine_scalar((acc,), n), n=n) for acc in accs]
+
+    def job(start, count):
+        return [part for A, B, I, J, params in groups
+                for part in _k.reduce_pairs(m.kernel_kind, A, B, I, J, s.kind_code, s.dim,
+                                            s.seed, start, count, draws, params)]
+
+    return [CorrelationEstimate(*est, n=n) for est in _checked_sums(run_chunk_jobs(job, n), n)]
 
 
 def estimate_correlation(

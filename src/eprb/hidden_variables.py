@@ -74,6 +74,8 @@ class LambdaSampler:
         index = int(index)
         if index < 0:
             raise ValueError(f"sample index must be >= 0, got {index}")
+        if index > _k.MASK64:
+            raise ValueError(f"sample index must be < 2**64, the stream's period, got {index}")
         return _k.lambda_at(self.kind_code, self.dim, self.seed, index)
 
     def sample_batch(self, start: int, count: int) -> list[tuple[float, ...]]:
@@ -86,6 +88,9 @@ class LambdaSampler:
             raise ValueError(f"start must be >= 0, got {start}")
         if count < 0:
             raise ValueError(f"count must be >= 0, got {count}")
+        if start + count > _k.MASK64 + 1:
+            raise ValueError(
+                f"start + count must be <= 2**64, the stream's period, got {start + count}")
         return _k.lambda_batch(self.kind_code, self.dim, self.seed, start, count)
 
     def to_json(self) -> dict:
@@ -144,14 +149,14 @@ def fold_draws(rows, s, n):
 
     ``rows(lams, start)`` gets one chunk's draws (draw ``start`` first, as
     ``lambda_batch`` makes them) and returns a float64 array with one row
-    per quantity and one column per draw. Each row's chunks are folded by
-    ``fold_rows`` and combined in chunk order by ``combine_scalar``.
+    per quantity and one column per draw. Each row's chunk sums, by
+    ``fold_rows``, are folded as they come by ``run_chunk_jobs``.
     ``n`` is a draw count already checked by ``require_n``.
     """
     def job(start, count):
         return _k.fold_rows(rows(_k.lambda_batch(s.kind_code, s.dim, s.seed, start, count), start))
 
-    return [combine_scalar(column, n) for column in zip(*run_chunk_jobs(job, n))]
+    return [combine_scalar((acc,), n) for acc in run_chunk_jobs(job, n)]
 
 
 def sphere_sampler(seed: int = 0) -> LambdaSampler:

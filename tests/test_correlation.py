@@ -926,6 +926,12 @@ def test_memory_held_by_an_estimate_does_not_grow_with_n(monkeypatch):
         call(2)
         small, large = (_peak_bytes(lambda: call(n)) for n in (2**16, 2**20))
         assert abs(large - small) < 32 << 10, (small, large)
+    # the joint table folds its four rows the same way
+    for model in (LinearStochasticModel(), DeterministicEmbedding(LocalSignModel())):
+        estimate_joint(model, Z_AXIS, X_AXIS, s, 2)
+        small, large = (_peak_bytes(lambda: estimate_joint(model, Z_AXIS, X_AXIS, s, n))
+                        for n in (2**16, 2**20))
+        assert abs(large - small) < 64 << 10, (small, large)
 
 
 def test_the_bad_probability_raised_is_the_earliest_pairs_across_chunks_and_groups(monkeypatch):
@@ -933,9 +939,14 @@ def test_the_bad_probability_raised_is_the_earliest_pairs_across_chunks_and_grou
     # decides, in one kernel pass or in one pass per pair
     late = UnitVector3(math.sin(3e-4), 0.0, math.cos(3e-4))
     early = UnitVector3(math.sin(0.3), 0.0, math.cos(0.3))
-    oracle = make_correlation_oracle(LinearStochasticModel(), cube_sampler(3, seed=0), 30000)
+    s = cube_sampler(3, seed=0)
+    oracle = make_correlation_oracle(LinearStochasticModel(), s, 30000)
     late_bad = "probability 1.0000390244574922 outside [0, 1] at draw 22565"
     early_bad = "probability 1.0390326098568647 outside [0, 1] at draw 4"
+    # the joint table raises the same earliest draw
+    for a, message in ((late, late_bad), (early, early_bad)):
+        with pytest.raises(ContractViolationError, match=re.escape(message)):
+            estimate_joint(LinearStochasticModel(), a, Y_AXIS, s, 30000)
     for request, message in (([(Z_AXIS, Y_AXIS), (late, Y_AXIS), (early, Y_AXIS)], late_bad),
                              ([(early, Y_AXIS), (late, Y_AXIS)], early_bad)):
         with pytest.raises(ContractViolationError, match=re.escape(message)):
@@ -945,6 +956,44 @@ def test_the_bad_probability_raised_is_the_earliest_pairs_across_chunks_and_grou
             monkeypatch.setattr(correlation_module, "_BATCH_SETTINGS", settings_a_side)
             with pytest.raises(ContractViolationError, match=re.escape(message)):
                 oracle.pairs(request)
+
+
+def test_every_chunked_path_makes_one_driver_call(monkeypatch):
+    # the pair path, the joint table and the per-draw fold all run their
+    # chunks through run_chunk_jobs, once per call; draw-independent models
+    # walk no chunks
+    calls = []
+
+    def counting(job, n):
+        calls.append(n)
+        return _mc.run_chunk_jobs(job, n)
+
+    monkeypatch.setattr(correlation_module, "run_chunk_jobs", counting)
+    monkeypatch.setattr(hidden_variables, "run_chunk_jobs", counting)
+    s = sphere_sampler(seed=2)
+    n = 3 * 4096 + 5
+    pairs = [(Z_AXIS, X_AXIS), (X_AXIS, Y_AXIS), (Z_AXIS, Y_AXIS)]
+    driven = [
+        lambda: estimate_correlation(LocalSignModel(), Z_AXIS, X_AXIS, s, n),
+        lambda: make_correlation_oracle(LocalSignModel(), s, n).pairs(pairs),
+        lambda: estimate_joint(LinearStochasticModel(), Z_AXIS, X_AXIS, s, n),
+        lambda: estimate_joint(DeterministicEmbedding(LocalSignModel()), Z_AXIS, X_AXIS, s, n),
+        lambda: estimate_correlation(NoKernelSign(), Z_AXIS, X_AXIS, s, n),
+        lambda: series_correlation(impose_anticorrelation(_BASE2, generator=_scaled_series),
+                                   Z_AXIS, X_AXIS, s, n),
+        lambda: integrate(lambda lam: lam[0], s, n),
+    ]
+    undriven = [
+        lambda: estimate_correlation(FixedOutcomeModel(), Z_AXIS, X_AXIS, s, n),
+        lambda: estimate_stochastic_correlation(CoinModel(), Z_AXIS, X_AXIS, s, n),
+        lambda: estimate_joint(DeterministicEmbedding(FixedOutcomeModel()), Z_AXIS, X_AXIS, s, n),
+        lambda: series_correlation(impose_anticorrelation(delta_coefficients()),
+                                   Z_AXIS, X_AXIS, s, n),
+    ]
+    for call, want in [(call, [n]) for call in driven] + [(call, []) for call in undriven]:
+        calls.clear()
+        call()
+        assert calls == want
 
 
 def _record_draws(monkeypatch):

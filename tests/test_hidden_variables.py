@@ -1,4 +1,5 @@
 import math
+import random
 import threading
 
 import pytest
@@ -64,9 +65,22 @@ def test_cube_draws_in_unit_box_and_match_reference():
 
 def test_sample_past_the_64_bit_index_wrap_matches_the_reference():
     # the stream adds index + 1 mod 2**64: these indices wrap in uint64
-    for i in (2**63 - 1, 2**64 - 1, 2**64 + 5, 3 * 2**64 + 17):
+    for i in (2**63 - 1, 2**64 - 2, 2**64 - 1):
         assert sphere_sampler(seed=9).sample(i) == ref_sphere_point(9, i)
         assert cube_sampler(dim=5, seed=9).sample(i) == ref_cube_point(9, i, 5)
+
+
+def test_draws_past_the_stream_period_are_refused():
+    # the stream has period 2**64 in the index: draw 2**64 would be draw 0
+    for s in (sphere_sampler(seed=1), cube_sampler(dim=5, seed=1)):
+        assert s.sample(2**64 - 1) != s.sample(0)
+        assert s.sample_batch(2**64 - 2, 2) == [s.sample(2**64 - 2), s.sample(2**64 - 1)]
+        for i in (2**64, 2**64 + 5, 3 * 2**64 + 17):
+            with pytest.raises(ValueError, match=r"2\*\*64, the stream's period"):
+                s.sample(i)
+        for start, count in ((2**64 - 1, 2), (2**64, 1), (0, 2**64 + 1)):
+            with pytest.raises(ValueError, match=r"2\*\*64, the stream's period"):
+                s.sample_batch(start, count)
 
 
 def test_sample_is_pure_and_batch_agrees():
@@ -189,18 +203,38 @@ def test_integrate_rejects_n_past_the_int64_limit(monkeypatch):
         integrate(lambda lam: 1.0, sphere_sampler(), n=2**63)
 
 
-def test_run_chunk_jobs_runs_every_chunk_on_the_calling_thread():
+def test_run_chunk_jobs_folds_each_row_as_its_chunks_come_on_the_calling_thread():
     caller = threading.get_ident()
     n = 5 * 4096 + 7
+    rng = random.Random(5)
     seen = []
+    rows = [[], [], []]
 
     def job(start, count):
-        seen.append(threading.get_ident())
-        return (start, count)
+        seen.append((start, count, threading.get_ident()))
+        x = [rng.uniform(-1.0, 1.0) for _ in range(4)]
+        # row 0: plain sums, the first a -0.0, and a NaN min in chunk 3;
+        # row 1: goes bad in chunks 2 and 4; row 2: status fields that stay OK
+        parts = [(-0.0 if start == 0 else x[0], x[1] * x[1],
+                  math.nan if start == 3 * 4096 else x[2], x[3]),
+                 (x[0], 1.0, x[2], x[3]) + ((1, start + 5, 1.5) if start in (8192, 16384)
+                                            else (0, -1, 0.0)),
+                 (x[1], x[1] * x[1], -1.0, 1.0, 0, -1, 0.0)]
+        for row, part in zip(rows, parts):
+            row.append(part)
+        return parts
 
+    accs = run_chunk_jobs(job, n)
     # chunk order, on this thread
-    assert run_chunk_jobs(job, n) == list(_mc.chunk_ranges(n))
-    assert set(seen) == {caller}
+    assert [(start, count) for start, count, _ in seen] == list(_mc.chunk_ranges(n))
+    assert {ident for _, _, ident in seen} == {caller}
+    # each good row ends with the bits of combine_scalar over its parts;
+    # row 1's first bad part replaced its sums and its later parts are ignored
+    assert len(accs) == 3 and accs[1] == rows[1][2]
+    for acc, row in ((accs[0], rows[0]), (accs[2], [part[:4] for part in rows[2]])):
+        assert len(acc) == 4
+        assert repr(_mc.combine_scalar((acc,), n)) == repr(_mc.combine_scalar(row, n))
+    assert run_chunk_jobs(job, 0) == []
 
 
 @settings(max_examples=25)
