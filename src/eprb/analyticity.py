@@ -30,6 +30,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
+from .catalog import DEFAULT_H
 from .correlation import quantum_correlation_complex
 from .geometry import RiemannPoint, riemann_to_obj
 
@@ -45,7 +46,6 @@ __all__ = [
     "DEFAULT_TOL",
 ]
 
-DEFAULT_H = 1e-4
 DEFAULT_TOL = 1e-5
 # Largest lattice resolution per axis: k * k points, about 785k inside the disc.
 MAX_GRID = 1000

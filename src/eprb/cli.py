@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import importlib
 import itertools
 import json
 import math
@@ -23,15 +24,40 @@ import os
 import sys
 from typing import Iterable, Optional
 
-from .analyticity import DEFAULT_H, pq_nonanalyticity_report
-from .correlation import correlation_sweep, make_correlation_oracle
+from .catalog import DEFAULT_H, SAMPLER_KINDS, zoo
 from .errors import ContractViolationError
-from .geometry import parse_riemann_text, parse_vector_text, riemann_to_obj, vector_to_list
-from .hidden_variables import SAMPLER_KINDS, LambdaSampler
-from .inequalities import SettingsQuad, bell_statistic, chsh_statistic, maximize_chsh
-from .models import build_model, zoo
 
 __all__ = ["run", "entrypoint"]
+
+# The library names the commands call, by the module that defines them. Each
+# is imported and bound in this module the first time a command reads it, so
+# a command loads only the modules it runs, and one that computes nothing (or
+# refuses its arguments first) loads no numpy.
+_LIBRARY = {
+    name: module
+    for module, names in {
+        "analyticity": "pq_nonanalyticity_report",
+        "correlation": "correlation_sweep make_correlation_oracle",
+        "geometry": "parse_riemann_text parse_vector_text riemann_to_obj vector_to_list",
+        "hidden_variables": "LambdaSampler",
+        "inequalities": "SettingsQuad bell_statistic chsh_statistic maximize_chsh",
+        "models": "build_model",
+    }.items()
+    for name in names.split()
+}
+
+
+def __getattr__(name: str):
+    if name not in _LIBRARY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LIBRARY[name]}", __package__), name)
+    return globals().setdefault(name, value)
+
+
+# This module: commands read library names as its attributes, so a name is
+# bound on first use and a name replaced here (by a test or a tracer) is the
+# one that is called.
+_lib = sys.modules[__name__]
 
 _DEFAULTS = {
     "n": 100000,
@@ -183,7 +209,7 @@ def _require(ns: argparse.Namespace, name: str) -> str:
 
 
 def _vector(ns: argparse.Namespace, name: str):
-    return parse_vector_text(str(_require(ns, name)))
+    return _lib.parse_vector_text(str(_require(ns, name)))
 
 
 def _model_and_sampler(ns: argparse.Namespace):
@@ -198,8 +224,8 @@ def _model_and_sampler(ns: argparse.Namespace):
             raise _UsageError("--params must hold a JSON object")
     if int(_setting(ns, "workers")) < 1:
         raise _UsageError(f"--workers must be >= 1, got {_setting(ns, 'workers')}")
-    model = build_model(name, params)
-    sampler = LambdaSampler(
+    model = _lib.build_model(name, params)
+    sampler = _lib.LambdaSampler(
         kind=str(_setting(ns, "sampler")),
         dim=int(_setting(ns, "dim")),
         seed=int(_setting(ns, "seed")),
@@ -210,7 +236,7 @@ def _model_and_sampler(ns: argparse.Namespace):
 def _named_oracle(ns: argparse.Namespace):
     """The model's name and its correlation oracle at the sampled options."""
     name, model, sampler = _model_and_sampler(ns)
-    return name, make_correlation_oracle(
+    return name, _lib.make_correlation_oracle(
         model, sampler, int(_setting(ns, "n")), workers=int(_setting(ns, "workers")))
 
 
@@ -278,8 +304,8 @@ def _cmd_correlate(ns: argparse.Namespace) -> int:
         _emit_json(ns, {
             "command": "correlate",
             "model": name,
-            "a": vector_to_list(a),
-            "b": vector_to_list(b),
+            "a": _lib.vector_to_list(a),
+            "b": _lib.vector_to_list(b),
             **est.to_json(),
         })
     return 0
@@ -287,8 +313,8 @@ def _cmd_correlate(ns: argparse.Namespace) -> int:
 
 def _cmd_sweep(ns: argparse.Namespace) -> int:
     name, model, sampler = _model_and_sampler(ns)
-    results = correlation_sweep(model, int(_setting(ns, "steps")), sampler,
-                                int(_setting(ns, "n")), workers=int(_setting(ns, "workers")))
+    results = _lib.correlation_sweep(model, int(_setting(ns, "steps")), sampler,
+                                     int(_setting(ns, "n")), workers=int(_setting(ns, "workers")))
     rows = [_estimate_row(est, name, theta_rad=theta) for theta, est in results]
     if _setting(ns, "format") == "csv":
         _emit_csv(ns, _finite(rows, "rows"))
@@ -300,7 +326,7 @@ def _cmd_sweep(ns: argparse.Namespace) -> int:
 def _cmd_chsh(ns: argparse.Namespace) -> int:
     name, oracle = _named_oracle(ns)
     if _setting(ns, "maximize"):
-        result = maximize_chsh(
+        result = _lib.maximize_chsh(
             oracle, int(_setting(ns, "budget")), mode=str(_setting(ns, "mode"))
         )
         payload = result.report.to_json()
@@ -313,13 +339,13 @@ def _cmd_chsh(ns: argparse.Namespace) -> int:
                 raise _UsageError(
                     "chsh needs either --maximize or all of --a --b --a-prime --b-prime"
                 )
-        quad = SettingsQuad(
+        quad = _lib.SettingsQuad(
             a=_vector(ns, "a"),
             b=_vector(ns, "b"),
             a_prime=_vector(ns, "a_prime"),
             b_prime=_vector(ns, "b_prime"),
         )
-        payload = chsh_statistic(oracle, quad).to_json()
+        payload = _lib.chsh_statistic(oracle, quad).to_json()
         payload["evaluations"] = 4
     payload["model"] = name
     _emit_json(ns, {"command": "chsh", **payload})
@@ -328,7 +354,7 @@ def _cmd_chsh(ns: argparse.Namespace) -> int:
 
 def _cmd_bell(ns: argparse.Namespace) -> int:
     name, oracle = _named_oracle(ns)
-    report = bell_statistic(
+    report = _lib.bell_statistic(
         oracle, _vector(ns, "a"), _vector(ns, "b"), _vector(ns, "c")
     )
     _emit_json(ns, {"command": "bell", "model": name, **report.to_json()})
@@ -339,15 +365,15 @@ def _cmd_analyticity(ns: argparse.Namespace) -> int:
     target = getattr(ns, "target", None) or "pq"
     if target != "pq":
         raise _UsageError(f"unknown analyticity target {target!r}")
-    w = parse_riemann_text(str(_require(ns, "w")))
+    w = _lib.parse_riemann_text(str(_require(ns, "w")))
     radius = float(_setting(ns, "radius"))
     k = int(_setting(ns, "grid"))
     h = float(_setting(ns, "h"))
-    report = pq_nonanalyticity_report(w, radius=radius, k=k, h=h)
+    report = _lib.pq_nonanalyticity_report(w, radius=radius, k=k, h=h)
     head = {
         "command": "analyticity",
         "function": "pq",
-        "w": riemann_to_obj(w),
+        "w": _lib.riemann_to_obj(w),
         "grid": {"R": radius, "k": k},
     }
     _emit(ns, itertools.chain(report.json_pieces(head), ("\n",)))

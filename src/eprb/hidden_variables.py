@@ -17,6 +17,7 @@ import numpy as np
 from . import _backend as _k
 from ._mc import combine_scalar, require_n, run_chunk_jobs
 from ._mc import chunk_count  # noqa: F401  (public here: chunks of an n-draw estimate)
+from .catalog import SAMPLER_KINDS
 
 __all__ = [
     "SAMPLER_KINDS",
@@ -24,8 +25,6 @@ __all__ = [
     "MonteCarloEstimate",
     "integrate",
 ]
-
-SAMPLER_KINDS = ("uniform_sphere", "uniform_cube")
 
 _KIND_CODES = {
     "uniform_sphere": _k.SAMPLER_SPHERE,

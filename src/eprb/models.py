@@ -22,12 +22,12 @@ their per-draw ``outcomes`` are those rows evaluated at one draw.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from . import _backend as _k
+from .catalog import MODEL_NAMES, ZOO, LocalityClass, zoo
 from .errors import ContractViolationError
 from .geometry import UnitVector3, vector_from_list
 
@@ -59,14 +59,6 @@ __all__ = [
 ]
 
 _NORM_TOL = 1e-12
-
-
-class LocalityClass(Enum):
-    """How a model's outcomes may depend on the measurement settings."""
-
-    LOCAL = "local"
-    CONSTANT_NONLOCAL = "constant_nonlocal"
-    GENERAL_NONLOCAL = "general_nonlocal"
 
 
 @dataclass(frozen=True)
@@ -524,35 +516,25 @@ def _optional_float(x) -> Optional[float]:
     return None if x is None else float(x)
 
 
-# name -> (constructor, locality class, {parameter: converter}, summary).
+# name -> (constructor, locality class, {parameter: converter}), keyed and
+# ordered as the zoo listing in ``catalog``, whose class each row reads.
 # Parameters are converted in this order, each passed to the constructor
 # under its own name; ``psi`` goes to every constructor as ``psi_label``.
 _BUILDERS = {
-    "quantum": (QuantumCorrelationModel, LocalityClass.GENERAL_NONLOCAL, {},
-                "closed-form singlet correlation, no hidden variables"),
-    "local_sign": (LocalSignModel, LocalityClass.LOCAL, {},
-                   "A = sign(a.lam), B = -sign(b.lam)"),
-    "coin": (CoinModel, LocalityClass.LOCAL, {},
-             "all four outcome probabilities 1/2"),
-    "linear": (LinearStochasticModel, LocalityClass.LOCAL, {},
-               "P1(+) = (1 + a.lam)/2, P2(+) = (1 - b.lam)/2"),
-    "constant": (ConstantNonlocalModel, LocalityClass.CONSTANT_NONLOCAL,
-                 {"u": vector_from_list, "v": vector_from_list},
-                 "A = sign(u.lam), B = -sign(v.lam); settings ignored"),
-    "fixed": (FixedOutcomeModel, LocalityClass.CONSTANT_NONLOCAL,
-              {"alpha": float, "beta": float},
-              "A = alpha, B = beta; draw and settings ignored"),
-    "nonlocal_sign": (SettingBiasedSignModel, LocalityClass.GENERAL_NONLOCAL,
-                      {"bias": float},
-                      "A = sign(a.b + a.lam), B = sign(b.lam + bias)"),
-    "series_delta": (_series_delta, LocalityClass.GENERAL_NONLOCAL, {"degree": int},
-                     "anticorrelated series pair with A(a,b) = a.b"),
-    "series_random": (_series_random, LocalityClass.GENERAL_NONLOCAL,
-                      {"coeff_seed": int, "degree": int, "scale": _optional_float},
-                      "anticorrelated series pair, seeded dense coefficients"),
+    name: (make, ZOO[name][0], converters)
+    for name, make, converters in (
+        ("quantum", QuantumCorrelationModel, {}),
+        ("local_sign", LocalSignModel, {}),
+        ("coin", CoinModel, {}),
+        ("linear", LinearStochasticModel, {}),
+        ("constant", ConstantNonlocalModel, {"u": vector_from_list, "v": vector_from_list}),
+        ("fixed", FixedOutcomeModel, {"alpha": float, "beta": float}),
+        ("nonlocal_sign", SettingBiasedSignModel, {"bias": float}),
+        ("series_delta", _series_delta, {"degree": int}),
+        ("series_random", _series_random,
+         {"coeff_seed": int, "degree": int, "scale": _optional_float}),
+    )
 }
-
-MODEL_NAMES = tuple(_BUILDERS)
 
 
 def build_model(name: str, params: Optional[dict] = None):
@@ -566,7 +548,7 @@ def build_model(name: str, params: Optional[dict] = None):
             f"unknown model {name!r}; known models: {', '.join(MODEL_NAMES)}"
         )
     params = dict(params or {})
-    make, _, converters, _ = _BUILDERS[name]
+    make, _, converters = _BUILDERS[name]
     kwargs = {"psi_label": params.pop("psi", "singlet")}
     for key, convert in converters.items():
         if key in params:
@@ -581,10 +563,3 @@ def build_model(name: str, params: Optional[dict] = None):
         )
     return model
 
-
-def zoo() -> list[dict]:
-    """Registry listing: name, locality class, one-line description."""
-    return [
-        {"name": name, "locality_class": cls.value, "summary": summary}
-        for name, (_, cls, _, summary) in _BUILDERS.items()
-    ]
