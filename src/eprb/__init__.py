@@ -25,11 +25,11 @@ _HOMES = {
         "correlation": "AntipodalContrast CorrelationEstimate JointTable antipodal_contrast "
                        "ask_pairs correlation_sweep estimate_correlation estimate_joint "
                        "estimate_stochastic_correlation make_correlation_oracle "
-                       "quantum_correlation quantum_correlation_complex series_correlation",
+                       "quantum_correlation series_correlation",
         "errors": "ContractViolationError",
         "geometry": "INFINITY RiemannPoint UnitVector3 X_AXIS Y_AXIS Z_AXIS angle_between "
-                    "inverse_project stereographic_project unit_from_angles "
-                    "unit_from_plane_angle",
+                    "inverse_project quantum_correlation_complex stereographic_project "
+                    "unit_from_angles unit_from_plane_angle",
         "hidden_variables": "LambdaSampler MonteCarloEstimate cube_sampler integrate "
                             "sphere_sampler",
         "inequalities": "BellReport ChshReport MaximizeResult SettingsQuad bell_statistic "

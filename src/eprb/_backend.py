@@ -12,14 +12,17 @@ chunk values into (sum, sum_sq, min, max): sums run left to right.
 ``series_values`` evaluates many series of one degree at one pair of
 settings, one term at a time over all of them, with the bits of the scalar
 loop per series.
-``reduce_pairs`` serves many setting pairs from one set of draws, which a
-caller may keep in a mapping it passes back, and ``reduce_product`` is its
-one-pair case. Sign-kind products are +/-1, so their sums are exact integers
-in any order: ``reduce_pairs`` takes them all from one matrix product of
-the two sides' factors. Per-setting factors are computed in row blocks of
-at most _BLOCK elements, so a side with many settings stays in cache. The
-readable per-draw loops they reproduce, and the tests that hold them to it,
-are in ``tests/oracles_ref.py`` and ``tests/test_backends.py``.
+``reduce_pairs`` is the one kernel body: it serves many setting pairs from
+one set of draws, which a caller may keep in a mapping it passes back, with
+one row per pair for the outcome product or, with ``joint``, four for the
+joint-outcome probabilities. ``reduce_product`` and ``reduce_joint`` are its
+one-pair cases, which nothing else in eprb calls. Sign-kind products are
++/-1, so their sums are exact integers in any order: ``reduce_pairs`` takes
+them all, and the joint counts, from one matrix product of the two sides'
+halved signs. Per-setting factors are computed in row blocks of at most
+_BLOCK elements, so a side with many settings stays in cache. The readable
+per-draw loops they reproduce, and the tests that hold them to it, are in
+``tests/oracles_ref.py`` and ``tests/test_backends.py``.
 
 There are two model kernels. KIND_SIGN is the product of
 A = sign(a . lam + c_A) and B = sigma_B * sign(b . lam + c_B), with
@@ -200,10 +203,11 @@ def _check_args(kind, params, sampler_kind, dim):
 _BLOCK = 1 << 13
 
 
-def _row_blocks(nrows, count):
+def _row_blocks(nrows, count, whole=1):
     """Slices of at most _BLOCK elements' worth of rows, covering the rows
-    of an (nrows, count) array."""
-    step = max(1, _BLOCK // max(1, count))
+    of an (nrows, count) array, in runs of ``whole`` rows: a block holds at
+    least one run, whatever its size."""
+    step = whole * max(1, _BLOCK // max(1, whole * count))
     return [slice(lo, lo + step) for lo in range(0, nrows, step)]
 
 
@@ -229,50 +233,47 @@ def _sign_halves(S, c, l0, l1, l2):
     return h
 
 
-def _side_probabilities(S, l0, l1, l2, flip):
-    """The linear model's (p_plus, p_minus) of one side, one row per row of
-    ``S``, and where they first leave [0, 1].
+def _side_factors(S, l0, l1, l2, flip, joint=False):
+    """The linear model's factor rows of one side, computed in row blocks,
+    and where its probabilities first leave [0, 1].
 
-    ``flip`` marks side B, whose outcome is negated: p_plus = (1 - d) / 2
-    there. The third item is None when no probability can leave [0, 1],
-    and otherwise (first, values): each row's first draw with one outside
-    [0, 1] beyond PROB_SLACK (the count when it has none) and the first
-    offending probability there, p_plus before p_minus.
+    Row r is p_plus - p_minus at row r of ``S``; with ``joint`` the rows
+    are p_plus for each row of ``S`` and then p_minus for each. ``flip``
+    marks side B, whose outcome is negated: p_plus = (1 - d) / 2 there.
+    The second item is None when no probability can leave [0, 1], and
+    otherwise (first, values), one entry per factor row: its setting's
+    first draw with a probability outside [0, 1] beyond PROB_SLACK (the
+    count when it has none) and the first offending probability there,
+    p_plus before p_minus.
     """
-    d = _dots(S, l0, l1, l2)
-    hi_side, lo_side = 0.5 * (1.0 + d), 0.5 * (1.0 - d)
-    plus, minus = (lo_side, hi_side) if flip else (hi_side, lo_side)
-    if (np.abs(d) <= 1.0).all():
-        # 1 +/- d then rounds into [0, 2], so no probability is bad (a NaN
-        # fails this test and takes the full one).
-        return plus, minus, None
-    # NaN fails both comparisons, as in the per-draw chained test.
-    ok_plus = (plus >= -PROB_SLACK) & (plus <= 1.0 + PROB_SLACK)
-    ok_minus = (minus >= -PROB_SLACK) & (minus <= 1.0 + PROB_SLACK)
-    bad = ~(ok_plus & ok_minus)
-    any_bad = bad.any(axis=1)
-    first = np.where(any_bad, bad.argmax(axis=1), bad.shape[1])
-    values = [0.0] * len(S)
-    for r in np.flatnonzero(any_bad).tolist():
-        k = first[r]
-        values[r] = float(plus[r, k] if not ok_plus[r, k] else minus[r, k])
-    return plus, minus, (first, values)
-
-
-def _side_factors(S, l0, l1, l2, flip):
-    """p_plus - p_minus of one side of the linear model, one row per row of
-    ``S``, computed in row blocks, and where its probabilities first leave
-    [0, 1], as the third item of _side_probabilities."""
-    f = np.empty((len(S), len(l0)))
+    g, count = len(S), len(l0)
+    f = np.empty((1 + joint, g, count))
     bad = None
-    for rows in _row_blocks(len(S), len(l0)):
-        p_plus, p_minus, block_bad = _side_probabilities(S[rows], l0, l1, l2, flip)
-        np.subtract(p_plus, p_minus, out=f[rows])
-        if block_bad is not None:
-            if bad is None:
-                bad = np.full(len(S), len(l0)), [0.0] * len(S)
-            bad[0][rows], bad[1][rows] = block_bad
-    return f, bad
+    for rows in _row_blocks(g, count):
+        d = _dots(S[rows], l0, l1, l2)
+        hi_side, lo_side = 0.5 * (1.0 + d), 0.5 * (1.0 - d)
+        plus, minus = (lo_side, hi_side) if flip else (hi_side, lo_side)
+        if joint:
+            f[0, rows], f[1, rows] = plus, minus
+        else:
+            np.subtract(plus, minus, out=f[0, rows])
+        if (np.abs(d) <= 1.0).all():
+            # 1 +/- d then rounds into [0, 2], so no probability is bad (a
+            # NaN fails this test and takes the full one).
+            continue
+        # NaN fails both comparisons, as in the per-draw chained test.
+        ok_plus = (plus >= -PROB_SLACK) & (plus <= 1.0 + PROB_SLACK)
+        ok_minus = (minus >= -PROB_SLACK) & (minus <= 1.0 + PROB_SLACK)
+        is_bad = ~(ok_plus & ok_minus)
+        if bad is None:
+            bad = np.full(g, count), [0.0] * g
+        first = bad[0][rows] = np.where(is_bad.any(axis=1), is_bad.argmax(axis=1), count)
+        for r in np.flatnonzero(first < count).tolist():
+            k = first[r]
+            bad[1][rows.start + r] = float(plus[r, k] if not ok_plus[r, k] else minus[r, k])
+    if joint and bad is not None:
+        bad = np.tile(bad[0], 2), bad[1] * 2
+    return f.reshape(len(f) * g, count), bad
 
 
 def _pair_stops(bad_a, bad_b, I, J, start, count):
@@ -296,9 +297,9 @@ def _pair_stops(bad_a, bad_b, I, J, start, count):
 
 
 def reduce_pairs(kind, A, B, I, J, sampler_kind, dim, seed, start, count, draws=None,
-                 params=()):
+                 params=(), joint=False):
     """reduce_product for many setting pairs over one index range, with the
-    draws made once.
+    draws made once; with ``joint``, reduce_joint's four sums for each.
 
     ``A`` and ``B`` hold the distinct settings of each side as (g, 3)
     arrays and pair ``p`` is (A[I[p]], B[J[p]]). Each side's factor is
@@ -307,7 +308,11 @@ def reduce_pairs(kind, A, B, I, J, sampler_kind, dim, seed, start, count, draws=
     pair products are reduced in blocks of at most _BLOCK elements, every
     row left to right along the draws. Returns one
     ``(sum, sum_sq, min, max, status, bad_index, bad_value)`` per pair,
-    bit-identical to the single-pair call.
+    bit-identical to the single-pair call. With ``joint`` a pair gives four
+    such rows, the sums of its joint-outcome probabilities ordered (pp, mm,
+    pm, mp), all with the pair's tail: the sign kind's are counts taken
+    from the same matrix product, and the linear kind's are product rows of
+    the sides' p_plus and p_minus rows.
 
     ``draws``, when given, is a mapping from (sampler_kind, dim, seed,
     start, count) to the range's (l0, l1, l2) columns: the draws are read
@@ -327,7 +332,7 @@ def reduce_pairs(kind, A, B, I, J, sampler_kind, dim, seed, start, count, draws=
     I = np.asarray(I, dtype=np.intp)
     J = np.asarray(J, dtype=np.intp)
     if count == 0:
-        return [(0.0, 0.0, inf, -inf, STATUS_OK, -1, 0.0)] * len(I)
+        return [(0.0, 0.0, inf, -inf, STATUS_OK, -1, 0.0)] * (4 * len(I) if joint else len(I))
     A = np.asarray(A, dtype=np.float64).reshape(-1, 3)
     B = np.asarray(B, dtype=np.float64).reshape(-1, 3)
     if kind == KIND_SIGN:
@@ -335,23 +340,40 @@ def reduce_pairs(kind, A, B, I, J, sampler_kind, dim, seed, start, count, draws=
         # of each side's sign, both sides in one pass, so a product of
         # halves is +/-1/4: every partial sum is a multiple of 1/4 far below
         # 2**53, and any summation order, the matrix product's included,
-        # gives it exactly. Scaling by 4 sigma_B is exact too, so S is the
-        # loop's integer sum (0.0 + turns a -0.0 into the loop's +0.0).
-        # Then sum_sq = count, and a -1 (+1) product exists when S < count
-        # (S > -count).
+        # gives it exactly. s is sigma_B times that sum, and 4 s, exact too,
+        # is the loop's integer sum (0.0 + turns a -0.0 into the loop's
+        # +0.0). Then sum_sq = count, and a -1 (+1) product exists when
+        # 4 s < count (4 s > -count).
         offsets, sigma = None, -1.0
         if params:
             offsets = np.concatenate((params[0], params[1]))
             sigma = float(params[2])
         h = _sign_halves(np.concatenate((A, B)), offsets, l0, l1, l2)
+        s = sigma * (h[:len(A)] @ h[len(A):].T)[I, J]
         c = float(count)
-        return [(s, c, -1.0 if s < c else 1.0, 1.0 if s > -c else -1.0, STATUS_OK, -1, 0.0)
-                for s in (0.0 + 4.0 * sigma * (h[:len(A)] @ h[len(A):].T)[I, J]).tolist()]
-    fa, bad_a = _side_factors(A, l0, l1, l2, False)
-    fb, bad_b = _side_factors(B, l0, l1, l2, True)
+        if not joint:
+            return [(x, c, -1.0 if x < c else 1.0, 1.0 if x > -c else -1.0, STATUS_OK, -1, 0.0)
+                    for x in (0.0 + 4.0 * s).tolist()]
+        # A side's outcome is + where its halved sign (times sigma_B on
+        # side B) is +1/2, so it has n+ = (sum of halves) + count/2 of them,
+        # and pp, the sum of (h_A + 1/2)(h_B + 1/2), is s + (n+_A + n+_B)/2
+        # - count/4. Every term is a multiple of 1/4: the counts are exact.
+        half = h.sum(axis=1)
+        na, nb = half[I] + c / 2, sigma * half[len(A) + J] + c / 2
+        pp = s + (na + nb) / 2 - c / 4
+        counts = np.stack((pp, c - na - nb + pp, na - pp, nb - pp), axis=1)
+        return [(k, k, 0.0 if k < c else 1.0, 1.0 if k else 0.0, STATUS_OK, -1, 0.0)
+                for k in counts.ravel().tolist()]
+    fa, bad_a = _side_factors(A, l0, l1, l2, False, joint)
+    fb, bad_b = _side_factors(B, l0, l1, l2, True, joint)
+    if joint:
+        # Rows pp, mm, pm, mp of a pair multiply A's p_plus or p_minus row
+        # (the latter len(A) rows on) by B's.
+        I = (I[:, None] + len(A) * np.array([0, 1, 0, 1])).ravel()
+        J = (J[:, None] + len(B) * np.array([0, 1, 1, 0])).ravel()
     stops = _pair_stops(bad_a, bad_b, I, J, start, count)
     out = []
-    for rows in _row_blocks(len(I), count):
+    for rows in _row_blocks(len(I), count, 4 if joint else 1):
         out.extend(fold_rows(fa[I[rows]] * fb[J[rows]]))
     if stops is None:
         return [acc + (STATUS_OK, -1, 0.0) for acc in out]
@@ -383,32 +405,15 @@ def reduce_joint(kind, params, ax, ay, az, bx, by, bz,
     """Like reduce_product but accumulating the four joint-outcome
     probabilities (++, --, +-, -+) of a factorized stochastic model: the
     linear model, or a sign model seen as one, whose probabilities are 0
-    or 1.
+    or 1. The one-pair joint case of reduce_pairs.
 
     Returns ``(sums, sum_sqs, mins, maxs, status, bad_index, bad_value)``
     where the first four entries are 4-tuples ordered (pp, mm, pm, mp).
     """
-    _check_args(kind, params, sampler_kind, dim)
-    l0, l1, l2 = _lambda_columns(sampler_kind, seed, start, count, 3)
-    if kind == KIND_SIGN:
-        # Each entry is 0 or 1 on every draw, so its sum is an exact count:
-        # pp = #(A+ and B+), pm = #A+ - pp, mp = #B+ - pp, mm the rest.
-        c_a, c_b, sigma = params or (0.0, 0.0, -1.0)
-        h = _sign_halves(np.array([[ax, ay, az], [bx, by, bz]]),
-                         np.array([c_a, c_b], dtype=np.float64) if params else None,
-                         l0, l1, l2)
-        plus_a, plus_b = h[0] > 0.0, (h[1] > 0.0) == (sigma > 0.0)
-        pp, na, nb = (int(np.count_nonzero(x)) for x in (plus_a & plus_b, plus_a, plus_b))
-        accs = [(float(k), float(k), 0.0 if k < count else 1.0, 1.0 if k else 0.0)
-                if count else (0.0, 0.0, inf, -inf)
-                for k in (pp, count - na - nb + pp, na - pp, nb - pp)]
-        return tuple(zip(*accs)) + (STATUS_OK, -1, 0.0)
-    p1_plus, p1_minus, bad_a = _side_probabilities(np.array([[ax, ay, az]]), l0, l1, l2, False)
-    p2_plus, p2_minus, bad_b = _side_probabilities(np.array([[bx, by, bz]]), l0, l1, l2, True)
-    [(k, tail)] = _pair_stops(bad_a, bad_b, [0], [0], start, count) or [(count, (STATUS_OK, -1, 0.0))]
-    x = np.concatenate((p1_plus * p2_plus, p1_minus * p2_minus,
-                        p1_plus * p2_minus, p1_minus * p2_plus))
-    return tuple(zip(*fold_rows(x[:, :k]))) + tail
+    rows = reduce_pairs(kind, ((ax, ay, az),), ((bx, by, bz),), (0,), (0,),
+                        sampler_kind, dim, seed, start, count, None,
+                        params and ((params[0],), (params[1],), params[2]), joint=True)
+    return tuple(zip(*(row[:4] for row in rows))) + rows[0][4:]
 
 
 def series_powers(ax, ay, az, bx, by, bz):

@@ -31,8 +31,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .catalog import DEFAULT_H
-from .correlation import quantum_correlation_complex
-from .geometry import RiemannPoint, riemann_to_obj
+from .geometry import RiemannPoint, quantum_correlation_complex, riemann_to_obj
 
 __all__ = [
     "Verdict",

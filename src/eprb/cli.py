@@ -212,7 +212,11 @@ def _vector(ns: argparse.Namespace, name: str):
     return _lib.parse_vector_text(str(_require(ns, name)))
 
 
-def _model_and_sampler(ns: argparse.Namespace):
+def _model_and_sampler(ns: argparse.Namespace, settings=lambda: None):
+    """The model's name, the model, the sampler at the sampled options and
+    ``settings()``, the command's setting flags. They are read after the
+    checks that need no model and before the model is built, which loads
+    numpy, so a usage error in them loads no numpy."""
     name = _require(ns, "model")
     params = getattr(ns, "params", None)
     if params is not None and not isinstance(params, dict):
@@ -224,20 +228,22 @@ def _model_and_sampler(ns: argparse.Namespace):
             raise _UsageError("--params must hold a JSON object")
     if int(_setting(ns, "workers")) < 1:
         raise _UsageError(f"--workers must be >= 1, got {_setting(ns, 'workers')}")
+    chosen = settings()
     model = _lib.build_model(name, params)
     sampler = _lib.LambdaSampler(
         kind=str(_setting(ns, "sampler")),
         dim=int(_setting(ns, "dim")),
         seed=int(_setting(ns, "seed")),
     )
-    return name, model, sampler
+    return name, model, sampler, chosen
 
 
-def _named_oracle(ns: argparse.Namespace):
-    """The model's name and its correlation oracle at the sampled options."""
-    name, model, sampler = _model_and_sampler(ns)
+def _named_oracle(ns: argparse.Namespace, settings):
+    """The model's name, its correlation oracle at the sampled options and
+    the setting flags read by ``settings``, as _model_and_sampler reads them."""
+    name, model, sampler, chosen = _model_and_sampler(ns, settings)
     return name, _lib.make_correlation_oracle(
-        model, sampler, int(_setting(ns, "n")), workers=int(_setting(ns, "workers")))
+        model, sampler, int(_setting(ns, "n")), workers=int(_setting(ns, "workers"))), chosen
 
 
 def _emit(ns: argparse.Namespace, text: str | Iterable[str]) -> None:
@@ -294,9 +300,7 @@ def _estimate_row(est, name: str, **lead) -> dict:
 
 
 def _cmd_correlate(ns: argparse.Namespace) -> int:
-    name, oracle = _named_oracle(ns)
-    a = _vector(ns, "a")
-    b = _vector(ns, "b")
+    name, oracle, (a, b) = _named_oracle(ns, lambda: (_vector(ns, "a"), _vector(ns, "b")))
     est = oracle(a, b)
     if _setting(ns, "format") == "csv":
         _emit_csv(ns, [_finite(_estimate_row(est, name))])
@@ -312,7 +316,7 @@ def _cmd_correlate(ns: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(ns: argparse.Namespace) -> int:
-    name, model, sampler = _model_and_sampler(ns)
+    name, model, sampler, _ = _model_and_sampler(ns)
     results = _lib.correlation_sweep(model, int(_setting(ns, "steps")), sampler,
                                      int(_setting(ns, "n")), workers=int(_setting(ns, "workers")))
     rows = [_estimate_row(est, name, theta_rad=theta) for theta, est in results]
@@ -323,9 +327,19 @@ def _cmd_sweep(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_chsh(ns: argparse.Namespace) -> int:
-    name, oracle = _named_oracle(ns)
+def _chsh_quad(ns: argparse.Namespace):
+    """The settings a, b, a' and b' of a fixed quad, or None with --maximize."""
     if _setting(ns, "maximize"):
+        return None
+    keys = ("a", "b", "a_prime", "b_prime")
+    if any(getattr(ns, key, None) is None for key in keys):
+        raise _UsageError("chsh needs either --maximize or all of --a --b --a-prime --b-prime")
+    return [_vector(ns, key) for key in keys]
+
+
+def _cmd_chsh(ns: argparse.Namespace) -> int:
+    name, oracle, quad = _named_oracle(ns, lambda: _chsh_quad(ns))
+    if quad is None:
         result = _lib.maximize_chsh(
             oracle, int(_setting(ns, "budget")), mode=str(_setting(ns, "mode"))
         )
@@ -334,18 +348,7 @@ def _cmd_chsh(ns: argparse.Namespace) -> int:
         payload["grid_s_value"] = result.grid_s_value
         payload["mode"] = result.mode
     else:
-        for key in ("a", "b", "a_prime", "b_prime"):
-            if getattr(ns, key, None) is None:
-                raise _UsageError(
-                    "chsh needs either --maximize or all of --a --b --a-prime --b-prime"
-                )
-        quad = _lib.SettingsQuad(
-            a=_vector(ns, "a"),
-            b=_vector(ns, "b"),
-            a_prime=_vector(ns, "a_prime"),
-            b_prime=_vector(ns, "b_prime"),
-        )
-        payload = _lib.chsh_statistic(oracle, quad).to_json()
+        payload = _lib.chsh_statistic(oracle, _lib.SettingsQuad(*quad)).to_json()
         payload["evaluations"] = 4
     payload["model"] = name
     _emit_json(ns, {"command": "chsh", **payload})
@@ -353,10 +356,8 @@ def _cmd_chsh(ns: argparse.Namespace) -> int:
 
 
 def _cmd_bell(ns: argparse.Namespace) -> int:
-    name, oracle = _named_oracle(ns)
-    report = _lib.bell_statistic(
-        oracle, _vector(ns, "a"), _vector(ns, "b"), _vector(ns, "c")
-    )
+    name, oracle, settings = _named_oracle(ns, lambda: [_vector(ns, key) for key in "abc"])
+    report = _lib.bell_statistic(oracle, *settings)
     _emit_json(ns, {"command": "bell", "model": name, **report.to_json()})
     return 0
 

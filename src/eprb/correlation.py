@@ -21,7 +21,7 @@ from . import _backend as _k
 from ._mc import combine_scalar, require_n, run_chunk_jobs
 from ._mc import combine_vec4  # noqa: F401  (unused: perfbench's tracer wraps it here)
 from .errors import ContractViolationError
-from .geometry import RiemannPoint, UnitVector3, Z_AXIS, unit_from_plane_angle
+from .geometry import UnitVector3, Z_AXIS, quantum_correlation_complex, unit_from_plane_angle
 from .hidden_variables import LambdaSampler, fold_draws
 from .models import (
     AnticorrelatedSeriesPair,
@@ -156,9 +156,9 @@ def _estimate(m, family, name, a, b, s, n, workers, joint=False):
       in the zoo (0, +/-1, 1/4) have exact n-fold sums, so summing every
       draw would give (x * n) / n = x with stderr 0.0, as a float also
       where a model's outcomes are ints: the stream is not walked;
-    * a model with a kernel runs it on its ``kernel_rows(a, b)``: the
-      correlation as the one-pair case of ``_estimate_pairs``, the joint
-      table chunk by chunk through ``reduce_joint``;
+    * a model with a kernel runs it on its ``kernel_rows(a, b)``, as the
+      one-pair case of ``_estimate_pairs``: one row for the correlation,
+      four for the joint table;
     * any other model is evaluated on every draw by ``fold_draws``.
 
     Chunks are folded in chunk order.
@@ -184,23 +184,10 @@ def _estimate(m, family, name, a, b, s, n, workers, joint=False):
             mean_a, mean_b = mean_outcomes(m, a, b, lam)
             return (mean_a * mean_b,)
 
-    kind = m.kernel_kind
     if m.draw_independent:
         pairs = [(float(x), 0.0) for x in value(s.sample(0))]
-    elif kind is not None and not joint:
-        [est] = _estimate_pairs(m, [(a, b)], s, n)
-        return est
-    elif kind is not None:
-        (u, c_a), (v, c_b), sigma_b = m.kernel_rows(a, b)
-        # Empty params (offsets 0, sigma_b = -1) skip the kernel's offset adds.
-        params = (c_a, c_b, sigma_b) if c_a or c_b or sigma_b != -1.0 else ()
-
-        def job(start, count):
-            r = _k.reduce_joint(kind, params, u.x, u.y, u.z, v.x, v.y, v.z,
-                                s.kind_code, s.dim, s.seed, start, count)
-            return [row + r[4:] for row in zip(*r[:4])]
-
-        pairs = _checked_sums(run_chunk_jobs(job, n), n)
+    elif m.kernel_kind is not None:
+        pairs = _estimate_pairs(m, [(a, b)], s, n, joint=joint)
     else:
         pairs = fold_draws(
             lambda lams, start: np.array([value(lam) for lam in lams], dtype=np.float64).T, s, n)
@@ -242,24 +229,25 @@ def _kernel_group(A, B, I, J, sigma_b):
     return [k[:3] for k in A], [k[:3] for k in B], I, J, params
 
 
-def _estimate_pairs(m, pairs, s, n, draws=None):
+def _estimate_pairs(m, pairs, s, n, draws=None, joint=False):
     """The kernel path of ``_estimate`` for every (a, b) of ``pairs`` at
     once, in one pass of ``run_chunk_jobs``: ``reduce_pairs`` makes each
     chunk's draws once for a whole group of pairs (or reads them from
     ``draws``, which it fills), and each pair is a row of the driver with a
-    running sum of its own, so a pair's estimate does not depend on the
-    pairs asked with it, and the memory held does not depend on ``n``. The
-    bad probability raised is that of the earliest pair that has one, as
-    when the pairs are asked one at a time. ``n`` is a draw count already
-    checked by ``require_n``."""
+    running sum of its own (four rows, pp, mm, pm and mp, with ``joint``),
+    so a pair's estimate does not depend on the pairs asked with it, and
+    the memory held does not depend on ``n``. Returns one (mean, stderr)
+    per row. The bad probability raised is that of the earliest pair that
+    has one, as when the pairs are asked one at a time. ``n`` is a draw
+    count already checked by ``require_n``."""
     groups = list(_pair_groups(m, pairs))
 
     def job(start, count):
         return [part for A, B, I, J, params in groups
                 for part in _k.reduce_pairs(m.kernel_kind, A, B, I, J, s.kind_code, s.dim,
-                                            s.seed, start, count, draws, params)]
+                                            s.seed, start, count, draws, params, joint)]
 
-    return [CorrelationEstimate(*est, n=n) for est in _checked_sums(run_chunk_jobs(job, n), n)]
+    return _checked_sums(run_chunk_jobs(job, n), n)
 
 
 def estimate_correlation(
@@ -320,40 +308,6 @@ def quantum_correlation(a: UnitVector3, b: UnitVector3) -> CorrelationEstimate:
     elif d < -1.0:
         d = -1.0
     return CorrelationEstimate(value=-d, stderr=0.0, n=0, exact=True)
-
-
-def quantum_correlation_complex(z: RiemannPoint, w: RiemannPoint) -> float:
-    """The singlet correlation in stereographic coordinates.
-
-    Evaluated from the rational expression in (z, zbar, w, wbar), with the
-    point at infinity handled as its own case. Agreement with
-    -project(z) . project(w) is a cross-check in the tests, not the
-    implementation.
-    """
-    if z.is_infinite and w.is_infinite:
-        return -1.0
-    if z.is_infinite or w.is_infinite:
-        finite = w if z.is_infinite else z
-        m = finite.re * finite.re + finite.im * finite.im
-        if math.isinf(m):
-            # |z|^2 overflowed: the value is -1 to far below any tolerance.
-            return -1.0
-        return (1.0 - m) / (1.0 + m)
-    zr, zi = z.re, z.im
-    wr, wi = w.re, w.im
-    mz = zr * zr + zi * zi
-    mw = wr * wr + wi * wi
-    if math.isinf(mz) and math.isinf(mw):
-        return -1.0
-    if math.isinf(mz):
-        return (1.0 - mw) / (1.0 + mw)
-    if math.isinf(mw):
-        return (1.0 - mz) / (1.0 + mz)
-    # (z + zbar)(w + wbar) - (zbar - z)(wbar - w) + (1 - |z|^2)(1 - |w|^2),
-    # written out in real components, over (1 + |z|^2)(1 + |w|^2).
-    num = 4.0 * (zr * wr + zi * wi) + (1.0 - mz) * (1.0 - mw)
-    den = (1.0 + mz) * (1.0 + mw)
-    return -num / den
 
 
 def series_correlation(
@@ -493,7 +447,8 @@ def _with_pairs(oracle, model, s, n, workers):
             batches += 1
             if batches == 2 and 24 * count <= _DRAW_CACHE_BYTES:
                 draws = {}
-            return _estimate_pairs(model, request, s, count, draws)
+            return [CorrelationEstimate(*est, n=count)
+                    for est in _estimate_pairs(model, request, s, count, draws)]
 
         oracle.pairs = pairs
     return oracle

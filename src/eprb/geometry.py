@@ -5,7 +5,8 @@ live on the extended complex plane C u {inf}, and the stereographic
 projection identifies the two pictures: 0 maps to the north pole, the unit
 circle to the equator, and infinity to the south pole. Keeping infinity as
 an explicit variant (never a big-number sentinel) is what lets the rest of
-the package treat it as an ordinary point.
+the package treat it as an ordinary point. The singlet correlation in
+stereographic coordinates is closed-form, so it lives here too.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ __all__ = [
     "Z_AXIS",
     "stereographic_project",
     "inverse_project",
+    "quantum_correlation_complex",
     "angle_between",
     "unit_from_plane_angle",
     "unit_from_angles",
@@ -184,6 +186,40 @@ def inverse_project(v: UnitVector3) -> RiemannPoint:
         return INFINITY
     d = 1.0 + v.z
     return RiemannPoint.finite(v.x / d, v.y / d)
+
+
+def quantum_correlation_complex(z: RiemannPoint, w: RiemannPoint) -> float:
+    """The singlet correlation in stereographic coordinates.
+
+    Evaluated from the rational expression in (z, zbar, w, wbar), with the
+    point at infinity handled as its own case. Agreement with
+    -project(z) . project(w) is a cross-check in the tests, not the
+    implementation.
+    """
+    if z.is_infinite and w.is_infinite:
+        return -1.0
+    if z.is_infinite or w.is_infinite:
+        finite = w if z.is_infinite else z
+        m = finite.re * finite.re + finite.im * finite.im
+        if math.isinf(m):
+            # |z|^2 overflowed: the value is -1 to far below any tolerance.
+            return -1.0
+        return (1.0 - m) / (1.0 + m)
+    zr, zi = z.re, z.im
+    wr, wi = w.re, w.im
+    mz = zr * zr + zi * zi
+    mw = wr * wr + wi * wi
+    if math.isinf(mz) and math.isinf(mw):
+        return -1.0
+    if math.isinf(mz):
+        return (1.0 - mw) / (1.0 + mw)
+    if math.isinf(mw):
+        return (1.0 - mz) / (1.0 + mz)
+    # (z + zbar)(w + wbar) - (zbar - z)(wbar - w) + (1 - |z|^2)(1 - |w|^2),
+    # written out in real components, over (1 + |z|^2)(1 + |w|^2).
+    num = 4.0 * (zr * wr + zi * wi) + (1.0 - mz) * (1.0 - mw)
+    den = (1.0 + mz) * (1.0 + mw)
+    return -num / den
 
 
 def angle_between(a: UnitVector3, b: UnitVector3) -> float:

@@ -108,16 +108,32 @@ def ref_reduce_product(kind, params, ax, ay, az, bx, by, bz,
     return tuple(acc) + (0, -1, 0.0)
 
 
+def _ref_sign_probabilities(lam, a, b, params):
+    """(p1_plus, p1_minus, p2_plus, p2_minus) of the sign kind seen as a
+    stochastic model, 0 or 1: A = sign(a . lam + c_A) and B = sigma_B *
+    sign(b . lam + c_B), with sign(0) = +1 and params (c_A, c_B, sigma_B)."""
+    c_a, c_b, sigma = params or (0.0, 0.0, -1.0)
+    d1 = a[0] * lam[0] + a[1] * lam[1] + a[2] * lam[2] + c_a
+    d2 = b[0] * lam[0] + b[1] * lam[1] + b[2] * lam[2] + c_b
+    p1 = 1.0 if d1 >= 0.0 else 0.0
+    p2 = 1.0 if sigma * (1.0 if d2 >= 0.0 else -1.0) > 0.0 else 0.0
+    return p1, 1.0 - p1, p2, 1.0 - p2
+
+
 def ref_reduce_joint(kind, params, ax, ay, az, bx, by, bz,
                      sampler_kind, dim, seed, start, count):
-    """The reduce_joint kernel (linear model, entries ++, --, +-, -+)
-    written as a loop over draws."""
+    """The reduce_joint kernel (entries ++, --, +-, -+) written as a loop
+    over draws: the linear model, or the sign kind with its 0/1
+    probabilities."""
     a, b = (ax, ay, az), (bx, by, bz)
     accs = [[0.0, 0.0, math.inf, -math.inf] for _ in range(4)]
     status = (0, -1, 0.0)
     for i in range(start, start + count):
-        (p1p, p1m, p2p, p2m), bad = _ref_linear_probabilities(
-            ref_draw3(sampler_kind, seed, i), a, b)
+        lam = ref_draw3(sampler_kind, seed, i)
+        if kind == KIND_SIGN:
+            (p1p, p1m, p2p, p2m), bad = _ref_sign_probabilities(lam, a, b, params), None
+        else:
+            (p1p, p1m, p2p, p2m), bad = _ref_linear_probabilities(lam, a, b)
         if bad is not None:
             status = (1, i, bad)
             break

@@ -242,6 +242,41 @@ def test_numpy_reduce_pairs_reports_each_pairs_first_bad_probability():
         assert {above for o, _, above in seen if o == order} == {True, False}
 
 
+def test_numpy_joint_pairs_are_the_per_pair_joint_reference():
+    # reduce_pairs(..., joint=True) gives four rows a pair, (pp, mm, pm,
+    # mp), each with the pair's tail. Many pairs over several row blocks
+    # (2100 pairs of one draw are 8400 rows, over 2**13), sign offsets
+    # 0.0 and -0.0 on one setting, a NaN offset, a zero setting whose dots
+    # tie at 0, sigma_B = +/-1, and linear settings that leave [0, 1] on
+    # both streams
+    rng = np.random.default_rng(20)
+    A = [CUBE_SIDES[1], CUBE_SIDES[1], (0.0, 0.0, 0.0), CUBE_SIDES[4], SETTINGS[1][0]]
+    B = [CUBE_SIDES[2], CUBE_SIDES[0], CUBE_SIDES[3], (-0.0, 0.0, 0.0)]
+    c_a = [0.0, -0.0, -0.0, math.nan, 0.25]
+    c_b = [-0.0, 0.0, -0.5, 0.0]
+    kinds = [(bk.KIND_LINEAR, ()), (bk.KIND_SIGN, ()),
+             (bk.KIND_SIGN, (c_a, c_b, 1.0)), (bk.KIND_SIGN, (c_a, c_b, -1.0))]
+    seen_bad = set()
+    for sampler, count in itertools.product((bk.SAMPLER_SPHERE, bk.SAMPLER_CUBE), (0, 1, 4096)):
+        npairs = 2100 if count == 1 else 12
+        I = rng.integers(0, len(A), npairs).tolist()
+        J = rng.integers(0, len(B), npairs).tolist()
+        tail = (sampler, 3, 7, 2**40, count)
+        for kind, params in kinds:
+            got = bk.reduce_pairs(kind, A, B, I, J, *tail, None, params, joint=True)
+            assert len(got) == 4 * npairs
+            ref = {}
+            for p, (i, j) in enumerate(zip(I, J)):
+                if (i, j) not in ref:
+                    sums = ref_reduce_joint(kind, params and (c_a[i], c_b[j], params[2]),
+                                            *A[i], *B[j], *tail)
+                    ref[i, j] = [row + sums[4:] for row in zip(*sums[:4])]
+                assert got[4 * p:4 * p + 4] == ref[i, j], (kind, params, i, j, tail)
+                seen_bad.add((kind, sampler, got[4 * p][4]))
+    for sampler in (bk.SAMPLER_SPHERE, bk.SAMPLER_CUBE):
+        assert (bk.KIND_LINEAR, sampler, bk.STATUS_BAD_PROBABILITY) in seen_bad
+
+
 def test_numpy_sums_start_from_positive_zero_like_the_loop():
     # 0.0 + (-0.0) is +0.0: an all -0.0 chunk sums to +0.0, as in the loop
     [(s, s2, mn, mx)] = bk.fold_rows(np.array([[-0.0, -0.0]]))

@@ -120,6 +120,10 @@ USAGE_ERRORS = {
         b"quotes: line 1 column 2 (char 1)\n",
     ("chsh", "--model", "local_sign", "--workers", "0"):
         b"error: --workers must be >= 1, got 0\n",
+    ("correlate", "--model", "local_sign", "--a", "0,0,1"): b"error: --b is required\n",
+    ("chsh", "--model", "local_sign"):
+        b"error: chsh needs either --maximize or all of --a --b --a-prime --b-prime\n",
+    ("bell", "--model", "linear", "--a", "0,0,1", "--b", "1,0,0"): b"error: --c is required\n",
 }
 
 
@@ -142,7 +146,7 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     analyticity = ("analyticity", "--w", "inf", "--grid", "3", "--output", "a.json")
     _, codes, modules = run_fresh(tmp_path, analyticity)
     assert codes == [0] and "eprb.analyticity" in modules
-    assert "eprb.inequalities" not in modules
+    assert not modules.intersection({"eprb.inequalities", "eprb.correlation", "eprb._backend"})
 
 
 def test_every_public_name_is_its_home_modules_object():
