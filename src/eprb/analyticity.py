@@ -15,13 +15,11 @@ coordinates ``x +- h`` and ``y +- h``, the rational singlet formula with its
 overflow branches and the difference quotients are the per-point float
 operations in the same order, so every residual equals the per-point
 one bit for bit. Its rows stay arrays (``GridPoints``) until a caller asks
-for them, and ``ResidualReport.json_pieces`` writes the report's JSON from
-those arrays, byte for byte as ``json.dumps(..., indent=2)`` would.
+for them, so a writer reads its columns without building point objects.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -48,16 +46,6 @@ __all__ = [
 DEFAULT_TOL = 1e-5
 # Largest lattice resolution per axis: k * k points, about 785k inside the disc.
 MAX_GRID = 1000
-# Rows per piece of JSON text, so a large report is written without holding
-# all of its text at once.
-_JSON_ROWS = 8192
-# One row of a report's "points" array as json.dumps(..., indent=2) lays it
-# out, from the coordinates' repr texts and the residual; repr of a finite
-# float is the encoder's float.__repr__.
-_JSON_ROW = (
-    '    {\n      "z": {\n        "re": %s,\n        "im": %s\n      },\n'
-    '      "residual": %r\n    }'
-)
 
 
 class GridPoints(Sequence):
@@ -120,7 +108,7 @@ class ResidualReport:
     tol: float
     verdict: Verdict
 
-    def _summary(self) -> dict:
+    def summary(self) -> dict:
         return {
             "h": self.h,
             "tol": self.tol,
@@ -130,46 +118,11 @@ class ResidualReport:
 
     def to_json(self) -> dict:
         return {
-            **self._summary(),
+            **self.summary(),
             "points": [
                 {"z": riemann_to_obj(z), "residual": r} for z, r in self.points
             ],
         }
-
-    def json_pieces(self, head: dict) -> Iterator[str]:
-        """The text of ``json.dumps({**head, **self.to_json()}, indent=2)``,
-        in pieces of at most ``_JSON_ROWS`` rows, without the point dicts.
-
-        Every coordinate and residual of a report is finite (the reports
-        reject non-finite residuals), which is where ``%r`` and the encoder
-        agree.
-        """
-        text = json.dumps({**head, **self._summary()}, indent=2)
-        if not self.points:
-            yield text[:-2] + ',\n  "points": []\n}'
-            return
-        yield text[:-2] + ',\n  "points": [\n'
-        if isinstance(self.points, GridPoints):
-            re, im, res = self.points.re, self.points.im, self.points.residual
-        else:
-            re = np.array([z.re for z, _ in self.points], dtype=np.float64)
-            im = np.array([z.im for z, _ in self.points], dtype=np.float64)
-            res = np.array([r for _, r in self.points], dtype=np.float64)
-        for start in range(0, len(res), _JSON_ROWS):
-            rows = slice(start, start + _JSON_ROWS)
-            piece = ",\n".join(map(_JSON_ROW.__mod__, zip(
-                _reprs(re[rows]), _reprs(im[rows]), res[rows].tolist())))
-            yield piece if start == 0 else ",\n" + piece
-        yield "\n  ]\n}"
-
-
-def _reprs(values: np.ndarray) -> list[str]:
-    """repr of each float, made once per distinct bit pattern (0.0 and -0.0
-    stay apart). A lattice has k distinct coordinates, so this skips most
-    of the float formatting, the costliest step of writing a report."""
-    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    texts = list(map(repr, bits.view(np.float64).tolist()))
-    return list(map(texts.__getitem__, inverse.tolist()))
 
 
 def _step(h: float) -> float:

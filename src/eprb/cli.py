@@ -3,7 +3,8 @@
 Subcommands map one-to-one onto the library: ``correlate`` and ``sweep``
 onto the correlation estimators, ``chsh``/``bell`` onto the inequality
 statistics, ``analyticity`` onto the residual reports, ``models`` onto the
-zoo registry. Output is JSON (default) or CSV on stdout or a file.
+zoo registry. Output is JSON (default) or CSV on stdout or a file; row
+arrays and CSV tables come from one table writer, ``_table``.
 
 Exit codes: 0 on success, 1 for argument or validation problems and for
 a result holding NaN or an infinity (nothing is written then), 2 when a
@@ -17,7 +18,6 @@ from __future__ import annotations
 import argparse
 import functools
 import importlib
-import itertools
 import json
 import math
 import os
@@ -246,9 +246,8 @@ def _named_oracle(ns: argparse.Namespace, settings):
         model, sampler, int(_setting(ns, "n")), workers=int(_setting(ns, "workers"))), chosen
 
 
-def _emit(ns: argparse.Namespace, text: str | Iterable[str]) -> None:
-    """Write ``text``, one string or an iterable of pieces, to --output or stdout."""
-    pieces = (text,) if isinstance(text, str) else text
+def _emit(ns: argparse.Namespace, pieces: Iterable[str]) -> None:
+    """Write the text ``pieces`` to --output or stdout."""
     output = getattr(ns, "output", None)
     if output:
         try:
@@ -277,33 +276,81 @@ def _finite(obj, field=None):
 
 
 def _emit_json(ns: argparse.Namespace, obj) -> None:
-    _emit(ns, json.dumps(_finite(obj), indent=2) + "\n")
+    _emit(ns, [json.dumps(_finite(obj), indent=2) + "\n"])
 
 
-def _emit_csv(ns: argparse.Namespace, rows: list[dict]) -> None:
-    """Write ``rows``, dicts with one set of keys, as CSV: the keys, then a line
-    a row, with strings as they are, flags as true or false, numbers as repr."""
-    def cell(x) -> str:
-        if isinstance(x, bool):
-            return "true" if x else "false"
-        return x if isinstance(x, str) else repr(x)
-
-    lines = [",".join(rows[0])] + [",".join(map(cell, row.values())) for row in rows]
-    _emit(ns, "\n".join(lines) + "\n")
+# Rows per piece of a table's text, so a large table is written without
+# holding all of its text at once; and a column's cell in a placeholder row.
+_PIECE_ROWS = 8192
+_CELL = "\0"
 
 
-def _estimate_row(est, name: str, **lead) -> dict:
-    """An estimate's output row: the ``lead`` columns, then value, stderr,
-    n, model and exact."""
-    return {**lead, "value": est.value, "stderr": est.stderr, "n": est.n,
-            "model": name, "exact": est.exact}
+def _placeholder(value, path: str, columns: dict):
+    """``value`` with _CELL for each list or array, put in ``columns`` by path
+    (a nested function that calls itself would keep ``columns`` in a cycle)."""
+    import numpy as np
+
+    if isinstance(value, dict):
+        return {k: _placeholder(v, f"{path}.{k}" if path else k, columns)
+                for k, v in value.items()}
+    if not isinstance(value, (list, tuple, np.ndarray)):
+        return value
+    columns[path] = np.asarray(value, dtype=np.float64)
+    return _CELL
+
+
+def _table(row: dict, key=None, head=None, repeats=()) -> Iterable[str]:
+    """The text of a table in pieces of at most _PIECE_ROWS rows: with ``head``,
+    ``json.dumps({**head, key: rows}, indent=2)`` and a newline; without, CSV.
+    The lists and arrays in ``row`` are float columns, filled into one row
+    template as reprs (the encoder's text for a finite float) after the first
+    NaN or infinity in row order, if any, raises ``_finite``'s error. Column
+    paths (``z.re``) name the fields of errors and the columns in ``repeats``."""
+    import numpy as np
+
+    marked = _placeholder(row, "", columns := {})
+    bad = ~np.array([np.isfinite(col) for col in columns.values()]).T
+    if bad.any():
+        at, i = divmod(int(bad.argmax()), len(columns))
+        path = list(columns)[i]
+        _finite(float(columns[path][at]), path if key is None else f"{key}[{at}].{path}")
+    for path in repeats:  # as texts, each made once per bit pattern (0.0 and -0.0 apart)
+        bits, inverse = np.unique(columns[path].view(np.int64), return_inverse=True)
+        columns[path] = np.array(list(map(repr, bits.view(np.float64).tolist())), object)[inverse]
+    if head is None:
+        cell, opening, sep, closing = _CELL, ",".join(marked), "", "\n"
+        text = "\n" + ",".join(x if isinstance(x, str) else json.dumps(x) for x in marked.values())
+    else:
+        # The row as json.dumps lays it out: from after its array's "[" to its "}".
+        doc, cell = json.dumps(_finite({**head, key: [marked]}), indent=2), json.dumps(_CELL)
+        start = doc.rindex("[", 0, doc.index(cell)) + 1
+        stop = doc.rindex("}", 0, doc.rindex("]")) + 1
+        text, opening, sep, closing = doc[start:stop], doc[:start], ",", doc[stop:] + "\n"
+    first, *rest = text.replace("%", "%%").split(cell)
+    template = first + "".join(("%s" if path in repeats else "%r") + after
+                               for path, after in zip(columns, rest))
+
+    def pieces():
+        yield opening
+        for start in range(0, len(bad), _PIECE_ROWS):
+            yield (sep if start else "") + sep.join(map(template.__mod__, zip(
+                *(col[start:start + _PIECE_ROWS].tolist() for col in columns.values()))))
+        yield closing
+
+    return pieces()
+
+
+def _estimate_row(name: str, estimates, **lead) -> dict:
+    """The row of ``estimates`` at one n: ``lead``, value, stderr, n, model, exact."""
+    return {**lead, "value": [e.value for e in estimates], "stderr": [e.stderr for e in estimates],
+            "n": estimates[0].n, "model": name, "exact": estimates[0].exact}
 
 
 def _cmd_correlate(ns: argparse.Namespace) -> int:
     name, oracle, (a, b) = _named_oracle(ns, lambda: (_vector(ns, "a"), _vector(ns, "b")))
     est = oracle(a, b)
     if _setting(ns, "format") == "csv":
-        _emit_csv(ns, [_finite(_estimate_row(est, name))])
+        _emit(ns, _table(_estimate_row(name, [est])))
     else:
         _emit_json(ns, {
             "command": "correlate",
@@ -319,11 +366,9 @@ def _cmd_sweep(ns: argparse.Namespace) -> int:
     name, model, sampler, _ = _model_and_sampler(ns)
     results = _lib.correlation_sweep(model, int(_setting(ns, "steps")), sampler,
                                      int(_setting(ns, "n")), workers=int(_setting(ns, "workers")))
-    rows = [_estimate_row(est, name, theta_rad=theta) for theta, est in results]
-    if _setting(ns, "format") == "csv":
-        _emit_csv(ns, _finite(rows, "rows"))
-    else:
-        _emit_json(ns, {"command": "sweep", "model": name, "rows": rows})
+    thetas, estimates = zip(*results)
+    head = None if _setting(ns, "format") == "csv" else {"command": "sweep", "model": name}
+    _emit(ns, _table(_estimate_row(name, estimates, theta_rad=thetas), "rows", head))
     return 0
 
 
@@ -376,8 +421,11 @@ def _cmd_analyticity(ns: argparse.Namespace) -> int:
         "function": "pq",
         "w": _lib.riemann_to_obj(w),
         "grid": {"R": radius, "k": k},
+        **report.summary(),
     }
-    _emit(ns, itertools.chain(report.json_pieces(head), ("\n",)))
+    p = report.points  # k distinct coordinates; the residuals are all distinct
+    _emit(ns, _table({"z": {"re": p.re, "im": p.im}, "residual": p.residual}, "points", head,
+                     repeats=("z.re", "z.im")))
     return 0
 
 

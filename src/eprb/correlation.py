@@ -141,11 +141,16 @@ def _checked_sums(accs, n):
 _FAMILIES = {DeterministicModel: "deterministic", StochasticModel: "stochastic"}
 
 
-def _estimate(m, family, name, a, b, s, n, workers, joint=False):
-    """The body of every Monte Carlo estimator ``name``: the mean over
-    draws 0..n-1 of ``s`` of the per-draw outcome product of ``m`` at
-    (a, b), as a CorrelationEstimate, or with ``joint`` the means of the
-    four joint-probability products, as a JointTable.
+def _require_family(m, family, name):
+    if not isinstance(m, family):
+        raise ValueError(f"{name} needs a {_FAMILIES[family]} model, got {type(m).__name__}")
+
+
+def _estimate(m, family, a, b, s, n, joint=False):
+    """The body of every Monte Carlo estimator: the mean over draws 0..n-1
+    (checked by ``require_n``) of ``s`` of the per-draw outcome product of
+    ``m`` at (a, b), as a CorrelationEstimate, or with ``joint`` the means
+    of the four joint-probability products, as a JointTable.
 
     ``m`` must belong to ``family``, which picks the per-draw value: the
     checked outcome product of a deterministic model, the product of a
@@ -163,9 +168,6 @@ def _estimate(m, family, name, a, b, s, n, workers, joint=False):
 
     Chunks are folded in chunk order.
     """
-    if not isinstance(m, family):
-        raise ValueError(f"{name} needs a {_FAMILIES[family]} model, got {type(m).__name__}")
-    n = require_n(n, workers)
     if family is DeterministicModel:
         def value(lam):
             alpha, beta = evaluate_deterministic(m, a, b, lam)
@@ -259,7 +261,8 @@ def estimate_correlation(
     workers: int = 1,
 ) -> CorrelationEstimate:
     """Mean outcome product of a deterministic model over draws 0..n-1."""
-    return _estimate(m, DeterministicModel, "estimate_correlation", a, b, s, n, workers)
+    _require_family(m, DeterministicModel, "estimate_correlation")
+    return _estimate(m, DeterministicModel, a, b, s, require_n(n, workers))
 
 
 def estimate_stochastic_correlation(
@@ -271,7 +274,8 @@ def estimate_stochastic_correlation(
     workers: int = 1,
 ) -> CorrelationEstimate:
     """Mean product of the two parties' per-draw outcome averages."""
-    return _estimate(m, StochasticModel, "estimate_stochastic_correlation", a, b, s, n, workers)
+    _require_family(m, StochasticModel, "estimate_stochastic_correlation")
+    return _estimate(m, StochasticModel, a, b, s, require_n(n, workers))
 
 
 def estimate_joint(
@@ -288,7 +292,8 @@ def estimate_joint(
     p_pp + p_mm - p_pm - p_mp agrees with estimate_stochastic_correlation
     to within accumulation roundoff.
     """
-    return _estimate(m, StochasticModel, "estimate_joint", a, b, s, n, workers, joint=True)
+    _require_family(m, StochasticModel, "estimate_joint")
+    return _estimate(m, StochasticModel, a, b, s, require_n(n, workers), joint=True)
 
 
 def quantum_correlation(a: UnitVector3, b: UnitVector3) -> CorrelationEstimate:
@@ -423,21 +428,13 @@ def make_correlation_oracle(
                      else estimate_stochastic_correlation)
         return estimator(model, a, b, s, n, workers=workers)
 
-    return _with_pairs(oracle, model, s, n, workers)
-
-
-def _with_pairs(oracle, model, s, n, workers):
-    """Give ``oracle`` a ``pairs`` method that estimates a list of setting
-    pairs in one pass over the draws, when the model runs a kernel and its
-    product depends on the draw; any other model is asked pair by pair.
-
-    From its second batch on, the method keeps each chunk's draws for the
-    batches after it, as long as the oracle lives, so a settings search
-    makes them at most twice; a one-batch caller (``chsh`` at one quad,
-    ``bell``, a sweep) keeps none. Past _DRAW_CACHE_BYTES it keeps none and
-    makes them for every batch."""
-    if (getattr(model, "kernel_kind", None) is not None
-            and not getattr(model, "draw_independent", False)):
+    # A kernel model that depends on the draw gets a ``pairs`` method: it
+    # estimates a list of setting pairs in one pass over the draws, checking
+    # n and workers as the estimators do. From its second batch on, it keeps
+    # each chunk's draws while the oracle lives, so a settings search makes
+    # them at most twice and a one-batch caller (``chsh`` at one quad,
+    # ``bell``, a sweep) none; past _DRAW_CACHE_BYTES it keeps none.
+    if model.kernel_kind is not None and not model.draw_independent:
         draws = None
         batches = 0
 
@@ -521,12 +518,13 @@ def correlation_sweep(
     """Correlation curve over the planar angle theta in [0, pi].
 
     The first setting is fixed at the z-axis; the second sweeps through
-    ``steps`` equally spaced angles from it, endpoints included.
+    ``steps`` equally spaced angles from it, endpoints included. ``n`` and
+    ``workers`` are checked for every model, the closed-form ones too.
     """
     steps = int(steps)
     if steps < 2 or steps > MAX_STEPS:
         raise ValueError(f"steps must be in 2..{MAX_STEPS}, got {steps}")
-    oracle = make_correlation_oracle(model, s, n, workers=workers)
+    oracle = make_correlation_oracle(model, s, require_n(n, workers))
     thetas = [(k * math.pi) / (steps - 1) for k in range(steps)]
     estimates = ask_pairs(oracle, [(Z_AXIS, unit_from_plane_angle(t)) for t in thetas])
     return list(zip(thetas, estimates))

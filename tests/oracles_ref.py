@@ -15,6 +15,7 @@ test_inequalities.py holds to them. The per-point disc report is the plain form 
 module's whole-grid stencil, which test_analyticity.py holds to it.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -58,8 +59,10 @@ def ref_cube_point(seed: int, i: int, dim: int) -> tuple:
     return tuple(ref_uniform01(seed, i, j) for j in range(dim))
 
 
+@functools.lru_cache(maxsize=None)
 def ref_draw3(sampler_kind: int, seed: int, i: int) -> tuple:
-    """Components 0..2 of draw i, the only ones the model kernels read."""
+    """Components 0..2 of draw i, the only ones the model kernels read.
+    Memoized: the references ask for the same draws case after case."""
     if sampler_kind == SAMPLER_SPHERE:
         return ref_sphere_point(seed, i)
     return ref_cube_point(seed, i, 3)

@@ -17,7 +17,7 @@ from eprb import (
     residual_report,
     wirtinger_residual,
 )
-from eprb import analyticity
+from eprb import analyticity, cli
 from eprb.analyticity import DEFAULT_H, DEFAULT_TOL, GridPoints, ResidualReport, _disc_grid
 from oracles_ref import ref_pq_report
 
@@ -288,25 +288,26 @@ def test_grid_points_read_as_the_per_point_rows():
     assert rep.to_json()["points"] == [{"z": {"re": x, "im": y}, "residual": r} for x, y, r in rows]
 
 
-def _pieces_text(report, head):
-    return "".join(report.json_pieces(head))
+def _table_text(report, head):
+    """A grid report as the CLI's table writer writes it."""
+    p = report.points
+    row = {"z": {"re": p.re, "im": p.im}, "residual": p.residual}
+    return "".join(cli._table(row, "points", {**head, **report.summary()},
+                                     repeats=("z.re", "z.im")))
 
 
-def test_json_pieces_write_what_json_dumps_writes(monkeypatch):
+def test_table_writer_writes_what_json_dumps_writes(monkeypatch):
     head = {"command": "analyticity", "w": "inf", "grid": {"R": 1.0, "k": 5}}
     odd = [0.0, -0.0, 5e-324, 1e-5, 0.1, 1.0 / 3.0, 1e16, -1e16, 1e308, 123456789.0]
-    pts = [RiemannPoint.finite(x, y) for x, y in zip(odd, reversed(odd))]
-    rep = ResidualReport(points=tuple((z, r) for z, r in zip(pts, odd[::-1])),
+    rep = ResidualReport(points=GridPoints(*np.array([odd, odd[::-1], odd[::-1]])),
                          max_residual=1e308, h=DEFAULT_H, tol=DEFAULT_TOL,
                          verdict=Verdict.NON_ANALYTIC)
     grid = pq_nonanalyticity_report(RiemannPoint.finite(-1.2, 0.4), radius=2.5, k=21)
-    empty = ResidualReport(points=(), max_residual=0.0, h=DEFAULT_H, tol=DEFAULT_TOL,
-                           verdict=Verdict.ANALYTIC_WITHIN_TOL)
     for rows_per_piece in (3, 8192):  # pieces joined mid-array, and one piece
-        monkeypatch.setattr(analyticity, "_JSON_ROWS", rows_per_piece)
-        for report in (rep, grid, empty):
-            want = json.dumps({**head, **report.to_json()}, indent=2)
-            assert _pieces_text(report, head) == want
+        monkeypatch.setattr(cli, "_PIECE_ROWS", rows_per_piece)
+        for report in (rep, grid):
+            want = json.dumps({**head, **report.to_json()}, indent=2) + "\n"
+            assert _table_text(report, head) == want
 
 
 def test_grid_report_builds_no_point_objects_until_read(monkeypatch):
@@ -319,11 +320,11 @@ def test_grid_report_builds_no_point_objects_until_read(monkeypatch):
         raise AssertionError("called a per-point function")
 
     rep = pq_nonanalyticity_report(INFINITY, radius=1.0, k=21)
-    text = _pieces_text(rep, {})
+    text = _table_text(rep, {})
     monkeypatch.setattr(analyticity, "RiemannPoint", Forbidden)
     monkeypatch.setattr(analyticity, "riemann_to_obj", forbidden)
     monkeypatch.setattr(analyticity, "quantum_correlation_complex", forbidden)
     again = pq_nonanalyticity_report(INFINITY, radius=1.0, k=21)
     assert len(again.points) == len(rep.points) == 313
-    assert _pieces_text(again, {}) == text
+    assert _table_text(again, {}) == text
     assert np.array_equal(again.points.residual, rep.points.residual)

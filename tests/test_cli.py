@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from eprb import _backend, analyticity, cli, correlation
@@ -422,6 +423,31 @@ def test_a_non_finite_result_is_exit_one_before_anything_is_written(
     path = tmp_path / "out.txt"
     assert run([*args, *OVERFLOWING_SERIES, "--output", str(path)]) == 1
     assert not path.exists()
+
+
+@pytest.mark.parametrize("repeats", [(), ("x",), ("x", "y")])
+def test_table_text_is_what_json_dumps_and_the_csv_rule_write(monkeypatch, repeats):
+    # pieces of 2 rows joined mid-table; "%" in a shared value and in the head
+    monkeypatch.setattr(cli, "_PIECE_ROWS", 2)
+    x = [0.0, -0.0, 5e-324, 1.0 / 3.0, 1e16, -1e308, 0.0]
+    row = {"x": x, "y": np.array(x[::-1]), "n": 7, "model": "50%s", "exact": True}
+    rows = [{"x": a, "y": b, "n": 7, "model": "50%s", "exact": True} for a, b in zip(x, x[::-1])]
+    head = {"command": "t%d", "w": {"re": 1.5}}
+    want = json.dumps({**head, "rows": rows}, indent=2) + "\n"
+    assert "".join(cli._table(row, "rows", head, repeats)) == want
+    lines = ["x,y,n,model,exact"] + [f"{a!r},{b!r},7,50%s,true" for a, b in zip(x, x[::-1])]
+    assert "".join(cli._table(row, "rows", repeats=repeats)) == "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_the_first_non_finite_field_is_named_in_row_order(capsys, monkeypatch, fmt):
+    # rows[0].stderr comes before rows[1].value, which a column at a time would name
+    rows = [(0.0, correlation.CorrelationEstimate(value=1.0, stderr=math.inf, n=64)),
+            (1.0, correlation.CorrelationEstimate(value=math.nan, stderr=0.0, n=64))]
+    monkeypatch.setattr(cli, "correlation_sweep", lambda *args, **kwargs: rows)
+    code, out, err = run_cli(capsys, "sweep", "--model", "local_sign", "--format", fmt)
+    assert code == 1 and out == ""
+    assert err == "error: result field 'rows[0].stderr' is not finite: inf\n"
 
 
 def test_a_search_with_no_number_among_its_grid_quads_is_exit_one(capsys):

@@ -239,6 +239,27 @@ def test_workers_below_one_is_rejected_on_every_path(monkeypatch, path):
             _BELOW_ONE_CALLS[path](sphere_sampler(), workers)
 
 
+def test_workers_is_checked_at_each_entry_after_n(monkeypatch):
+    # a sweep checks n and workers for the closed-form models too; an oracle
+    # checks them at each call, as its estimator does; n is named first
+    monkeypatch.setattr(correlation_module, "run_chunk_jobs", _no_chunk_runs)
+    monkeypatch.setattr(_k, "reduce_pairs", _no_chunk_runs)
+    s, series = sphere_sampler(), impose_anticorrelation(delta_coefficients())
+    entries = {
+        "sweep": lambda n, w: correlation_sweep(QuantumCorrelationModel(), 3, s, n, w),
+        "kernel_sweep": lambda n, w: correlation_sweep(LocalSignModel(), 3, s, n, w),
+        "antipodal": lambda n, w: antipodal_contrast(series, Z_AXIS, s, n, w),
+        "oracle": lambda n, w: make_correlation_oracle(NoKernelSign(), s, n, w)(Z_AXIS, X_AXIS),
+        "series_oracle": lambda n, w: make_correlation_oracle(series, s, n, w)(Z_AXIS, X_AXIS),
+        "joint": lambda n, w: estimate_joint(CoinModel(), Z_AXIS, X_AXIS, s, n, w),
+    }
+    for call in entries.values():
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            call(100, 0)
+        with pytest.raises(ValueError, match="n must be >= 2"):
+            call(1, 0)
+
+
 def test_no_estimate_starts_a_thread(monkeypatch):
     # numpy chunks, per-draw Python draws and integrands hold the GIL, so
     # they run on the calling thread at any worker count

@@ -157,3 +157,27 @@ ANALYTICITY_DIGESTS = {
 def test_analyticity_output_matches_frozen_digest(argv, tmp_path):
     got = output_digest(["analyticity", *argv], tmp_path / "analyticity")
     assert got == ANALYTICITY_DIGESTS[argv], " ".join(argv)
+
+
+# sha256 of `eprb sweep` output long enough to cross the writers' piece
+# boundary (8192 rows), recorded from the implementation that walked every
+# row dict with json.dumps and a per-cell CSV rule. The same rule holds:
+# never re-record these.
+LONG_SWEEP_DIGESTS = {
+    ("--model", "quantum", "--steps", "20000"):
+        "52335f3478290c9dad45d4b823237e085b1cc2e848be1056a7f4d810a47f4d13",
+    ("--model", "quantum", "--steps", "20000", "--format", "csv"):
+        "328a7b5f7b3bca6a8c683983ca4d2821c1f8cd485de8f81bc7df8be13d22690e",
+    ("--model", "local_sign", "--n", "4096", "--seed", "7", "--steps", "9000"):
+        "7074e96491e4b73069ae86b74786779be238c08e880aa69668050c56d1978704",
+    ("--model", "local_sign", "--n", "4096", "--seed", "7", "--steps", "9000",
+     "--format", "csv"):
+        "1c10e812a127827be1f5c467dba5742df9c7d5f9c8e702afe44193f5dcfd73f8",
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("argv", list(LONG_SWEEP_DIGESTS), ids=" ".join)
+def test_long_sweep_output_matches_frozen_digest(argv, workers, tmp_path):
+    got = output_digest(["sweep", *argv, "--workers", str(workers)], tmp_path / "sweep")
+    assert got == LONG_SWEEP_DIGESTS[argv], " ".join(argv)
