@@ -64,76 +64,4 @@ def __dir__() -> list[str]:
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BACKEND_NAME",
-    "__version__",
-    "ContractViolationError",
-    "UnitVector3",
-    "RiemannPoint",
-    "INFINITY",
-    "X_AXIS",
-    "Y_AXIS",
-    "Z_AXIS",
-    "stereographic_project",
-    "inverse_project",
-    "angle_between",
-    "unit_from_plane_angle",
-    "unit_from_angles",
-    "LambdaSampler",
-    "MonteCarloEstimate",
-    "SAMPLER_KINDS",
-    "sphere_sampler",
-    "cube_sampler",
-    "integrate",
-    "LocalityClass",
-    "SingleProbabilities",
-    "DeterministicModel",
-    "StochasticModel",
-    "LocalSignModel",
-    "CoinModel",
-    "LinearStochasticModel",
-    "ConstantNonlocalModel",
-    "FixedOutcomeModel",
-    "SettingBiasedSignModel",
-    "DeterministicEmbedding",
-    "QuantumCorrelationModel",
-    "RealAnalyticCoefficients",
-    "AnticorrelatedSeriesPair",
-    "evaluate_deterministic",
-    "evaluate_stochastic",
-    "mean_outcomes",
-    "evaluate_series",
-    "delta_coefficients",
-    "random_coefficients",
-    "impose_anticorrelation",
-    "build_model",
-    "MODEL_NAMES",
-    "zoo",
-    "CorrelationEstimate",
-    "JointTable",
-    "estimate_correlation",
-    "estimate_stochastic_correlation",
-    "estimate_joint",
-    "quantum_correlation",
-    "quantum_correlation_complex",
-    "series_correlation",
-    "make_correlation_oracle",
-    "ask_pairs",
-    "AntipodalContrast",
-    "antipodal_contrast",
-    "correlation_sweep",
-    "SettingsQuad",
-    "ChshReport",
-    "chsh_statistic",
-    "BellReport",
-    "bell_statistic",
-    "cross_term",
-    "MaximizeResult",
-    "maximize_chsh",
-    "Verdict",
-    "ResidualReport",
-    "wirtinger_residual",
-    "residual_report",
-    "constancy_check",
-    "pq_nonanalyticity_report",
-]
+__all__ = ["__version__", *_HOMES]

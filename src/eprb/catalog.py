@@ -20,8 +20,8 @@ class LocalityClass(Enum):
     GENERAL_NONLOCAL = "general_nonlocal"
 
 
-# name -> (locality class, one-line summary), in listing order.
-# ``models._BUILDERS`` holds each name's constructor, keyed alike.
+# name -> (locality class, one-line summary), in listing order: the one
+# table of locality classes. ``models._BUILDERS`` is keyed alike.
 ZOO = {
     "quantum": (LocalityClass.GENERAL_NONLOCAL,
                 "closed-form singlet correlation, no hidden variables"),

@@ -408,9 +408,6 @@ def _cmd_bell(ns: argparse.Namespace) -> int:
 
 
 def _cmd_analyticity(ns: argparse.Namespace) -> int:
-    target = getattr(ns, "target", None) or "pq"
-    if target != "pq":
-        raise _UsageError(f"unknown analyticity target {target!r}")
     w = _lib.parse_riemann_text(str(_require(ns, "w")))
     radius = float(_setting(ns, "radius"))
     k = int(_setting(ns, "grid"))

@@ -403,12 +403,14 @@ def make_correlation_oracle(
     """A (a, b) -> CorrelationEstimate closure for any zoo model.
 
     Routes to the matching estimator; the closed-form models ignore the
-    sampler entirely.
+    sampler entirely. ``n`` and ``workers`` are checked at construction,
+    for every model, the closed-form ones too.
     """
+    n = require_n(n, workers)
     if isinstance(model, QuantumCorrelationModel):
         return quantum_correlation
     if isinstance(model, AnticorrelatedSeriesPair):
-        if pair_needs_sampler(model) and s is None:
+        if not model.lambda_independent and s is None:
             raise ValueError("draw-dependent series pair needs a sampler")
         sampler = s if s is not None else LambdaSampler()
 
@@ -429,23 +431,22 @@ def make_correlation_oracle(
         return estimator(model, a, b, s, n, workers=workers)
 
     # A kernel model that depends on the draw gets a ``pairs`` method: it
-    # estimates a list of setting pairs in one pass over the draws, checking
-    # n and workers as the estimators do. From its second batch on, it keeps
-    # each chunk's draws while the oracle lives, so a settings search makes
-    # them at most twice and a one-batch caller (``chsh`` at one quad,
-    # ``bell``, a sweep) none; past _DRAW_CACHE_BYTES it keeps none.
+    # estimates a list of setting pairs in one pass over the draws. From its
+    # second batch on, it keeps each chunk's draws while the oracle lives, so
+    # a settings search makes them at most twice and a one-batch caller
+    # (``chsh`` at one quad, ``bell``, a sweep) none; past _DRAW_CACHE_BYTES
+    # it keeps none.
     if model.kernel_kind is not None and not model.draw_independent:
         draws = None
         batches = 0
 
         def pairs(request):
             nonlocal draws, batches
-            count = require_n(n, workers)
             batches += 1
-            if batches == 2 and 24 * count <= _DRAW_CACHE_BYTES:
+            if batches == 2 and 24 * n <= _DRAW_CACHE_BYTES:
                 draws = {}
-            return [CorrelationEstimate(*est, n=count)
-                    for est in _estimate_pairs(model, request, s, count, draws)]
+            return [CorrelationEstimate(*est, n=n)
+                    for est in _estimate_pairs(model, request, s, n, draws)]
 
         oracle.pairs = pairs
     return oracle
@@ -460,10 +461,6 @@ def ask_pairs(P, pairs) -> list[CorrelationEstimate]:
     if batch is not None:
         return batch(pairs)
     return [P(a, b) for a, b in pairs]
-
-
-def pair_needs_sampler(pair: AnticorrelatedSeriesPair) -> bool:
-    return not pair.lambda_independent
 
 
 @dataclass(frozen=True)
@@ -524,7 +521,7 @@ def correlation_sweep(
     steps = int(steps)
     if steps < 2 or steps > MAX_STEPS:
         raise ValueError(f"steps must be in 2..{MAX_STEPS}, got {steps}")
-    oracle = make_correlation_oracle(model, s, require_n(n, workers))
+    oracle = make_correlation_oracle(model, s, n, workers)
     thetas = [(k * math.pi) / (steps - 1) for k in range(steps)]
     estimates = ask_pairs(oracle, [(Z_AXIS, unit_from_plane_angle(t)) for t in thetas])
     return list(zip(thetas, estimates))

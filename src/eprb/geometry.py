@@ -147,13 +147,6 @@ class RiemannPoint:
 INFINITY = RiemannPoint(None)
 
 
-def as_riemann(value: "RiemannPoint | complex | float") -> RiemannPoint:
-    """Coerce a complex number (or RiemannPoint) to a RiemannPoint."""
-    if isinstance(value, RiemannPoint):
-        return value
-    return RiemannPoint.from_complex(complex(value))
-
-
 def stereographic_project(p: RiemannPoint) -> UnitVector3:
     """Map a Riemann-sphere point to the unit sphere.
 

@@ -16,7 +16,6 @@ import numpy as np
 
 from . import _backend as _k
 from ._mc import combine_scalar, require_n, run_chunk_jobs
-from ._mc import chunk_count  # noqa: F401  (public here: chunks of an n-draw estimate)
 from .catalog import SAMPLER_KINDS
 
 __all__ = [

@@ -27,7 +27,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import _backend as _k
-from .catalog import MODEL_NAMES, ZOO, LocalityClass, zoo
+from .catalog import MODEL_NAMES, LocalityClass, zoo
 from .errors import ContractViolationError
 from .geometry import UnitVector3, vector_from_list
 
@@ -516,12 +516,12 @@ def _optional_float(x) -> Optional[float]:
     return None if x is None else float(x)
 
 
-# name -> (constructor, locality class, {parameter: converter}), keyed and
-# ordered as the zoo listing in ``catalog``, whose class each row reads.
+# name -> (constructor, {parameter: converter}), keyed and ordered as
+# ``catalog.ZOO``, the one table of each name's locality class.
 # Parameters are converted in this order, each passed to the constructor
 # under its own name; ``psi`` goes to every constructor as ``psi_label``.
 _BUILDERS = {
-    name: (make, ZOO[name][0], converters)
+    name: (make, converters)
     for name, make, converters in (
         ("quantum", QuantumCorrelationModel, {}),
         ("local_sign", LocalSignModel, {}),
@@ -548,7 +548,7 @@ def build_model(name: str, params: Optional[dict] = None):
             f"unknown model {name!r}; known models: {', '.join(MODEL_NAMES)}"
         )
     params = dict(params or {})
-    make, _, converters = _BUILDERS[name]
+    make, converters = _BUILDERS[name]
     kwargs = {"psi_label": params.pop("psi", "singlet")}
     for key, convert in converters.items():
         if key in params:

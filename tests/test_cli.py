@@ -517,6 +517,23 @@ def test_n_past_the_int64_limit_is_exit_one(capsys, monkeypatch):
     assert "n must be <= 2**63 - 1" in err
 
 
+def test_a_closed_form_model_refuses_a_bad_n_too(capsys):
+    quad = ("--a", "0,0,1", "--b", "1,0,0", "--a-prime", "1,0,0", "--b-prime", "0,1,0")
+    for args in (
+        ("correlate", "--a", "0,0,1", "--b", "1,0,0"),
+        ("chsh", *quad),
+        ("chsh", "--maximize"),
+        ("bell", "--a", "0,0,1", "--b", "1,0,0", "--c", "0,1,0"),
+    ):
+        code, out, err = run_cli(capsys, *args, "--model", "quantum", "--n", "1")
+        assert (code, out) == (1, ""), args
+        assert "n must be >= 2" in err, args
+    # the oracle is made, and n checked, before the search reads its budget
+    code, out, err = run_cli(capsys, "chsh", "--maximize", "--model", "local_sign",
+                             "--n", "1", "--budget", "50")
+    assert (code, out) == (1, "") and "n must be >= 2" in err
+
+
 def test_runs_in_one_process_build_the_grammar_once_and_share_no_state(
         tmp_path, capsys, monkeypatch):
     built = []

@@ -54,7 +54,7 @@ from eprb import (
     unit_from_angles,
     unit_from_plane_angle,
 )
-from eprb.correlation import CorrelationEstimate, JointTable, pair_needs_sampler
+from eprb.correlation import CorrelationEstimate, JointTable
 from eprb.hidden_variables import MonteCarloEstimate
 from eprb.models import _BUILDERS
 from oracles_ref import (
@@ -241,7 +241,7 @@ def test_workers_below_one_is_rejected_on_every_path(monkeypatch, path):
 
 def test_workers_is_checked_at_each_entry_after_n(monkeypatch):
     # a sweep checks n and workers for the closed-form models too; an oracle
-    # checks them at each call, as its estimator does; n is named first
+    # checks them when it is made, as its estimator does; n is named first
     monkeypatch.setattr(correlation_module, "run_chunk_jobs", _no_chunk_runs)
     monkeypatch.setattr(_k, "reduce_pairs", _no_chunk_runs)
     s, series = sphere_sampler(), impose_anticorrelation(delta_coefficients())
@@ -707,7 +707,7 @@ def test_series_correlation_closed_form_path():
 def test_series_correlation_draw_dependent_path():
     base = delta_coefficients()
     pair = impose_anticorrelation(base, generator=lambda lam: base)
-    assert pair_needs_sampler(pair)
+    assert not pair.lambda_independent
     b = unit_from_plane_angle(0.7)
     est = series_correlation(pair, Z_AXIS, b, sphere_sampler(), 10000)
     assert not est.exact and est.n == 10000
@@ -1123,13 +1123,13 @@ def test_only_models_with_a_kernel_on_their_settings_answer_batches():
 
 
 def test_batched_oracle_keeps_the_estimator_argument_errors():
-    for n, match in ((1, "n must be >= 2"), (2**63, r"n must be <= 2\*\*63 - 1")):
-        oracle = make_correlation_oracle(LocalSignModel(), sphere_sampler(), n)
-        with pytest.raises(ValueError, match=match):
-            oracle.pairs([(Z_AXIS, X_AXIS)])
-    oracle = make_correlation_oracle(LocalSignModel(), sphere_sampler(), 100, workers=0)
-    with pytest.raises(ValueError, match="workers must be >= 1"):
-        oracle.pairs([(Z_AXIS, X_AXIS)])
+    # raised when the oracle is made, for the closed-form models too
+    bad = ((1, 1, "n must be >= 2"), (2**63, 1, r"n must be <= 2\*\*63 - 1"),
+           (100, 0, "workers must be >= 1"))
+    for model in (LocalSignModel(), QuantumCorrelationModel(), build_model("series_delta")):
+        for n, workers, match in bad:
+            with pytest.raises(ValueError, match=match):
+                make_correlation_oracle(model, sphere_sampler(), n, workers)
 
 
 def test_sweep_asks_once_and_matches_the_per_pair_estimates():

@@ -12,7 +12,6 @@ from eprb.geometry import (
     Y_AXIS,
     Z_AXIS,
     angle_between,
-    as_riemann,
     format_vector_text,
     inverse_project,
     parse_riemann_text,
@@ -99,12 +98,6 @@ def test_riemann_point_variants():
         INFINITY.to_complex()
     with pytest.raises(ValueError):
         RiemannPoint(complex(math.inf, 0.0))
-
-
-def test_as_riemann_coercion():
-    assert as_riemann(2.0) == RiemannPoint.finite(2.0, 0.0)
-    assert as_riemann(1j) == RiemannPoint.finite(0.0, 1.0)
-    assert as_riemann(INFINITY) is INFINITY
 
 
 def test_projection_landmarks():

@@ -7,12 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eprb import _mc, hidden_variables
-from eprb._mc import run_chunk_jobs
+from eprb._mc import chunk_count, run_chunk_jobs
 from eprb.hidden_variables import (
     LambdaSampler,
     MonteCarloEstimate,
     SAMPLER_KINDS,
-    chunk_count,
     cube_sampler,
     integrate,
     sphere_sampler,

@@ -117,7 +117,7 @@ ROUTES = {
 def test_every_registry_row_routes_its_parameters():
     assert set(ROUTES) == set(MODEL_NAMES)
     for name, (cls, params) in ROUTES.items():
-        converters = models_module._BUILDERS[name][2]
+        converters = models_module._BUILDERS[name][1]
         assert list(converters) == list(params), name
         m = build_model(name, {"psi": "triplet", **{k: v for k, (v, _) in params.items()}})
         assert type(m) is cls, name
