@@ -395,6 +395,7 @@ def reduce_product(kind, params, ax, ay, az, bx, by, bz,
     sign kind's (c_A, c_B, sigma_B), or ``()``. The one-pair case of
     reduce_pairs.
     """
+    _check_args(kind, params, sampler_kind, dim)
     return reduce_pairs(kind, ((ax, ay, az),), ((bx, by, bz),), (0,), (0,),
                         sampler_kind, dim, seed, start, count, None,
                         params and ((params[0],), (params[1],), params[2]))[0]
@@ -410,6 +411,7 @@ def reduce_joint(kind, params, ax, ay, az, bx, by, bz,
     Returns ``(sums, sum_sqs, mins, maxs, status, bad_index, bad_value)``
     where the first four entries are 4-tuples ordered (pp, mm, pm, mp).
     """
+    _check_args(kind, params, sampler_kind, dim)
     rows = reduce_pairs(kind, ((ax, ay, az),), ((bx, by, bz),), (0,), (0,),
                         sampler_kind, dim, seed, start, count, None,
                         params and ((params[0],), (params[1],), params[2]), joint=True)

@@ -142,8 +142,6 @@ def _build_parser() -> _Parser:
 
     p_ana = sub.add_parser("analyticity", help="conjugate-derivative residual report")
     common(p_ana, sampled=False)
-    p_ana.add_argument("--target", choices=["pq"],
-                       help="which function to probe (only pq is available)")
     p_ana.add_argument("--w", help="second argument: inf or re,im")
     p_ana.add_argument("--radius", type=float, help="disc radius (default 1.0)")
     p_ana.add_argument("--grid", type=int,

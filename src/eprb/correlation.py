@@ -233,9 +233,9 @@ def _kernel_group(A, B, I, J, sigma_b):
 
 def _estimate_pairs(m, pairs, s, n, draws=None, joint=False):
     """The kernel path of ``_estimate`` for every (a, b) of ``pairs`` at
-    once, in one pass of ``run_chunk_jobs``: ``reduce_pairs`` makes each
-    chunk's draws once for a whole group of pairs (or reads them from
-    ``draws``, which it fills), and each pair is a row of the driver with a
+    once, in one pass of ``run_chunk_jobs``: each chunk's draws are made
+    once for all the pairs, kept in ``draws`` when given and otherwise only
+    while the chunk's job runs, and each pair is a row of the driver with a
     running sum of its own (four rows, pp, mm, pm and mp, with ``joint``),
     so a pair's estimate does not depend on the pairs asked with it, and
     the memory held does not depend on ``n``. Returns one (mean, stderr)
@@ -245,9 +245,10 @@ def _estimate_pairs(m, pairs, s, n, draws=None, joint=False):
     groups = list(_pair_groups(m, pairs))
 
     def job(start, count):
+        chunk = {} if draws is None else draws
         return [part for A, B, I, J, params in groups
                 for part in _k.reduce_pairs(m.kernel_kind, A, B, I, J, s.kind_code, s.dim,
-                                            s.seed, start, count, draws, params, joint)]
+                                            s.seed, start, count, chunk, params, joint)]
 
     return _checked_sums(run_chunk_jobs(job, n), n)
 

@@ -226,9 +226,6 @@ class _BudgetedOracle:
         self._cache: dict = {}
         self.evaluations = 0
 
-    def __call__(self, a: UnitVector3, b: UnitVector3) -> CorrelationEstimate:
-        return self.pairs([(a, b)])[0]
-
     def pairs(self, pairs) -> list[CorrelationEstimate]:
         """Estimates for ``pairs``, in order.
 

@@ -101,13 +101,9 @@ class DeterministicModel:
     that overrides ``outcomes`` must reset the hooks it inherits.
     """
 
-    psi_label: str = "singlet"
     locality_class: LocalityClass = LocalityClass.LOCAL
     kernel_kind: Optional[int] = None
     draw_independent: bool = False
-
-    def __init__(self, psi_label: str = "singlet") -> None:
-        self.psi_label = psi_label
 
     def kernel_rows(self, a: UnitVector3, b: UnitVector3) -> tuple:
         """The kernel's rows at settings (a, b): ((u, c_A), (v, c_B),
@@ -131,14 +127,10 @@ class StochasticModel:
     outcome averages and for each joint-table entry.
     """
 
-    psi_label: str = "singlet"
     locality_class: LocalityClass = LocalityClass.LOCAL
     kernel_kind: Optional[int] = None
     draw_independent: bool = False
     kernel_rows = DeterministicModel.kernel_rows
-
-    def __init__(self, psi_label: str = "singlet") -> None:
-        self.psi_label = psi_label
 
     def probabilities(
         self, a: UnitVector3, b: UnitVector3, lam: Sequence[float]
@@ -209,11 +201,9 @@ class ConstantNonlocalModel(_SignKernelModel):
         self,
         u: UnitVector3 = UnitVector3(1.0, 0.0, 0.0),
         v: UnitVector3 = UnitVector3(0.0, 1.0, 0.0),
-        psi_label: str = "singlet",
     ) -> None:
         self.u = u
         self.v = v
-        self.psi_label = psi_label
 
     def kernel_rows(self, a, b):
         return (self.u, 0.0), (self.v, 0.0), -1.0
@@ -225,16 +215,13 @@ class FixedOutcomeModel(DeterministicModel):
     locality_class = LocalityClass.CONSTANT_NONLOCAL
     draw_independent = True
 
-    def __init__(
-        self, alpha: float = 1.0, beta: float = -1.0, psi_label: str = "singlet"
-    ) -> None:
+    def __init__(self, alpha: float = 1.0, beta: float = -1.0) -> None:
         alpha = float(alpha)
         beta = float(beta)
         if alpha not in (1.0, -1.0) or beta not in (1.0, -1.0):
             raise ValueError(f"outcomes must be +1 or -1, got {alpha}, {beta}")
         self.alpha = alpha
         self.beta = beta
-        self.psi_label = psi_label
 
     def outcomes(self, a, b, lam):
         return (self.alpha, self.beta)
@@ -251,9 +238,8 @@ class SettingBiasedSignModel(_SignKernelModel):
 
     locality_class = LocalityClass.GENERAL_NONLOCAL
 
-    def __init__(self, bias: float = 0.1, psi_label: str = "singlet") -> None:
+    def __init__(self, bias: float = 0.1) -> None:
         self.bias = float(bias)
-        self.psi_label = psi_label
 
     def kernel_rows(self, a, b):
         return (a, a.dot(b)), (b, self.bias), 1.0
@@ -272,7 +258,6 @@ class DeterministicEmbedding(StochasticModel):
 
     def __init__(self, inner: DeterministicModel) -> None:
         self.inner = inner
-        self.psi_label = inner.psi_label
         self.locality_class = inner.locality_class
         self.kernel_kind = inner.kernel_kind
         self.draw_independent = inner.draw_independent
@@ -297,12 +282,8 @@ class QuantumCorrelationModel:
     directly from the settings.
     """
 
-    psi_label: str
     locality_class = LocalityClass.GENERAL_NONLOCAL
     kernel_kind = None
-
-    def __init__(self, psi_label: str = "singlet") -> None:
-        self.psi_label = psi_label
 
 
 def evaluate_deterministic(
@@ -452,7 +433,6 @@ class AnticorrelatedSeriesPair:
 
     alpha: RealAnalyticCoefficients
     beta: RealAnalyticCoefficients
-    psi_label: str = "singlet"
     generator: Optional[Callable[[Sequence[float]], RealAnalyticCoefficients]] = None
     locality_class = LocalityClass.GENERAL_NONLOCAL
 
@@ -490,26 +470,20 @@ class AnticorrelatedSeriesPair:
 
 def impose_anticorrelation(
     c: RealAnalyticCoefficients,
-    psi_label: str = "singlet",
     generator: Optional[Callable[[Sequence[float]], RealAnalyticCoefficients]] = None,
 ) -> AnticorrelatedSeriesPair:
     """Pair coefficients with their exact negation so B(a,b) = -A(a,b) always."""
-    return AnticorrelatedSeriesPair(
-        alpha=c, beta=c.negated(), psi_label=psi_label, generator=generator
-    )
+    return AnticorrelatedSeriesPair(alpha=c, beta=c.negated(), generator=generator)
 
 
-def _series_delta(degree: int = 1, psi_label: str = "singlet") -> AnticorrelatedSeriesPair:
-    return impose_anticorrelation(delta_coefficients(degree), psi_label=psi_label)
+def _series_delta(degree: int = 1) -> AnticorrelatedSeriesPair:
+    return impose_anticorrelation(delta_coefficients(degree))
 
 
 def _series_random(
-    coeff_seed: int = 0, degree: int = 3, scale: Optional[float] = None,
-    psi_label: str = "singlet",
+    coeff_seed: int = 0, degree: int = 3, scale: Optional[float] = None
 ) -> AnticorrelatedSeriesPair:
-    return impose_anticorrelation(
-        random_coefficients(coeff_seed, degree=degree, scale=scale), psi_label=psi_label
-    )
+    return impose_anticorrelation(random_coefficients(coeff_seed, degree=degree, scale=scale))
 
 
 def _optional_float(x) -> Optional[float]:
@@ -519,7 +493,7 @@ def _optional_float(x) -> Optional[float]:
 # name -> (constructor, {parameter: converter}), keyed and ordered as
 # ``catalog.ZOO``, the one table of each name's locality class.
 # Parameters are converted in this order, each passed to the constructor
-# under its own name; ``psi`` goes to every constructor as ``psi_label``.
+# under its own name; any other key is refused.
 _BUILDERS = {
     name: (make, converters)
     for name, make, converters in (
@@ -549,7 +523,7 @@ def build_model(name: str, params: Optional[dict] = None):
         )
     params = dict(params or {})
     make, converters = _BUILDERS[name]
-    kwargs = {"psi_label": params.pop("psi", "singlet")}
+    kwargs = {}
     for key, convert in converters.items():
         if key in params:
             try:

@@ -3,6 +3,7 @@ reference loops in oracles_ref and with the models' per-draw outcomes."""
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -394,6 +395,14 @@ def test_numpy_kernels_keep_their_argument_errors():
         bk.reduce_joint(bk.KIND_LINEAR, (), *base, bk.SAMPLER_CUBE, 2, 0, 0, 10)
     with pytest.raises(ValueError, match="unknown sampler kind code 9"):
         bk.reduce_product(bk.KIND_SIGN, (), *base, 9, 3, 0, 0, 10)
+
+def test_one_pair_kernels_name_the_params_they_were_given():
+    base = (0.0, 0.0, 1.0, 1.0, 0.0, 0.0)
+    for kind, params in ((bk.KIND_LINEAR, (0.0, 0.0, -1.0)), (bk.KIND_SIGN, (0.0, 0.0, 0.5))):
+        for fn in (bk.reduce_product, bk.reduce_joint):
+            with pytest.raises(ValueError, match=re.escape(f"params {params!r} do not fit")):
+                fn(kind, params, *base, bk.SAMPLER_SPHERE, 3, 0, 0, 10)
+
 
 def test_backend_exports_constants():
     assert bk.MASK64 == 2**64 - 1

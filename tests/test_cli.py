@@ -106,6 +106,20 @@ def test_correlate_params_reach_the_model(capsys):
     assert obj["value"] == 1.0
 
 
+def test_the_removed_state_and_target_options_are_exit_one(capsys):
+    # every model is a singlet model, so ``psi`` is no model's parameter,
+    # and ``pq`` is the one function analyticity probes: neither is an option
+    code, out, err = run_cli(
+        capsys, "correlate", "--model", "local_sign", "--params", '{"psi":"singlet"}',
+        "--a", "0,0,1", "--b", "1,0,0", "--n", "100",
+    )
+    assert (code, out) == (1, "")
+    assert "model 'local_sign' does not take parameters ['psi']" in err
+    code, out, err = run_cli(capsys, "analyticity", "--w", "inf", "--target", "pq")
+    assert (code, out) == (1, "")
+    assert "--target" in err
+
+
 def test_contract_violation_is_exit_two(capsys):
     code, _, err = run_cli(
         capsys, "correlate", "--model", "linear",

@@ -40,7 +40,6 @@ small = {
     "steps": st.integers(1, 5),
     "budget": st.integers(99, 400),
     "mode": st.sampled_from(["coplanar", "coplanar", "full", "spiral"]),
-    "target": st.sampled_from(["pq", "pq", "pq", "qp"]),
     "w": st.sampled_from(["inf", "0.3,0.2", "-1,0.5", "0,0", "1e300,0", "nan,0"]),
     "radius": st.floats(0.01, 3.0) | st.floats(),
     "grid": st.integers(1, 7),
@@ -65,7 +64,7 @@ OPTIONS = {
     "sweep": SAMPLED_OPTIONS + ("steps", "format"),
     "chsh": SAMPLED_OPTIONS + ("a", "b", "a_prime", "b_prime", "maximize", "budget", "mode"),
     "bell": SAMPLED_OPTIONS + ("a", "b", "c"),
-    "analyticity": ("target", "w", "radius", "grid", "h"),
+    "analyticity": ("w", "radius", "grid", "h"),
     "models": (),
 }
 USUALLY_GIVEN = {"model", "a", "b", "c", "a_prime", "b_prime", "w", "n", "budget", "grid"}

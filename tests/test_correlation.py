@@ -1049,11 +1049,13 @@ def test_later_batches_read_the_draws_the_second_one_kept(monkeypatch):
             made.clear()
             oracle = make_correlation_oracle(model, sphere_sampler(seed=8), n, workers=workers)
             assert [[repr(e) for e in oracle.pairs(batch)] for batch in batches] == want
-            # the first batch keeps nothing, the second keeps every chunk,
-            # and no chunk's draws are made a third time
-            assert seen[:4] == [None] * 4
+            # the first batch keeps each chunk's draws only for that chunk,
+            # the second keeps every chunk, and no chunk's draws are made a
+            # third time
+            kept = seen[4]
+            assert all(len(d) == 1 and d is not kept for d in seen[:4])
             assert len({id(d) for d in seen[4:]}) == 1
-            assert len(seen[4]) == 4
+            assert len(kept) == 4
             assert sorted(made) == sorted(list(_mc.chunk_ranges(n)) * 2)
 
 
@@ -1063,7 +1065,23 @@ def test_a_one_batch_oracle_keeps_no_draws(monkeypatch):
     correlation_sweep(LocalSignModel(), 9, s, n=5000)
     chsh_statistic(make_correlation_oracle(LinearStochasticModel(), s, 5000),
                    SettingsQuad(Z_AXIS, X_AXIS, X_AXIS, Z_AXIS))
-    assert seen and seen == [None] * len(seen)
+    assert seen and all(len(d) == 1 for d in seen)
+
+
+def test_a_one_batch_sweep_makes_each_chunks_draws_once(monkeypatch):
+    # three settings a side, so the sweep's nine pairs are three groups
+    # and each chunk's draws serve all three
+    n = 2 * 4096 + 7
+    def sweep():
+        return [(t, repr(e)) for t, e in
+                correlation_sweep(LocalSignModel(), 9, sphere_sampler(seed=4), n)]
+
+    want = sweep()
+    seen, made = _record_draws(monkeypatch)
+    monkeypatch.setattr(correlation_module, "_BATCH_SETTINGS", 3)
+    assert sweep() == want
+    assert len(seen) == 3 * 3
+    assert sorted(made) == sorted(_mc.chunk_ranges(n))
 
 
 def test_an_oracle_past_the_byte_cap_keeps_no_draws(monkeypatch):
@@ -1077,7 +1095,7 @@ def test_an_oracle_past_the_byte_cap_keeps_no_draws(monkeypatch):
         seen.clear()
         made.clear()
         assert [[repr(e) for e in oracle.pairs(batch)] for batch in batches] == want
-        assert seen == [None] * (3 * len(batches))
+        assert len(seen) == 3 * len(batches) and all(len(d) == 1 for d in seen)
         assert len(made) == 3 * len(batches)
     # at the cap itself the draws are kept
     monkeypatch.setattr(correlation_module, "_DRAW_CACHE_BYTES", 24 * n)
@@ -1085,7 +1103,8 @@ def test_an_oracle_past_the_byte_cap_keeps_no_draws(monkeypatch):
     seen.clear()
     for batch in batches:
         oracle.pairs(batch)
-    assert seen[3:] and None not in seen[3:]
+    kept = seen[3]
+    assert all(d is kept for d in seen[3:]) and len(kept) == 3
 
 
 def test_a_kept_chunk_raises_the_uncached_bad_probability(monkeypatch):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -69,6 +70,11 @@ def test_build_model_unknown_name_lists_known():
 def test_build_model_rejects_leftover_params():
     with pytest.raises(ValueError, match="does not take parameters"):
         build_model("coin", {"bias": 0.2})
+    # every model is a singlet model, so ``psi`` is a stray key like any other
+    for name in MODEL_NAMES:
+        with pytest.raises(ValueError, match=re.escape(
+                f"model {name!r} does not take parameters ['psi']")):
+            build_model(name, {"psi": "singlet"})
 
 
 def test_build_model_routes_params():
@@ -119,15 +125,13 @@ def test_every_registry_row_routes_its_parameters():
     for name, (cls, params) in ROUTES.items():
         converters = models_module._BUILDERS[name][1]
         assert list(converters) == list(params), name
-        m = build_model(name, {"psi": "triplet", **{k: v for k, (v, _) in params.items()}})
+        m = build_model(name, {k: v for k, (v, _) in params.items()})
         assert type(m) is cls, name
-        assert m.psi_label == "triplet"
         assert m.locality_class.value == next(e for e in zoo() if e["name"] == name)[
             "locality_class"]
         for key, (_, check) in params.items():
             assert check(m), (name, key)
-        defaults = build_model(name)
-        assert type(defaults) is cls and defaults.psi_label == "singlet"
+        assert type(build_model(name)) is cls
 
 
 def test_every_converter_names_its_parameter_on_a_wrong_type():
