@@ -28,10 +28,18 @@ CHUNK_SIZE = 4096
 MAX_N = 2**63 - 1
 
 
+def whole_number(value, name=None):
+    """``value`` as an int. A bool, or a number int() would truncate, is
+    refused; a string goes through int(). ``name`` starts the error."""
+    if isinstance(value, bool) or not (isinstance(value, str) or int(value) == value):
+        raise ValueError(f"{name + ': ' if name else ''}expected a whole number, got {value!r}")
+    return int(value)
+
+
 def require_n(n, workers=1):
     """``n`` as an int, checked to be a draw count an estimate can use, and
     then ``workers`` checked to be at least 1."""
-    n = int(n)
+    n = whole_number(n, "n")
     if n < 2:
         raise ValueError(f"n must be >= 2 to estimate a standard error, got {n}")
     if n > MAX_N:

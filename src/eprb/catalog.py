@@ -21,7 +21,7 @@ class LocalityClass(Enum):
 
 
 # name -> (locality class, one-line summary), in listing order: the one
-# table of locality classes. ``models._BUILDERS`` is keyed alike.
+# copy of each class (no model holds one). ``models._BUILDERS`` is keyed alike.
 ZOO = {
     "quantum": (LocalityClass.GENERAL_NONLOCAL,
                 "closed-form singlet correlation, no hidden variables"),

@@ -18,7 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import _backend as _k
-from ._mc import combine_scalar, require_n, run_chunk_jobs
+from ._mc import combine_scalar, require_n, run_chunk_jobs, whole_number
 from ._mc import combine_vec4  # noqa: F401  (unused: perfbench's tracer wraps it here)
 from .errors import ContractViolationError
 from .geometry import UnitVector3, Z_AXIS, quantum_correlation_complex, unit_from_plane_angle
@@ -338,10 +338,10 @@ def series_correlation(
             f"got {type(pair).__name__}"
         )
     n = require_n(n, workers)
-    if pair.lambda_independent:
+    if pair.draw_independent:
         a_val = evaluate_series(pair.alpha, a, b)
-        # Negating every coefficient negates the accumulated sum exactly,
-        # so A * (-A) is bit-equal to evaluating the second side.
+        # The value is -A^2, which equals A * B, B the second side
+        # evaluated, except in the sign of a zero.
         value = a_val * (-a_val)
         return CorrelationEstimate(value=value, stderr=0.0, n=0, exact=True)
 
@@ -385,7 +385,7 @@ def _series_chunk(pair, powers, lams, start):
             rows[d] = np.empty((cap, d, d, 3, 3)), np.empty(cap), []
         coeffs, c0, at = rows[d]
         coeffs[len(at)] = c.table
-        c0[len(at)] = c.effective_constant()
+        c0[len(at)] = c.constant_term
         at.append(k)
         if len(at) == len(c0):
             flush(d)
@@ -411,7 +411,7 @@ def make_correlation_oracle(
     if isinstance(model, QuantumCorrelationModel):
         return quantum_correlation
     if isinstance(model, AnticorrelatedSeriesPair):
-        if not model.lambda_independent and s is None:
+        if not model.draw_independent and s is None:
             raise ValueError("draw-dependent series pair needs a sampler")
         sampler = s if s is not None else LambdaSampler()
 
@@ -519,7 +519,7 @@ def correlation_sweep(
     ``steps`` equally spaced angles from it, endpoints included. ``n`` and
     ``workers`` are checked for every model, the closed-form ones too.
     """
-    steps = int(steps)
+    steps = whole_number(steps, "steps")
     if steps < 2 or steps > MAX_STEPS:
         raise ValueError(f"steps must be in 2..{MAX_STEPS}, got {steps}")
     oracle = make_correlation_oracle(model, s, n, workers)

@@ -18,6 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ._mc import whole_number
 from .correlation import CorrelationEstimate, ask_pairs
 from .geometry import UnitVector3, unit_from_angles, unit_from_plane_angle, vector_to_list
 from .models import DeterministicModel, evaluate_deterministic
@@ -378,7 +379,7 @@ def maximize_chsh(
     raised; so it is when the best grid statistic or the final one is
     infinite, a sum of overflowing correlations and not a violation.
     """
-    budget = int(budget)
+    budget = whole_number(budget, "budget")
     if budget < 100:
         raise ValueError(f"budget must be >= 100 oracle evaluations, got {budget}")
     if mode not in ("coplanar", "full"):

@@ -6,15 +6,16 @@ Four families, mirroring the way such models are usually classified:
 * stochastic factorized models, per-party outcome probabilities per draw;
 * setting-constant models, outcomes fixed by the draw alone;
 * real-analytic series models, outcome functions given by truncated double
-  power series in the setting components, optionally paired so that one
-  side is exactly the negative of the other.
+  power series in the setting components, paired so that the second side
+  is the negation of the first by construction.
 
 Every zoo member is constructible by name through ``build_model`` and is
-immutable after construction. Hooks steer the estimators, which otherwise
-call the evaluator on every draw: ``kernel_kind`` names the kernel (sign or
-linear) that computes the model's per-draw product, on the rows
-``kernel_rows(a, b)`` gives for each setting pair; ``draw_independent``
-marks a model whose per-draw product never changes, so one evaluation gives
+immutable after construction; its locality class is only in ``catalog.ZOO``.
+Hooks steer the estimators, which otherwise call the evaluator on every
+draw: ``kernel_kind`` names the kernel (sign or linear) that computes the
+model's per-draw product, on the rows ``kernel_rows(a, b)`` gives for each
+setting pair; ``draw_independent`` marks a model (or a series pair without
+a generator) whose per-draw product never changes, so one evaluation gives
 the estimate. The sign models write their rule once, as ``kernel_rows``:
 their per-draw ``outcomes`` are those rows evaluated at one draw.
 """
@@ -27,12 +28,12 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import _backend as _k
-from .catalog import MODEL_NAMES, LocalityClass, zoo
+from ._mc import whole_number
+from .catalog import MODEL_NAMES, zoo
 from .errors import ContractViolationError
 from .geometry import UnitVector3, vector_from_list
 
 __all__ = [
-    "LocalityClass",
     "SingleProbabilities",
     "DeterministicModel",
     "StochasticModel",
@@ -74,12 +75,6 @@ class SingleProbabilities:
     p2_plus: float
     p2_minus: float
 
-    def mean_first(self) -> float:
-        return self.p1_plus - self.p1_minus
-
-    def mean_second(self) -> float:
-        return self.p2_plus - self.p2_minus
-
 
 def _dot3(v: UnitVector3, lam: Sequence[float]) -> float:
     if len(lam) < 3:
@@ -101,7 +96,6 @@ class DeterministicModel:
     that overrides ``outcomes`` must reset the hooks it inherits.
     """
 
-    locality_class: LocalityClass = LocalityClass.LOCAL
     kernel_kind: Optional[int] = None
     draw_independent: bool = False
 
@@ -127,7 +121,6 @@ class StochasticModel:
     outcome averages and for each joint-table entry.
     """
 
-    locality_class: LocalityClass = LocalityClass.LOCAL
     kernel_kind: Optional[int] = None
     draw_independent: bool = False
     kernel_rows = DeterministicModel.kernel_rows
@@ -195,8 +188,6 @@ class ConstantNonlocalModel(_SignKernelModel):
     sign model evaluated at (u, v).
     """
 
-    locality_class = LocalityClass.CONSTANT_NONLOCAL
-
     def __init__(
         self,
         u: UnitVector3 = UnitVector3(1.0, 0.0, 0.0),
@@ -212,7 +203,6 @@ class ConstantNonlocalModel(_SignKernelModel):
 class FixedOutcomeModel(DeterministicModel):
     """Outcomes fixed once and for all: A = alpha, B = beta."""
 
-    locality_class = LocalityClass.CONSTANT_NONLOCAL
     draw_independent = True
 
     def __init__(self, alpha: float = 1.0, beta: float = -1.0) -> None:
@@ -236,8 +226,6 @@ class SettingBiasedSignModel(_SignKernelModel):
     It is the sign kernel with offsets a . b and bias and B's sign kept.
     """
 
-    locality_class = LocalityClass.GENERAL_NONLOCAL
-
     def __init__(self, bias: float = 0.1) -> None:
         self.bias = float(bias)
 
@@ -253,12 +241,11 @@ class DeterministicEmbedding(StochasticModel):
     agree exactly on a shared draw stream. It takes the wrapped model's
     hooks: its kernel, when it has one, for the correlation and the joint
     table, and its draw independence, whose 0 and +/-1 values keep exact
-    n-fold sums.
+    n-fold sums. Like every model, it holds no locality class.
     """
 
     def __init__(self, inner: DeterministicModel) -> None:
         self.inner = inner
-        self.locality_class = inner.locality_class
         self.kernel_kind = inner.kernel_kind
         self.draw_independent = inner.draw_independent
 
@@ -281,9 +268,6 @@ class QuantumCorrelationModel:
     Carries no hidden variables; the correlation module evaluates it
     directly from the settings.
     """
-
-    locality_class = LocalityClass.GENERAL_NONLOCAL
-    kernel_kind = None
 
 
 def evaluate_deterministic(
@@ -333,15 +317,13 @@ class RealAnalyticCoefficients:
     """Coefficients of a truncated double power series in the settings.
 
     ``table[i-1, j-1, r-1, s-1]`` multiplies (a_r)^i (b_s)^j for powers
-    i, j in 1..degree and components r, s in 1..3. The constant term is
-    carried separately and only contributes when ``includes_constant_term``
-    is set; the default series starts at first order.
+    i, j in 1..degree and components r, s in 1..3. ``constant_term`` is
+    the zeroth-order term; the default series starts at first order.
     """
 
     degree: int
     table: np.ndarray
     constant_term: float = 0.0
-    includes_constant_term: bool = False
 
     def __post_init__(self) -> None:
         degree = _checked_degree(self.degree)
@@ -353,27 +335,14 @@ class RealAnalyticCoefficients:
             )
         if not np.isfinite(table).all():
             raise ValueError("coefficient tensor must be finite")
-        c0 = float(self.constant_term)
-        if not self.includes_constant_term and c0 != 0.0:
-            raise ValueError(
-                "constant_term is only meaningful with includes_constant_term=True"
-            )
         table = table.copy()
         table.setflags(write=False)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "table", table)
-        object.__setattr__(self, "constant_term", c0)
+        object.__setattr__(self, "constant_term", float(self.constant_term))
 
     def negated(self) -> "RealAnalyticCoefficients":
-        return RealAnalyticCoefficients(
-            degree=self.degree,
-            table=-self.table,
-            constant_term=-self.constant_term,
-            includes_constant_term=self.includes_constant_term,
-        )
-
-    def effective_constant(self) -> float:
-        return self.constant_term if self.includes_constant_term else 0.0
+        return RealAnalyticCoefficients(self.degree, -self.table, -self.constant_term)
 
 
 def evaluate_series(
@@ -385,11 +354,11 @@ def evaluate_series(
     clamping would destroy the smooth structure the residual checks probe.
     """
     pa, pb = _k.series_powers(a.x, a.y, a.z, b.x, b.y, b.z)
-    return float(_k.series_values(c.table[None], c.effective_constant(), pa, pb)[0])
+    return float(_k.series_values(c.table[None], c.constant_term, pa, pb)[0])
 
 
 def _checked_degree(value) -> int:
-    degree = int(value)
+    degree = whole_number(value, "degree")
     if degree < 1 or degree > _k.MAX_DEGREE:
         raise ValueError(f"degree must be in 1..{_k.MAX_DEGREE}, got {value}")
     return degree
@@ -423,33 +392,18 @@ def random_coefficients(
 
 @dataclass(frozen=True, eq=False)
 class AnticorrelatedSeriesPair:
-    """A series model pair with the second side pinned to minus the first.
-
-    ``beta`` must be exactly the negation of ``alpha``; build pairs with
-    ``impose_anticorrelation``. An optional ``generator`` keys the first
-    side's coefficients on the draw; the default pair is draw-independent,
-    in which case its correlation is a closed form.
+    """A series model pair: the first side A and, optionally, a
+    ``generator`` that keys A's coefficients on the draw. The second side is
+    B = -A by construction: it is A's coefficients negated, so no pair can
+    break the anticorrelation. Without a generator the pair is
+    draw-independent, and its correlation is a closed form.
     """
 
     alpha: RealAnalyticCoefficients
-    beta: RealAnalyticCoefficients
     generator: Optional[Callable[[Sequence[float]], RealAnalyticCoefficients]] = None
-    locality_class = LocalityClass.GENERAL_NONLOCAL
-
-    def __post_init__(self) -> None:
-        a, b = self.alpha, self.beta
-        if (
-            a.degree != b.degree
-            or a.includes_constant_term != b.includes_constant_term
-            or b.constant_term != -a.constant_term
-            or not np.array_equal(b.table, -a.table)
-        ):
-            raise ValueError(
-                "second-side coefficients must be exactly the negation of the first"
-            )
 
     @property
-    def lambda_independent(self) -> bool:
+    def draw_independent(self) -> bool:
         return self.generator is None
 
     def alpha_at(self, lam: Optional[Sequence[float]] = None) -> RealAnalyticCoefficients:
@@ -472,8 +426,8 @@ def impose_anticorrelation(
     c: RealAnalyticCoefficients,
     generator: Optional[Callable[[Sequence[float]], RealAnalyticCoefficients]] = None,
 ) -> AnticorrelatedSeriesPair:
-    """Pair coefficients with their exact negation so B(a,b) = -A(a,b) always."""
-    return AnticorrelatedSeriesPair(alpha=c, beta=c.negated(), generator=generator)
+    """The pair with first side ``c`` (``generator``'s, at a draw): B = -A."""
+    return AnticorrelatedSeriesPair(alpha=c, generator=generator)
 
 
 def _series_delta(degree: int = 1) -> AnticorrelatedSeriesPair:
@@ -504,9 +458,9 @@ _BUILDERS = {
         ("constant", ConstantNonlocalModel, {"u": vector_from_list, "v": vector_from_list}),
         ("fixed", FixedOutcomeModel, {"alpha": float, "beta": float}),
         ("nonlocal_sign", SettingBiasedSignModel, {"bias": float}),
-        ("series_delta", _series_delta, {"degree": int}),
+        ("series_delta", _series_delta, {"degree": whole_number}),
         ("series_random", _series_random,
-         {"coeff_seed": int, "degree": int, "scale": _optional_float}),
+         {"coeff_seed": whole_number, "degree": whole_number, "scale": _optional_float}),
     )
 }
 

@@ -296,7 +296,7 @@ def ref_series_parts(generator, a, b, sampler_kind: int, seed: int, n: int) -> l
         acc = [0.0, 0.0, math.inf, -math.inf]
         for i in range(start, min(n, start + 4096)):
             c = generator(ref_draw3(sampler_kind, seed, i))
-            v = ref_series_value(c.table.ravel().tolist(), c.degree, c.effective_constant(),
+            v = ref_series_value(c.table.ravel().tolist(), c.degree, c.constant_term,
                                  a, b)
             _ref_accumulate(acc, v * -v)
         parts.append(tuple(acc))

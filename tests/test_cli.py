@@ -353,6 +353,21 @@ def test_series_degree_zero_is_exit_one(capsys):
     assert code == 1 and "degree must be in" in err
 
 
+def test_a_series_parameter_that_is_not_whole_is_exit_one(capsys):
+    # int() would truncate 1.9 to degree 1 and run
+    code, out, err = run_cli(capsys, "correlate", "--model", "series_random",
+                             "--params", '{"degree": 1.9}', "--a", "0,0,1", "--b", "1,0,0")
+    assert (code, out) == (1, "")
+    assert "model 'series_random' parameter 'degree': expected a whole number, got 1.9" in err
+
+
+def test_series_delta_prints_a_negative_zero_where_a_is_zero(capsys):
+    # the closed form is -A^2, so A = a . b = 0 gives -0.0
+    value = run_json(capsys, "correlate", "--model", "series_delta",
+                     "--a", "0,0,1", "--b", "1,0,0")["value"]
+    assert value == 0.0 and math.copysign(1.0, value) == -1.0
+
+
 class _Reached(Exception):
     pass
 

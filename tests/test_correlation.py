@@ -114,6 +114,10 @@ def test_estimate_correlation_type_check():
         estimate_stochastic_correlation(LocalSignModel(), Z_AXIS, X_AXIS, sphere_sampler(), 100)
     with pytest.raises(ValueError, match="n must be"):
         estimate_correlation(LocalSignModel(), Z_AXIS, X_AXIS, sphere_sampler(), 1)
+    # int() would truncate these to a valid draw count
+    for n in (10.7, True):
+        with pytest.raises(ValueError, match="n: expected a whole number"):
+            estimate_correlation(LocalSignModel(), Z_AXIS, X_AXIS, sphere_sampler(), n)
 
 
 def test_estimator_and_oracle_errors_name_the_estimator_and_the_family():
@@ -707,7 +711,7 @@ def test_series_correlation_closed_form_path():
 def test_series_correlation_draw_dependent_path():
     base = delta_coefficients()
     pair = impose_anticorrelation(base, generator=lambda lam: base)
-    assert not pair.lambda_independent
+    assert not pair.draw_independent
     b = unit_from_plane_angle(0.7)
     est = series_correlation(pair, Z_AXIS, b, sphere_sampler(), 10000)
     assert not est.exact and est.n == 10000
@@ -729,7 +733,7 @@ def _mixed_series(lam):
     # degrees 1, 2, 3 and 5 in one chunk, each with a constant term
     d = (1, 2, 3, 5)[int(4.0 * lam[0]) % 4]
     return RealAnalyticCoefficients(degree=d, table=_BASES[d].table * (lam[1] - 0.5),
-                                    constant_term=lam[2] - 0.25, includes_constant_term=True)
+                                    constant_term=lam[2] - 0.25)
 
 
 _BASE16 = random_coefficients(coeff_seed=16, degree=16)
@@ -744,7 +748,7 @@ def _any_degree_series(lam):
     d = 1 + int(16.0 * lam[1]) % 16
     c0 = lam[0] - 0.5 if lam[2] > 0.5 else 0.0
     return RealAnalyticCoefficients(degree=d, table=_BASES[d].table * (lam[0] - 0.5),
-                                    constant_term=c0, includes_constant_term=c0 != 0.0)
+                                    constant_term=c0)
 
 
 # (generator, sampler, n, repr) recorded with the per-draw scalar loop.
@@ -828,8 +832,7 @@ def test_series_chunk_values_keep_signed_zeros_infinities_and_nans():
     def generator(lam):
         k = int(lam[0] * 1e6) % len(tables)
         return RealAnalyticCoefficients(degree=len(tables[k]), table=tables[k],
-                                        constant_term=-0.0 if k == 0 else 0.5,
-                                        includes_constant_term=True)
+                                        constant_term=-0.0 if k == 0 else 0.5)
 
     pair = impose_anticorrelation(_BASE2, generator=generator)
     s = cube_sampler(3, seed=9)
@@ -842,7 +845,7 @@ def test_series_chunk_values_keep_signed_zeros_infinities_and_nans():
         for lam in lams:
             c = generator(lam)
             want.append(ref_series_value(c.table.ravel().tolist(), c.degree,
-                                         c.effective_constant(), a, b))
+                                         c.constant_term, a, b))
         assert repr(got) == repr(want)
         seen.update(repr(v) for v in want)
     assert {"-0.0", "inf", "-inf", "nan"} <= seen
@@ -1203,6 +1206,10 @@ def test_sweep_grid_and_endpoints():
 def test_sweep_validation():
     with pytest.raises(ValueError, match="steps"):
         correlation_sweep(QuantumCorrelationModel(), steps=1)
+    # int() would truncate these to a valid step count
+    for steps in (3.9, True):
+        with pytest.raises(ValueError, match="steps: expected a whole number"):
+            correlation_sweep(QuantumCorrelationModel(), steps)
 
 
 def test_sweep_accepts_zoo_models():

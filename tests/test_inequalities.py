@@ -303,6 +303,9 @@ def test_cross_term_engineered_nonzero():
 def test_maximize_validation():
     with pytest.raises(ValueError, match="budget"):
         maximize_chsh(quantum_correlation, budget=99)
+    # int() would truncate this to a valid budget
+    with pytest.raises(ValueError, match="budget: expected a whole number"):
+        maximize_chsh(quantum_correlation, budget=150.9)
     with pytest.raises(ValueError, match="mode"):
         maximize_chsh(quantum_correlation, budget=1000, mode="spiral")
     with pytest.raises(ValueError, match="full mode"):

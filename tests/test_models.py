@@ -127,8 +127,6 @@ def test_every_registry_row_routes_its_parameters():
         assert list(converters) == list(params), name
         m = build_model(name, {k: v for k, (v, _) in params.items()})
         assert type(m) is cls, name
-        assert m.locality_class.value == next(e for e in zoo() if e["name"] == name)[
-            "locality_class"]
         for key, (_, check) in params.items():
             assert check(m), (name, key)
         assert type(build_model(name)) is cls
@@ -141,7 +139,7 @@ def test_every_converter_names_its_parameter_on_a_wrong_type():
             if key != "scale":  # a null scale means the default one
                 bads.append(None)
             if key in ("degree", "coeff_seed"):
-                bads.append(math.inf)
+                bads += [math.inf, 1.9, True]
             for bad in bads:
                 with pytest.raises(ValueError, match=f"model '{name}' parameter '{key}'"):
                     build_model(name, {key: bad})
@@ -163,6 +161,10 @@ def test_series_degree_out_of_range_is_a_value_error():
                 build_model(name, {"degree": degree})
     with pytest.raises(ValueError, match="degree must be in"):
         delta_coefficients(0)
+    # int() would truncate these to a valid degree
+    for degree in (1.5, True):
+        with pytest.raises(ValueError, match="degree: expected a whole number"):
+            RealAnalyticCoefficients(degree=degree, table=np.zeros((1, 1, 3, 3)))
 
 
 def test_local_sign_outcomes():
@@ -186,7 +188,7 @@ def test_sign_tie_convention():
 def test_coin_probabilities():
     p = evaluate_stochastic(CoinModel(), Z_AXIS, X_AXIS, (0.0, 0.0, 1.0))
     assert (p.p1_plus, p.p1_minus, p.p2_plus, p.p2_minus) == (0.5, 0.5, 0.5, 0.5)
-    assert p.mean_first() == 0.0 and p.mean_second() == 0.0
+    assert mean_outcomes(CoinModel(), Z_AXIS, X_AXIS, (0.0, 0.0, 1.0)) == (0.0, 0.0)
 
 
 @given(angles, angles, angles)
@@ -243,12 +245,10 @@ def test_fixed_model_validation_and_outcomes():
         FixedOutcomeModel(alpha=0.5)
     m = FixedOutcomeModel(alpha=1.0, beta=-1.0)
     assert m.outcomes(X_AXIS, Y_AXIS, (0.0, 0.0, 0.0)) == (1.0, -1.0)
-    assert m.locality_class is LocalityClass.CONSTANT_NONLOCAL
 
 
 def test_setting_biased_model_sees_remote_setting():
     m = SettingBiasedSignModel(bias=0.1)
-    assert m.locality_class is LocalityClass.GENERAL_NONLOCAL
     # pick a draw where a.lam is small so the a.b term decides A
     lam = (0.0, 1.0, 0.0)
     a_out_near = m.outcomes(Z_AXIS, Z_AXIS, lam)[0]
@@ -286,7 +286,6 @@ def test_sign_models_outcomes_are_their_rules_written_out():
 def test_deterministic_embedding_is_exact():
     inner = LocalSignModel()
     wrapped = DeterministicEmbedding(inner)
-    assert wrapped.locality_class is inner.locality_class
     for lam in draws(3, 100):
         alpha, beta = inner.outcomes(Z_AXIS, X_AXIS, lam)
         p = evaluate_stochastic(wrapped, Z_AXIS, X_AXIS, lam)
@@ -313,12 +312,6 @@ def test_evaluate_stochastic_rejects_bad_normalization():
         evaluate_stochastic(Rogue(), Z_AXIS, X_AXIS, (0.0, 0.0, 1.0))
 
 
-def test_quantum_marker_has_no_kernel():
-    m = QuantumCorrelationModel()
-    assert m.kernel_kind is None
-    assert m.locality_class is LocalityClass.GENERAL_NONLOCAL
-
-
 # --- series coefficients ---
 
 
@@ -329,13 +322,8 @@ def test_coefficients_validation():
         RealAnalyticCoefficients(degree=1, table=np.zeros((1, 1, 3, 2)))
     with pytest.raises(ValueError):
         RealAnalyticCoefficients(degree=1, table=np.full((1, 1, 3, 3), math.nan))
-    with pytest.raises(ValueError):
-        RealAnalyticCoefficients(degree=1, table=np.zeros((1, 1, 3, 3)), constant_term=0.5)
-    c = RealAnalyticCoefficients(
-        degree=1, table=np.zeros((1, 1, 3, 3)), constant_term=0.5,
-        includes_constant_term=True,
-    )
-    assert c.effective_constant() == 0.5
+    c = RealAnalyticCoefficients(degree=1, table=np.zeros((1, 1, 3, 3)), constant_term=0.5)
+    assert c.constant_term == 0.5
 
 
 def test_coefficient_table_is_write_locked():
@@ -361,11 +349,11 @@ def test_evaluate_series_is_the_one_row_series_values():
     for degree, constant in ((1, 0.0), (2, -0.375), (4, 0.0), (16, 0.5)):
         c = RealAnalyticCoefficients(
             degree=degree, table=random_coefficients(coeff_seed=degree, degree=degree).table,
-            constant_term=constant, includes_constant_term=constant != 0.0,
+            constant_term=constant,
         )
         a, b = unit(0.4, phi=0.3), unit(2.2, phi=1.7)
         pa, pb = _k.series_powers(*a.as_tuple(), *b.as_tuple())
-        [row] = _k.series_values(c.table[None], c.effective_constant(), pa, pb).tolist()
+        [row] = _k.series_values(c.table[None], c.constant_term, pa, pb).tolist()
         got = evaluate_series(c, a, b)
         assert type(got) is float and got == row
         assert got == ref_series_value(c.table.ravel().tolist(), degree, constant,
@@ -400,7 +388,6 @@ def test_series_with_constant_term_matches_brute_force():
         degree=2,
         table=random_coefficients(coeff_seed=8, degree=2).table,
         constant_term=0.125,
-        includes_constant_term=True,
     )
     a, b = unit(0.6), unit(2.1, phi=0.3)
     want = series_brute(c.table, 0.125, a.as_tuple(), b.as_tuple())
@@ -410,21 +397,16 @@ def test_series_with_constant_term_matches_brute_force():
 # --- anticorrelated pairs ---
 
 
-def test_pair_requires_exact_negation():
-    c = delta_coefficients()
-    with pytest.raises(ValueError):
-        AnticorrelatedSeriesPair(alpha=c, beta=c)
-    tweaked = RealAnalyticCoefficients(degree=1, table=-c.table * (1.0 + 1e-15))
-    with pytest.raises(ValueError):
-        AnticorrelatedSeriesPair(alpha=c, beta=tweaked)
-
-
 def test_pair_values_are_exact_mirrors():
     pair = impose_anticorrelation(random_coefficients(coeff_seed=4, degree=3))
-    assert pair.lambda_independent
+    assert pair.draw_independent
     for ta, tb in ((0.2, 1.4), (2.9, 0.1)):
         a, b = unit(ta), unit(tb, phi=1.0)
         assert pair.second_value(a, b) == -pair.first_value(a, b)
+    # at a zero the second side is the negated zero too
+    pair = build_model("series_delta")
+    assert math.copysign(1.0, pair.first_value(Z_AXIS, X_AXIS)) == 1.0
+    assert math.copysign(1.0, pair.second_value(Z_AXIS, X_AXIS)) == -1.0
 
 
 def test_pair_generator_keys_on_the_draw():
@@ -432,7 +414,7 @@ def test_pair_generator_keys_on_the_draw():
         return random_coefficients(coeff_seed=int(lam[0] * 1e6) & 0xFFFF, degree=1)
 
     pair = impose_anticorrelation(delta_coefficients(), generator=gen)
-    assert not pair.lambda_independent
+    assert not pair.draw_independent
     lam = (0.5, 0.1, 0.2)
     a, b = unit(0.3), unit(1.1)
     assert pair.first_value(a, b, lam) == evaluate_series(gen(lam), a, b)

@@ -155,7 +155,6 @@ def test_every_public_name_is_its_home_modules_object():
     for name in eprb._HOMES:
         home = importlib.import_module(f"eprb.{eprb._HOMES[name]}")
         assert getattr(eprb, name) is getattr(home, name), name
-    assert eprb.models.LocalityClass is eprb.LocalityClass
     assert eprb.hidden_variables.SAMPLER_KINDS is eprb.SAMPLER_KINDS
     assert eprb.analyticity.DEFAULT_H is eprb.cli.DEFAULT_H
     assert eprb.models.zoo is eprb.zoo and eprb.models.MODEL_NAMES is eprb.MODEL_NAMES
@@ -163,8 +162,18 @@ def test_every_public_name_is_its_home_modules_object():
 
 def test_the_zoo_listing_and_the_builders_name_the_same_models_in_order():
     assert tuple(eprb.models._BUILDERS) == eprb.MODEL_NAMES
-    for name, (cls, _) in eprb.catalog.ZOO.items():
-        assert eprb.build_model(name).locality_class is cls, name
+
+
+def test_only_the_catalog_names_a_locality_class():
+    # catalog.ZOO is the one table of locality classes: no other module
+    # names a LocalityClass member, so no model can carry a second copy
+    members = set(eprb.LocalityClass.__members__)
+    for path in sorted((SRC / "eprb").glob("*.py")):
+        if path.name == "catalog.py":
+            continue
+        named = [node.attr for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                 if isinstance(node, ast.Attribute) and node.attr in members]
+        assert named == [], path.name
 
 
 def test_star_import_and_dir_see_every_public_name():
