@@ -44,7 +44,7 @@ def require_n(n, workers=1):
         raise ValueError(f"n must be >= 2 to estimate a standard error, got {n}")
     if n > MAX_N:
         raise ValueError(f"n must be <= 2**63 - 1, got {n}")
-    if workers < 1:
+    if whole_number(workers, "workers") < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     return n
 

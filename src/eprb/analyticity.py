@@ -14,8 +14,9 @@ over the whole disc: the lattice and its ``|z| <= R`` mask, the shifted
 coordinates ``x +- h`` and ``y +- h``, the rational singlet formula with its
 overflow branches and the difference quotients are the per-point float
 operations in the same order, so every residual equals the per-point
-one bit for bit. Its rows stay arrays (``GridPoints``) until a caller asks
-for them, so a writer reads its columns without building point objects.
+one bit for bit. A report's rows are one (m, 3) array of
+``(re, im, residual)``, so the grid report and its writers build no point
+objects.
 """
 
 from __future__ import annotations
@@ -24,17 +25,17 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
+from ._mc import whole_number
 from .catalog import DEFAULT_H
-from .geometry import RiemannPoint, quantum_correlation_complex, riemann_to_obj
+from .geometry import RiemannPoint, quantum_correlation_complex
 
 __all__ = [
     "Verdict",
     "ResidualReport",
-    "GridPoints",
     "wirtinger_residual",
     "residual_report",
     "constancy_check",
@@ -48,65 +49,33 @@ DEFAULT_TOL = 1e-5
 MAX_GRID = 1000
 
 
-class GridPoints(Sequence):
-    """The (point, residual) rows of a grid report, held as three arrays.
-
-    A row becomes a ``(RiemannPoint, float)`` pair only when it is read, so
-    counting the rows or writing the report's JSON builds no point objects.
-    Compares equal to any sequence holding the same rows.
-    """
-
-    __slots__ = ("re", "im", "residual")
-
-    def __init__(self, re: np.ndarray, im: np.ndarray, residual: np.ndarray) -> None:
-        self.re = re
-        self.im = im
-        self.residual = residual
-
-    def __len__(self) -> int:
-        return len(self.residual)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(self)[index]
-        return (RiemannPoint.finite(self.re[index], self.im[index]),
-                float(self.residual[index]))
-
-    def __iter__(self) -> Iterator[tuple[RiemannPoint, float]]:
-        for x, y, r in zip(self.re.tolist(), self.im.tolist(), self.residual.tolist()):
-            yield RiemannPoint.finite(x, y), r
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return tuple(self) == tuple(other)
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
-
-    def __repr__(self) -> str:
-        return f"GridPoints({len(self)} rows)"
-
-
 class Verdict(Enum):
     ANALYTIC_WITHIN_TOL = "analytic_within_tol"
     NON_ANALYTIC = "non_analytic"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResidualReport:
     """Conjugate-derivative magnitudes over a point set.
 
-    ``verdict`` is NON_ANALYTIC exactly when ``max_residual`` exceeds
-    ``tol``. ``points`` is a tuple from ``residual_report`` and a
-    ``GridPoints`` from ``pq_nonanalyticity_report``.
+    ``points`` is an (m, 3) float64 array with one row ``(re, im,
+    residual)`` per point, in the order given. ``verdict`` is NON_ANALYTIC
+    exactly when ``max_residual`` exceeds ``tol``.
     """
 
-    points: Sequence[tuple[RiemannPoint, float]]
-    max_residual: float
+    points: np.ndarray
     h: float
     tol: float
-    verdict: Verdict
+
+    @property
+    def max_residual(self) -> float:
+        return float(self.points[:, 2].max())
+
+    @property
+    def verdict(self) -> Verdict:
+        if self.max_residual > self.tol:
+            return Verdict.NON_ANALYTIC
+        return Verdict.ANALYTIC_WITHIN_TOL
 
     def summary(self) -> dict:
         return {
@@ -120,7 +89,7 @@ class ResidualReport:
         return {
             **self.summary(),
             "points": [
-                {"z": riemann_to_obj(z), "residual": r} for z, r in self.points
+                {"z": {"re": x, "im": y}, "residual": r} for x, y, r in self.points.tolist()
             ],
         }
 
@@ -180,13 +149,10 @@ def residual_report(
         raise ValueError("need at least one point")
     tol = _tolerance(tol)
     rows = []
-    max_residual = 0.0
     for z in points:
         mag = _finite_residual(z, abs(wirtinger_residual(f, z, h)), h)
-        rows.append((z, mag))
-        if mag > max_residual:
-            max_residual = mag
-    return _report(tuple(rows), max_residual, float(h), tol)
+        rows.append((z.re, z.im, mag))
+    return ResidualReport(np.array(rows, dtype=np.float64), float(h), tol)
 
 
 def _tolerance(tol: float) -> float:
@@ -194,17 +160,6 @@ def _tolerance(tol: float) -> float:
     if tol <= 0.0:
         raise ValueError(f"tolerance must be positive, got {tol!r}")
     return tol
-
-
-def _report(points, max_residual: float, h: float, tol: float) -> ResidualReport:
-    verdict = (
-        Verdict.NON_ANALYTIC
-        if max_residual > tol
-        else Verdict.ANALYTIC_WITHIN_TOL
-    )
-    return ResidualReport(
-        points=points, max_residual=max_residual, h=h, tol=tol, verdict=verdict
-    )
 
 
 def constancy_check(
@@ -303,7 +258,7 @@ def pq_nonanalyticity_report(
     radius = float(radius)
     if not (radius > 0.0) or math.isinf(radius):
         raise ValueError(f"radius must be a positive finite real, got {radius!r}")
-    k = int(k)
+    k = whole_number(k, "k")
     if k < 2 or k > MAX_GRID:
         raise ValueError(f"grid resolution must be in 2..{MAX_GRID}, got {k}")
     re, im = _disc_grid(radius, k)
@@ -330,4 +285,4 @@ def pq_nonanalyticity_report(
             [z], h=h, tol=tol,
         )
         raise AssertionError(f"grid and per-point stencils disagree at {z!r}")
-    return _report(GridPoints(re, im, residual), float(residual.max()), h, tol)
+    return ResidualReport(np.stack((re, im, residual), axis=1), h, tol)

@@ -418,8 +418,8 @@ def _cmd_analyticity(ns: argparse.Namespace) -> int:
         "grid": {"R": radius, "k": k},
         **report.summary(),
     }
-    p = report.points  # k distinct coordinates; the residuals are all distinct
-    _emit(ns, _table({"z": {"re": p.re, "im": p.im}, "residual": p.residual}, "points", head,
+    re, im, residual = report.points.T  # k distinct coordinates; the residuals are all distinct
+    _emit(ns, _table({"z": {"re": re, "im": im}, "residual": residual}, "points", head,
                      repeats=("z.re", "z.im")))
     return 0
 

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import _backend as _k
-from ._mc import combine_scalar, require_n, run_chunk_jobs
+from ._mc import combine_scalar, require_n, run_chunk_jobs, whole_number
 from .catalog import SAMPLER_KINDS
 
 __all__ = [
@@ -53,13 +53,13 @@ class LambdaSampler:
             raise ValueError(
                 f"unknown sampler kind {self.kind!r}; expected one of {SAMPLER_KINDS}"
             )
-        dim = int(self.dim)
+        dim = whole_number(self.dim, "dim")
         if dim < 1 or dim > _k.MAX_DIM:
             raise ValueError(f"dim must be in 1..{_k.MAX_DIM}, got {self.dim}")
         if self.kind == "uniform_sphere" and dim != 3:
             raise ValueError("uniform_sphere draws live in R^3; dim must be 3")
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "seed", int(self.seed) & _k.MASK64)
+        object.__setattr__(self, "seed", whole_number(self.seed, "seed") & _k.MASK64)
 
     @property
     def kind_code(self) -> int:
@@ -69,7 +69,7 @@ class LambdaSampler:
         """Draw number ``index`` (0-based) of this stream: the one-draw case
         of ``sample_batch``, which is far cheaper per draw for reading many
         consecutive draws."""
-        index = int(index)
+        index = whole_number(index, "index")
         if index < 0:
             raise ValueError(f"sample index must be >= 0, got {index}")
         if index > _k.MASK64:
@@ -80,8 +80,8 @@ class LambdaSampler:
         """Draws ``start .. start + count - 1`` as a list of tuples, computed
         a 4096-draw chunk of arrays at a time: the fast way to read many
         draws, with the bits of ``sample`` called on each index."""
-        start = int(start)
-        count = int(count)
+        start = whole_number(start, "start")
+        count = whole_number(count, "count")
         if start < 0:
             raise ValueError(f"start must be >= 0, got {start}")
         if count < 0:
@@ -103,8 +103,8 @@ class LambdaSampler:
             raise ValueError(f"unknown sampler fields {sorted(extra)}")
         return cls(
             kind=obj.get("kind", "uniform_sphere"),
-            dim=int(obj.get("dim", 3)),
-            seed=int(obj.get("seed", 0)),
+            dim=obj.get("dim", 3),
+            seed=obj.get("seed", 0),
         )
 
 

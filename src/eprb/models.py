@@ -382,7 +382,7 @@ def random_coefficients(
     if scale is None:
         scale = 1.0 / (9.0 * degree * degree)
     scale = float(scale)
-    seed = int(coeff_seed) & _k.MASK64
+    seed = whole_number(coeff_seed, "coeff_seed") & _k.MASK64
     # Coefficient t is scale * (2u - 1) for u component 0 of cube draw t.
     u = np.array(_k.lambda_batch(_k.SAMPLER_CUBE, 1, seed, 0, degree * degree * 9))
     return RealAnalyticCoefficients(
@@ -440,8 +440,23 @@ def _series_random(
     return impose_anticorrelation(random_coefficients(coeff_seed, degree=degree, scale=scale))
 
 
-def _optional_float(x) -> Optional[float]:
-    return None if x is None else float(x)
+def _real(value) -> float:
+    """``value`` as a float. A bool is refused: JSON true is not a number."""
+    if isinstance(value, bool):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _optional_real(x) -> Optional[float]:
+    return None if x is None else _real(x)
+
+
+def _vector(values) -> UnitVector3:
+    """``values`` as a UnitVector3; a bool component is refused like ``_real``'s."""
+    vector = vector_from_list(values)
+    for x in values:
+        _real(x)
+    return vector
 
 
 # name -> (constructor, {parameter: converter}), keyed and ordered as
@@ -455,12 +470,12 @@ _BUILDERS = {
         ("local_sign", LocalSignModel, {}),
         ("coin", CoinModel, {}),
         ("linear", LinearStochasticModel, {}),
-        ("constant", ConstantNonlocalModel, {"u": vector_from_list, "v": vector_from_list}),
-        ("fixed", FixedOutcomeModel, {"alpha": float, "beta": float}),
-        ("nonlocal_sign", SettingBiasedSignModel, {"bias": float}),
+        ("constant", ConstantNonlocalModel, {"u": _vector, "v": _vector}),
+        ("fixed", FixedOutcomeModel, {"alpha": _real, "beta": _real}),
+        ("nonlocal_sign", SettingBiasedSignModel, {"bias": _real}),
         ("series_delta", _series_delta, {"degree": whole_number}),
         ("series_random", _series_random,
-         {"coeff_seed": whole_number, "degree": whole_number, "scale": _optional_float}),
+         {"coeff_seed": whole_number, "degree": whole_number, "scale": _optional_real}),
     )
 }
 

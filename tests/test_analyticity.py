@@ -18,7 +18,7 @@ from eprb import (
     wirtinger_residual,
 )
 from eprb import analyticity, cli
-from eprb.analyticity import DEFAULT_H, DEFAULT_TOL, GridPoints, ResidualReport, _disc_grid
+from eprb.analyticity import DEFAULT_H, DEFAULT_TOL, ResidualReport, _disc_grid
 from oracles_ref import ref_pq_report
 
 
@@ -180,6 +180,9 @@ def test_pq_nonanalyticity_report_validation():
         pq_nonanalyticity_report(INFINITY, radius=math.inf)
     with pytest.raises(ValueError, match="grid"):
         pq_nonanalyticity_report(INFINITY, k=1)
+    # int() would truncate it to k = 5
+    with pytest.raises(ValueError, match="k: expected a whole number"):
+        pq_nonanalyticity_report(INFINITY, k=5.9)
 
 
 def test_exp_is_analytic_everywhere_sampled():
@@ -207,8 +210,8 @@ def _outcome(fn):
 def _grid_outcome(w, radius, k, h):
     def report():
         rep = pq_nonanalyticity_report(w, radius=radius, k=k, h=h, tol=DEFAULT_TOL)
-        rows = list(zip(rep.points.re.tolist(), rep.points.im.tolist(),
-                        rep.points.residual.tolist()))
+        re, im, residual = rep.points.T
+        rows = list(zip(re.tolist(), im.tolist(), residual.tolist()))
         return rows, rep.max_residual, rep.verdict.value
     return _outcome(report)
 
@@ -276,22 +279,24 @@ def test_grid_report_names_the_first_non_finite_residual():
     assert flagged >= 2
 
 
-def test_grid_points_read_as_the_per_point_rows():
-    rep = pq_nonanalyticity_report(RiemannPoint.finite(0.3, -0.7), radius=2.5, k=9)
-    rows, _, _ = ref_pq_report(RiemannPoint.finite(0.3, -0.7), 2.5, 9, DEFAULT_H, DEFAULT_TOL)
-    want = tuple((RiemannPoint.finite(x, y), r) for x, y, r in rows)
-    assert isinstance(rep.points, GridPoints) and len(rep.points) == len(want)
-    assert rep.points == want and tuple(rep.points) == want
-    assert rep.points[0] == want[0] and rep.points[-1] == want[-1]
-    assert rep.points[2:5] == want[2:5]
-    assert hash(rep.points) == hash(want)
-    assert rep.to_json()["points"] == [{"z": {"re": x, "im": y}, "residual": r} for x, y, r in rows]
+def test_both_constructors_give_one_representation():
+    w = RiemannPoint.finite(0.3, -0.7)
+    grid = pq_nonanalyticity_report(w, radius=2.5, k=9)
+    rows, top, verdict = ref_pq_report(w, 2.5, 9, DEFAULT_H, DEFAULT_TOL)
+    per_point = residual_report(
+        lambda c: quantum_correlation_complex(RiemannPoint.from_complex(c), w),
+        [RiemannPoint.finite(x, y) for x, y, _ in rows])
+    for rep in (grid, per_point):
+        assert rep.points.shape == (len(rows), 3) and rep.points.dtype == np.float64
+        assert rep.max_residual == top and rep.verdict.value == verdict
+    assert grid.points.tobytes() == per_point.points.tobytes()
+    assert grid.to_json()["points"] == [{"z": {"re": x, "im": y}, "residual": r} for x, y, r in rows]
 
 
 def _table_text(report, head):
     """A grid report as the CLI's table writer writes it."""
-    p = report.points
-    row = {"z": {"re": p.re, "im": p.im}, "residual": p.residual}
+    re, im, residual = report.points.T
+    row = {"z": {"re": re, "im": im}, "residual": residual}
     return "".join(cli._table(row, "points", {**head, **report.summary()},
                                      repeats=("z.re", "z.im")))
 
@@ -299,9 +304,7 @@ def _table_text(report, head):
 def test_table_writer_writes_what_json_dumps_writes(monkeypatch):
     head = {"command": "analyticity", "w": "inf", "grid": {"R": 1.0, "k": 5}}
     odd = [0.0, -0.0, 5e-324, 1e-5, 0.1, 1.0 / 3.0, 1e16, -1e16, 1e308, 123456789.0]
-    rep = ResidualReport(points=GridPoints(*np.array([odd, odd[::-1], odd[::-1]])),
-                         max_residual=1e308, h=DEFAULT_H, tol=DEFAULT_TOL,
-                         verdict=Verdict.NON_ANALYTIC)
+    rep = ResidualReport(np.array([odd, odd[::-1], odd[::-1]]).T, DEFAULT_H, DEFAULT_TOL)
     grid = pq_nonanalyticity_report(RiemannPoint.finite(-1.2, 0.4), radius=2.5, k=21)
     for rows_per_piece in (3, 8192):  # pieces joined mid-array, and one piece
         monkeypatch.setattr(cli, "_PIECE_ROWS", rows_per_piece)
@@ -322,9 +325,8 @@ def test_grid_report_builds_no_point_objects_until_read(monkeypatch):
     rep = pq_nonanalyticity_report(INFINITY, radius=1.0, k=21)
     text = _table_text(rep, {})
     monkeypatch.setattr(analyticity, "RiemannPoint", Forbidden)
-    monkeypatch.setattr(analyticity, "riemann_to_obj", forbidden)
     monkeypatch.setattr(analyticity, "quantum_correlation_complex", forbidden)
     again = pq_nonanalyticity_report(INFINITY, radius=1.0, k=21)
     assert len(again.points) == len(rep.points) == 313
     assert _table_text(again, {}) == text
-    assert np.array_equal(again.points.residual, rep.points.residual)
+    assert np.array_equal(again.points, rep.points)

@@ -361,6 +361,14 @@ def test_a_series_parameter_that_is_not_whole_is_exit_one(capsys):
     assert "model 'series_random' parameter 'degree': expected a whole number, got 1.9" in err
 
 
+def test_a_bool_real_parameter_is_exit_one(capsys):
+    # float() would read true as alpha = 1.0 and run
+    code, out, err = run_cli(capsys, "correlate", "--model", "fixed", "--params",
+                             '{"alpha": true}', "--a", "0,0,1", "--b", "1,0,0")
+    assert (code, out) == (1, "")
+    assert "model 'fixed' parameter 'alpha': expected a number, got True" in err
+
+
 def test_series_delta_prints_a_negative_zero_where_a_is_zero(capsys):
     # the closed form is -A^2, so A = a . b = 0 gives -0.0
     value = run_json(capsys, "correlate", "--model", "series_delta",

@@ -118,6 +118,8 @@ def test_estimate_correlation_type_check():
     for n in (10.7, True):
         with pytest.raises(ValueError, match="n: expected a whole number"):
             estimate_correlation(LocalSignModel(), Z_AXIS, X_AXIS, sphere_sampler(), n)
+    with pytest.raises(ValueError, match="workers: expected a whole number"):
+        estimate_correlation(LocalSignModel(), Z_AXIS, X_AXIS, sphere_sampler(), 100, workers=1.5)
 
 
 def test_estimator_and_oracle_errors_name_the_estimator_and_the_family():

@@ -33,6 +33,16 @@ def test_sampler_validation():
     with pytest.raises(ValueError):
         LambdaSampler(kind="uniform_cube", dim=65)
     assert LambdaSampler(kind="uniform_cube", dim=64).dim == 64
+    # int() would truncate these to a valid dim or seed
+    for make, name in ((lambda: LambdaSampler(seed=1.5), "seed"),
+                       (lambda: LambdaSampler(kind="uniform_cube", dim=3.7), "dim"),
+                       (lambda: cube_sampler(True), "dim"),
+                       (lambda: LambdaSampler.from_json({"seed": 2.5}), "seed"),
+                       (lambda: LambdaSampler.from_json({"kind": "uniform_cube", "dim": 2.5}),
+                        "dim")):
+        with pytest.raises(ValueError, match=f"{name}: expected a whole number"):
+            make()
+    assert LambdaSampler.from_json({"seed": "7", "dim": 3.0}) == LambdaSampler(seed=7)
 
 
 def test_seed_is_reduced_mod_2_64():
@@ -100,6 +110,14 @@ def test_sample_argument_validation():
     with pytest.raises(ValueError):
         s.sample_batch(0, -5)
     assert s.sample_batch(0, 0) == []
+    # int() would truncate these to draw 1, and to 2 draws from draw 0
+    for index in (1.9, True):
+        with pytest.raises(ValueError, match="index: expected a whole number"):
+            s.sample(index)
+    with pytest.raises(ValueError, match="start: expected a whole number"):
+        s.sample_batch(0.5, 2)
+    with pytest.raises(ValueError, match="count: expected a whole number"):
+        s.sample_batch(0, 2.9)
 
 
 def test_json_round_trip():

@@ -140,6 +140,10 @@ def test_every_converter_names_its_parameter_on_a_wrong_type():
                 bads.append(None)
             if key in ("degree", "coeff_seed"):
                 bads += [math.inf, 1.9, True]
+            elif key in ("u", "v"):
+                bads += [[True, False, False], [0, False, 1]]
+            else:  # a real number; float() would read a bool as 1.0 or 0.0
+                bads += [True, False]
             for bad in bads:
                 with pytest.raises(ValueError, match=f"model '{name}' parameter '{key}'"):
                     build_model(name, {key: bad})
@@ -324,6 +328,9 @@ def test_coefficients_validation():
         RealAnalyticCoefficients(degree=1, table=np.full((1, 1, 3, 3), math.nan))
     c = RealAnalyticCoefficients(degree=1, table=np.zeros((1, 1, 3, 3)), constant_term=0.5)
     assert c.constant_term == 0.5
+    # int() would truncate the seed to 5
+    with pytest.raises(ValueError, match="coeff_seed: expected a whole number"):
+        random_coefficients(5.9, degree=1)
 
 
 def test_coefficient_table_is_write_locked():
