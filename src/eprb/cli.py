@@ -383,13 +383,12 @@ def _chsh_quad(ns: argparse.Namespace):
 def _cmd_chsh(ns: argparse.Namespace) -> int:
     name, oracle, quad = _named_oracle(ns, lambda: _chsh_quad(ns))
     if quad is None:
-        result = _lib.maximize_chsh(
-            oracle, int(_setting(ns, "budget")), mode=str(_setting(ns, "mode"))
-        )
+        mode = str(_setting(ns, "mode"))
+        result = _lib.maximize_chsh(oracle, int(_setting(ns, "budget")), mode=mode)
         payload = result.report.to_json()
         payload["evaluations"] = result.evaluations
         payload["grid_s_value"] = result.grid_s_value
-        payload["mode"] = result.mode
+        payload["mode"] = mode
     else:
         payload = _lib.chsh_statistic(oracle, _lib.SettingsQuad(*quad)).to_json()
         payload["evaluations"] = 4

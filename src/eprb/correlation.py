@@ -12,7 +12,7 @@ sampler seed the result is bit-identical at any worker count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -72,13 +72,16 @@ _DRAW_CACHE_BYTES = 32 << 20
 class CorrelationEstimate:
     """A correlation value with its uncertainty.
 
-    ``exact`` marks closed-form evaluations; those carry stderr 0 and n 0.
+    ``exact``, derived as n == 0, marks closed-form evaluations (stderr 0).
     """
 
     value: float
     stderr: float
     n: int
-    exact: bool = False
+    exact: bool = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "exact", self.n == 0)
 
     def to_json(self) -> dict:
         return {
@@ -196,7 +199,7 @@ def _estimate(m, family, a, b, s, n, joint=False):
     means, stderrs = zip(*pairs)
     if joint:
         return JointTable(*means, *stderrs, n=n)
-    return CorrelationEstimate(value=means[0], stderr=stderrs[0], n=n, exact=False)
+    return CorrelationEstimate(value=means[0], stderr=stderrs[0], n=n)
 
 
 def _pair_groups(m, pairs):
@@ -305,15 +308,15 @@ def quantum_correlation(a: UnitVector3, b: UnitVector3) -> CorrelationEstimate:
     product of a renormalized vector with itself is off by an ulp.
     """
     if a == b:
-        return CorrelationEstimate(value=-1.0, stderr=0.0, n=0, exact=True)
+        return CorrelationEstimate(value=-1.0, stderr=0.0, n=0)
     if a.x == -b.x and a.y == -b.y and a.z == -b.z:
-        return CorrelationEstimate(value=1.0, stderr=0.0, n=0, exact=True)
+        return CorrelationEstimate(value=1.0, stderr=0.0, n=0)
     d = a.dot(b)
     if d > 1.0:
         d = 1.0
     elif d < -1.0:
         d = -1.0
-    return CorrelationEstimate(value=-d, stderr=0.0, n=0, exact=True)
+    return CorrelationEstimate(value=-d, stderr=0.0, n=0)
 
 
 def series_correlation(
@@ -343,7 +346,7 @@ def series_correlation(
         # The value is -A^2, which equals A * B, B the second side
         # evaluated, except in the sign of a zero.
         value = a_val * (-a_val)
-        return CorrelationEstimate(value=value, stderr=0.0, n=0, exact=True)
+        return CorrelationEstimate(value=value, stderr=0.0, n=0)
 
     powers = _k.series_powers(a.x, a.y, a.z, b.x, b.y, b.z)
 
@@ -352,7 +355,7 @@ def series_correlation(
         return (v * -v)[None]
 
     [(mean, stderr)] = fold_draws(rows, s, n)
-    return CorrelationEstimate(value=mean, stderr=stderr, n=n, exact=False)
+    return CorrelationEstimate(value=mean, stderr=stderr, n=n)
 
 
 def _series_chunk(pair, powers, lams, start):
@@ -469,14 +472,20 @@ class AntipodalContrast:
     """Series-pair correlation at antipodal settings next to the quantum value.
 
     Any anticorrelated series pair gives a nonpositive value at (a, -a)
-    while the singlet correlation there is +1; ``contradiction`` records
-    that mismatch.
+    while the singlet correlation there is +1; the derived ``quantum`` and
+    ``contradiction`` record that mismatch.
     """
 
     a: UnitVector3
     series: CorrelationEstimate
-    quantum: CorrelationEstimate
-    contradiction: bool
+
+    @property
+    def quantum(self) -> CorrelationEstimate:
+        return quantum_correlation(self.a, -self.a)
+
+    @property
+    def contradiction(self) -> bool:
+        return self.series.value <= 0.0 < self.quantum.value
 
     def to_json(self) -> dict:
         return {
@@ -495,15 +504,7 @@ def antipodal_contrast(
     workers: int = 1,
 ) -> AntipodalContrast:
     """Evaluate a series pair against the quantum value at (a, -a)."""
-    b = -a
-    series = series_correlation(pair, a, b, s, n, workers=workers)
-    quantum = quantum_correlation(a, b)
-    return AntipodalContrast(
-        a=a,
-        series=series,
-        quantum=quantum,
-        contradiction=(series.value <= 0.0 < quantum.value),
-    )
+    return AntipodalContrast(a=a, series=series_correlation(pair, a, -a, s, n, workers=workers))
 
 
 def correlation_sweep(

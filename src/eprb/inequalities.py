@@ -60,26 +60,51 @@ class SettingsQuad:
         }
 
 
+def _chsh_terms(ests: Sequence[CorrelationEstimate]) -> tuple[float, float]:
+    """(term1, term2) from the estimates at the ``_quad_pairs`` pairs:
+    |P(a,b) - P(a,b')| and |P(a',b') + P(a',b)|, whose sum is S."""
+    return abs(ests[0].value - ests[1].value), abs(ests[2].value + ests[3].value)
+
+
 @dataclass(frozen=True)
 class ChshReport:
-    """The four-correlation statistic at one settings quad.
+    """The four-correlation statistic at one settings quad, derived from
+    the estimates at its ``_quad_pairs`` pairs: the terms, S, the stderr
+    (the four stderrs in quadrature) and ``violated``, true only when S
+    exceeds the bound by more than 4 stderrs (strictly above 2 for exact
+    oracles)."""
 
-    ``violated`` applies the oracle's own uncertainty: the bound counts as
-    broken only beyond 4 combined standard errors (strictly above 2 for
-    exact oracles).
-    """
-
-    s_value: float
-    term1: float
-    term2: float
     p_ab: CorrelationEstimate
     p_ab_prime: CorrelationEstimate
     p_a_prime_b_prime: CorrelationEstimate
     p_a_prime_b: CorrelationEstimate
-    stderr: float
-    bound: float
-    violated: bool
     quad: SettingsQuad
+
+    bound = 2.0
+
+    @property
+    def _ests(self) -> tuple[CorrelationEstimate, ...]:
+        return self.p_ab, self.p_ab_prime, self.p_a_prime_b_prime, self.p_a_prime_b
+
+    @property
+    def term1(self) -> float:
+        return _chsh_terms(self._ests)[0]
+
+    @property
+    def term2(self) -> float:
+        return _chsh_terms(self._ests)[1]
+
+    @property
+    def s_value(self) -> float:
+        return sum(_chsh_terms(self._ests))
+
+    @property
+    def stderr(self) -> float:
+        return math.sqrt(sum(e.stderr ** 2 for e in self._ests))
+
+    @property
+    def violated(self) -> bool:
+        return self.s_value > self.bound + _BAND * self.stderr
 
     def to_json(self) -> dict:
         return {
@@ -104,63 +129,45 @@ def _quad_pairs(q: SettingsQuad) -> list[tuple[UnitVector3, UnitVector3]]:
     return [(q.a, q.b), (q.a, q.b_prime), (q.a_prime, q.b_prime), (q.a_prime, q.b)]
 
 
-def _chsh_sum(ests: Sequence[CorrelationEstimate]) -> tuple[float, float, float]:
-    """(S, term1, term2) from the estimates at the ``_quad_pairs`` pairs:
-    S = |P(a,b) - P(a,b')| + |P(a',b') + P(a',b)|."""
-    term1 = abs(ests[0].value - ests[1].value)
-    term2 = abs(ests[2].value + ests[3].value)
-    return term1 + term2, term1, term2
-
-
-def _finite(name: str, value: float) -> float:
-    """``value``, checked to be finite: a statistic holding NaN or an
-    infinity comes from overflowing correlations and is not a verdict."""
+def _finite(report, name: str):
+    """``report``, checked to have a finite ``name``: a statistic holding
+    NaN or an infinity comes from overflowing correlations and is not a
+    verdict."""
+    value = getattr(report, name)
     if not math.isfinite(value):
         raise ValueError(f"result field {name!r} is not finite: {value!r}")
-    return value
+    return report
 
 
 def chsh_statistic(P: CorrelationOracle, q: SettingsQuad) -> ChshReport:
-    """Evaluate the four-correlation statistic at ``q`` using oracle ``P``.
+    """The report of the four estimates ``P`` gives at ``q``'s pairs.
 
     Raises ValueError when S is NaN or infinite.
     """
-    ests = ask_pairs(P, _quad_pairs(q))
-    est_ab, est_ab_prime, est_apbp, est_apb = ests
-    s_value, term1, term2 = _chsh_sum(ests)
-    _finite("s_value", s_value)
-    stderr = math.sqrt(
-        est_ab.stderr ** 2
-        + est_ab_prime.stderr ** 2
-        + est_apbp.stderr ** 2
-        + est_apb.stderr ** 2
-    )
-    return ChshReport(
-        s_value=s_value,
-        term1=term1,
-        term2=term2,
-        p_ab=est_ab,
-        p_ab_prime=est_ab_prime,
-        p_a_prime_b_prime=est_apbp,
-        p_a_prime_b=est_apb,
-        stderr=stderr,
-        bound=2.0,
-        violated=s_value > 2.0 + _BAND * stderr,
-        quad=q,
-    )
+    return _finite(ChshReport(*ask_pairs(P, _quad_pairs(q)), quad=q), "s_value")
 
 
 @dataclass(frozen=True)
 class BellReport:
     """The three-correlation inequality |P(a,b) - P(a,c)| <= 1 + P(b,c),
-    reported as the excess of the left side over the right."""
+    derived from its estimates as the excess of the left side over the
+    right, its stderr and ``violated``, as in ChshReport."""
 
-    excess: float
     p_ab: CorrelationEstimate
     p_ac: CorrelationEstimate
     p_bc: CorrelationEstimate
-    stderr: float
-    violated: bool
+
+    @property
+    def excess(self) -> float:
+        return abs(self.p_ab.value - self.p_ac.value) - (1.0 + self.p_bc.value)
+
+    @property
+    def stderr(self) -> float:
+        return math.sqrt(self.p_ab.stderr ** 2 + self.p_ac.stderr ** 2 + self.p_bc.stderr ** 2)
+
+    @property
+    def violated(self) -> bool:
+        return self.excess > _BAND * self.stderr
 
     def to_json(self) -> dict:
         return {
@@ -178,23 +185,11 @@ class BellReport:
 def bell_statistic(
     P: CorrelationOracle, a: UnitVector3, b: UnitVector3, c: UnitVector3
 ) -> BellReport:
-    """Excess |P(a,b) - P(a,c)| - (1 + P(b,c)); positive means violation.
+    """The report of the estimates ``P`` gives at (a,b), (a,c) and (b,c).
 
     Raises ValueError when the excess is NaN or infinite.
     """
-    est_ab, est_ac, est_bc = ask_pairs(P, [(a, b), (a, c), (b, c)])
-    excess = _finite("excess", abs(est_ab.value - est_ac.value) - (1.0 + est_bc.value))
-    stderr = math.sqrt(
-        est_ab.stderr ** 2 + est_ac.stderr ** 2 + est_bc.stderr ** 2
-    )
-    return BellReport(
-        excess=excess,
-        p_ab=est_ab,
-        p_ac=est_ac,
-        p_bc=est_bc,
-        stderr=stderr,
-        violated=excess > _BAND * stderr,
-    )
+    return _finite(BellReport(*ask_pairs(P, [(a, b), (a, c), (b, c)])), "excess")
 
 
 def cross_term(
@@ -252,17 +247,23 @@ class _BudgetedOracle:
 
 @dataclass(frozen=True)
 class MaximizeResult:
-    """Outcome of the settings search: best quad, its report, and the cost."""
+    """Outcome of the settings search: the best quad's report, and the cost."""
 
-    quad: SettingsQuad
     report: ChshReport
     evaluations: int
     grid_s_value: float
-    mode: str
+
+    @property
+    def quad(self) -> SettingsQuad:
+        return self.report.quad
 
     @property
     def s_value(self) -> float:
         return self.report.s_value
+
+
+# Angles per setting in each search mode (see ``_vector``).
+_ANGLES = {"coplanar": 1, "full": 2}
 
 
 def _vector(coords: Sequence[float], mode: str) -> UnitVector3:
@@ -272,9 +273,8 @@ def _vector(coords: Sequence[float], mode: str) -> UnitVector3:
 
 
 def _quad_from_angles(angles: Sequence[float], mode: str) -> SettingsQuad:
-    d = 1 if mode == "coplanar" else 2
-    vs = [_vector(angles[d * k:d * (k + 1)], mode) for k in range(4)]
-    return SettingsQuad(a=vs[0], b=vs[1], a_prime=vs[2], b_prime=vs[3])
+    d = _ANGLES[mode]
+    return SettingsQuad(*(_vector(angles[d * k:d * (k + 1)], mode) for k in range(4)))
 
 
 def _grid_scan(P: _BudgetedOracle, points: list[UnitVector3]):
@@ -334,7 +334,7 @@ def _pattern_search(
     runs out. A trial moves one coordinate, so it rebuilds only the setting
     that coordinate belongs to.
     """
-    d = 1 if mode == "coplanar" else 2
+    d = _ANGLES[mode]
     current = list(angles)
     q = _quad_from_angles(current, mode)
     settings = [q.a, q.b, q.a_prime, q.b_prime]
@@ -349,7 +349,7 @@ def _pattern_search(
                     trial[k] = trial[k] + direction * step
                     moved = list(settings)
                     moved[j] = _vector(trial[d * j:d * (j + 1)], mode)
-                    s_trial = _chsh_sum(ask_pairs(P, _quad_pairs(SettingsQuad(*moved))))[0]
+                    s_trial = sum(_chsh_terms(ask_pairs(P, _quad_pairs(SettingsQuad(*moved)))))
                     if s_trial > s_current:
                         current = trial
                         settings = moved
@@ -382,7 +382,7 @@ def maximize_chsh(
     budget = whole_number(budget, "budget")
     if budget < 100:
         raise ValueError(f"budget must be >= 100 oracle evaluations, got {budget}")
-    if mode not in ("coplanar", "full"):
+    if not (isinstance(mode, str) and mode in _ANGLES):
         raise ValueError(f"mode must be coplanar or full, got {mode!r}")
 
     oracle = _BudgetedOracle(P, budget)
@@ -420,14 +420,7 @@ def maximize_chsh(
     if not math.isfinite(best_s):
         raise ValueError(f"the searched quad's CHSH statistic is {best_s!r}: "
                          "the oracle's correlations overflow")
-    quad = _quad_from_angles(best_angles, mode)
     # Accepted states were always evaluated in full, so the report below is
     # served from cache, cannot blow the budget and has S = best_s.
-    report = chsh_statistic(oracle, quad)
-    return MaximizeResult(
-        quad=quad,
-        report=report,
-        evaluations=oracle.evaluations,
-        grid_s_value=grid_s,
-        mode=mode,
-    )
+    report = chsh_statistic(oracle, _quad_from_angles(best_angles, mode))
+    return MaximizeResult(report=report, evaluations=oracle.evaluations, grid_s_value=grid_s)

@@ -185,6 +185,14 @@ def test_chsh_maximize(capsys):
     assert obj["grid_s_value"] <= obj["s_value"] + 1e-15
 
 
+def test_chsh_maximize_prints_the_mode_it_searched(capsys):
+    obj = run_json(
+        capsys, "chsh", "--model", "quantum", "--maximize", "--mode", "full", "--budget", "4608"
+    )
+    assert abs(obj["s_value"] - TWO_SQRT_TWO) < 1e-6
+    assert obj["mode"] == "full"
+
+
 def test_bell_quantum_triple(capsys):
     obj = run_json(
         capsys, "bell", "--model", "quantum",

@@ -791,7 +791,7 @@ def test_frozen_draw_dependent_series_estimates(workers):
 def _series_reference(generator, a, b, s, n):
     parts = ref_series_parts(generator, a.as_tuple(), b.as_tuple(), s.kind_code, s.seed, n)
     mean, stderr = _mc.combine_scalar(parts, n)
-    return CorrelationEstimate(value=mean, stderr=stderr, n=n, exact=False)
+    return CorrelationEstimate(value=mean, stderr=stderr, n=n)
 
 
 def test_draw_dependent_series_estimates_are_the_per_draw_loop():

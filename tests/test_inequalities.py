@@ -1,5 +1,7 @@
 import collections
+import dataclasses
 import hashlib
+import inspect
 import json
 import math
 import random
@@ -13,6 +15,9 @@ import eprb
 import eprb.cli
 from eprb import _backend
 from eprb import (
+    AntipodalContrast,
+    BellReport,
+    ChshReport,
     ConstantNonlocalModel,
     ContractViolationError,
     CorrelationEstimate,
@@ -20,6 +25,7 @@ from eprb import (
     FixedOutcomeModel,
     LinearStochasticModel,
     LocalSignModel,
+    MaximizeResult,
     SettingBiasedSignModel,
     SettingsQuad,
     Z_AXIS,
@@ -62,12 +68,12 @@ def sign_oracle(a, b) -> CorrelationEstimate:
     if d > math.pi:
         d = 2.0 * math.pi - d
     return CorrelationEstimate(
-        value=-1.0 + 2.0 * d / math.pi, stderr=0.0, n=0, exact=True
+        value=-1.0 + 2.0 * d / math.pi, stderr=0.0, n=0
     )
 
 
 def linear_oracle(a, b) -> CorrelationEstimate:
-    return CorrelationEstimate(value=-a.dot(b) / 3.0, stderr=0.0, n=0, exact=True)
+    return CorrelationEstimate(value=-a.dot(b) / 3.0, stderr=0.0, n=0)
 
 
 def quad_from_angles(ta, tb, tap, tbp) -> SettingsQuad:
@@ -160,6 +166,58 @@ def test_bell_report_json_shape():
     obj = report.to_json()
     assert set(obj) == {"excess", "correlations", "stderr", "violated"}
     assert [c["pair"] for c in obj["correlations"]] == ["ab", "ac", "bc"]
+
+
+def _field_names(obj):
+    return [f.name for f in dataclasses.fields(obj)]
+
+
+def test_reports_store_their_inputs_and_derive_the_rest():
+    sampled = [CorrelationEstimate(v, e, 1000)
+               for v, e in ((0.7, 0.01), (-0.5, 0.02), (0.25, 0.03), (0.5, 0.04))]
+    chsh = ChshReport(*sampled, quad=CANONICAL)
+    assert _field_names(chsh) == ["p_ab", "p_ab_prime", "p_a_prime_b_prime", "p_a_prime_b", "quad"]
+    assert (chsh.term1, chsh.term2) == (abs(0.7 - -0.5), abs(0.25 + 0.5))
+    assert chsh.s_value == abs(0.7 - -0.5) + abs(0.25 + 0.5)
+    assert chsh.stderr == math.sqrt(0.01 ** 2 + 0.02 ** 2 + 0.03 ** 2 + 0.04 ** 2)
+    assert chsh.bound == 2.0
+    assert not chsh.violated
+
+    # exact estimates: S == 2 keeps the bound, one ulp above breaks it
+    def exact_chsh(*values):
+        return ChshReport(*(CorrelationEstimate(v, 0.0, 0) for v in values), quad=CANONICAL)
+
+    assert exact_chsh(1.0, -1.0, 0.0, 0.0).s_value == 2.0
+    assert not exact_chsh(1.0, -1.0, 0.0, 0.0).violated
+    above = exact_chsh(1.0, -1.0, math.ulp(2.0), 0.0)
+    assert (above.s_value, above.stderr, above.violated) == (math.nextafter(2.0, 3.0), 0.0, True)
+
+    bell = BellReport(*sampled[:3])
+    assert _field_names(bell) == ["p_ab", "p_ac", "p_bc"]
+    assert bell.excess == abs(0.7 - -0.5) - (1.0 + 0.25)
+    assert bell.stderr == math.sqrt(0.01 ** 2 + 0.02 ** 2 + 0.03 ** 2)
+    assert not bell.violated
+    exact = [CorrelationEstimate(v, 0.0, 0) for v in (0.5, -0.5, -0.5)]
+    assert (BellReport(*exact).excess, BellReport(*exact).violated) == (0.5, True)
+
+    result = MaximizeResult(chsh, evaluations=7, grid_s_value=1.5)
+    assert _field_names(result) == ["report", "evaluations", "grid_s_value"]
+    assert (result.quad, result.s_value) == (CANONICAL, chsh.s_value)
+
+    contrast = AntipodalContrast(Z_AXIS, sampled[1])
+    assert _field_names(contrast) == ["a", "series"]
+    assert contrast.quantum == quantum_correlation(Z_AXIS, -Z_AXIS)
+    assert contrast.quantum.value == 1.0 and contrast.contradiction
+    assert not AntipodalContrast(Z_AXIS, sampled[0]).contradiction
+
+
+def test_an_estimate_is_exact_when_it_has_no_draws():
+    assert [p.name for p in inspect.signature(CorrelationEstimate).parameters.values()] == [
+        "value", "stderr", "n"]
+    assert CorrelationEstimate(0.5, 0.0, 0).exact is True
+    assert CorrelationEstimate(0.5, 0.1, 2).exact is False
+    with pytest.raises(TypeError):
+        CorrelationEstimate(0.5, 0.0, 0, exact=True)
 
 
 def _overflowing_series_oracle():
@@ -314,7 +372,7 @@ def test_maximize_validation():
 
 def test_maximize_without_a_number_on_the_grid_raises():
     def nan_oracle(a, b):
-        return CorrelationEstimate(value=math.nan, stderr=0.0, n=0, exact=True)
+        return CorrelationEstimate(value=math.nan, stderr=0.0, n=0)
 
     for mode, budget in (("coplanar", 200), ("full", 5000)):
         with pytest.raises(ValueError, match="every grid quad's CHSH statistic is NaN"):
@@ -334,7 +392,7 @@ def test_maximize_rejects_an_infinite_statistic():
     def late_overflow(a, b):
         calls.append((a, b))
         if len(calls) == 24 * 24 + 1:
-            return CorrelationEstimate(value=math.inf, stderr=0.0, n=0, exact=True)
+            return CorrelationEstimate(value=math.inf, stderr=0.0, n=0)
         return quantum_correlation(a, b)
 
     with pytest.raises(ValueError, match="the searched quad's CHSH statistic is inf"):
@@ -344,7 +402,6 @@ def test_maximize_rejects_an_infinite_statistic():
 def test_maximize_quantum_finds_the_tsirelson_value():
     result = maximize_chsh(quantum_correlation, budget=10**6)
     assert abs(result.s_value - TWO_SQRT_TWO) < 1e-6
-    assert result.mode == "coplanar"
     assert result.evaluations <= 10**6
     assert result.grid_s_value <= result.s_value + 1e-15
     assert result.report.violated
@@ -372,7 +429,6 @@ def test_maximize_linear_model_lands_on_its_own_ceiling():
 
 def test_maximize_full_mode_reaches_the_quantum_optimum():
     result = maximize_chsh(quantum_correlation, budget=10**6, mode="full")
-    assert result.mode == "full"
     assert abs(result.s_value - TWO_SQRT_TWO) < 1e-6
 
 

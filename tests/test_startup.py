@@ -219,6 +219,40 @@ def test_no_module_imports_a_name_it_does_not_use():
     assert unused == set(UNUSED_IMPORTS_KEPT)
 
 
+# Module-level private names kept although nothing in eprb reads them, with
+# the reason.
+UNREAD_PRIVATE_NAMES_KEPT = {}
+
+
+def _private_definitions(tree):
+    """The module-level ``_name`` defs, classes and assignments of ``tree``."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, ast.Assign):
+            targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            targets = [node.target.id]
+        else:
+            continue
+        yield from (name for name in targets if name.startswith("_") and not name.startswith("__"))
+
+
+def test_every_private_helper_is_read_somewhere_in_eprb():
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in (SRC / "eprb").glob("*.py")}
+    read = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        or (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load))
+    }
+    unread = {(stem, name) for stem, tree in trees.items()
+              for name in _private_definitions(tree) if name not in read}
+    assert unread == set(UNREAD_PRIVATE_NAMES_KEPT)
+
+
 def test_an_unknown_attribute_is_an_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         eprb.no_such_name
