@@ -28,9 +28,12 @@ There are two model kernels. KIND_SIGN is the product of
 A = sign(a . lam + c_A) and B = sigma_B * sign(b . lam + c_B), with
 sign(0) = +1; ``params`` holds (c_A, c_B, sigma_B), and the empty default
 means (0, 0, -1). KIND_LINEAR is the linear stochastic model with its
-probability-range check; it takes no ``params``. Other models are evaluated
-per draw in ``eprb.correlation``, and models whose per-draw value does not
-depend on the draw need no kernel at all.
+probability-range check; it takes no ``params``. A kernel row is a chunk's
+(sum, sum_sq, min, max), or (draw index, probability) at the row's first
+probability outside [0, 1] in the chunk, which only the linear kind
+reports: ``eprb._mc.run_chunk_jobs`` reads that record and raises it.
+Other models are evaluated per draw in ``eprb.correlation``, and models
+whose per-draw value does not depend on the draw need no kernel at all.
 
 Hidden-variable draws are counter-addressed: component ``j`` of sample ``i``
 is a pure function of ``(seed, i, j)`` obtained by absorbing each word into
@@ -76,9 +79,6 @@ MAX_DEGREE = 16
 # Band allowed around [0, 1] before a probability counts as a contract
 # violation, here and in eprb.models' per-draw check.
 PROB_SLACK = 1e-9
-
-STATUS_OK = 0
-STATUS_BAD_PROBABILITY = 1
 
 
 def lambda_at(sampler_kind, dim, seed, index):
@@ -276,24 +276,21 @@ def _side_factors(S, l0, l1, l2, flip, joint=False):
     return f.reshape(len(f) * g, count), bad
 
 
-def _pair_stops(bad_a, bad_b, I, J, start, count):
-    """Per pair (A[I[p]], B[J[p]]): the number of draws its sums cover and
-    the (status, bad_index, bad_value) tail of its result; None when
-    neither side has a bad draw.
+def _first_bad_draws(bad_a, bad_b, I, J, start, count):
+    """Per pair (A[I[p]], B[J[p]]): (draw index, probability) of its first
+    bad draw in the range, or None when it has none; None for the whole
+    list when neither side has a bad draw.
 
-    A pair stops at the earlier of its sides' first bad draws and reports
-    side A's probability when A is bad there, because p1_plus and p1_minus
-    are tested before p2_plus and p2_minus.
+    A pair's first bad draw is the earlier of its sides' and reports side
+    A's probability when A is bad there, because p1_plus and p1_minus are
+    tested before p2_plus and p2_minus.
     """
     if bad_a is None and bad_b is None:
         return None
     ka = bad_a[0][I] if bad_a else np.full(len(I), count)
     kb = bad_b[0][J] if bad_b else np.full(len(J), count)
-    return [
-        (k, (STATUS_OK, -1, 0.0) if k == count else (
-            STATUS_BAD_PROBABILITY, start + k, bad_a[1][i] if a == k else bad_b[1][j]))
-        for i, j, a, k in zip(I, J, ka.tolist(), np.minimum(ka, kb).tolist())
-    ]
+    return [None if k == count else (start + k, bad_a[1][i] if a == k else bad_b[1][j])
+            for i, j, a, k in zip(I, J, ka.tolist(), np.minimum(ka, kb).tolist())]
 
 
 def reduce_pairs(kind, A, B, I, J, sampler_kind, dim, seed, start, count, draws=None,
@@ -306,13 +303,14 @@ def reduce_pairs(kind, A, B, I, J, sampler_kind, dim, seed, start, count, draws=
     computed once per setting. The sign kind's pair sums are the entries
     of one matrix product of the two sides' halved signs; the linear kind's
     pair products are reduced in blocks of at most _BLOCK elements, every
-    row left to right along the draws. Returns one
-    ``(sum, sum_sq, min, max, status, bad_index, bad_value)`` per pair,
-    bit-identical to the single-pair call. With ``joint`` a pair gives four
-    such rows, the sums of its joint-outcome probabilities ordered (pp, mm,
-    pm, mp), all with the pair's tail: the sign kind's are counts taken
-    from the same matrix product, and the linear kind's are product rows of
-    the sides' p_plus and p_minus rows.
+    row left to right along the draws. Returns one row per pair,
+    bit-identical to the single-pair call: ``(sum, sum_sq, min, max)``, or
+    ``(draw index, probability)`` when one of the pair's probabilities
+    first leaves [0, 1] beyond PROB_SLACK in the range. With ``joint`` a
+    pair gives four rows, the sums of its joint-outcome probabilities
+    ordered (pp, mm, pm, mp), or four copies of its first bad draw: the
+    sign kind's are counts taken from the same matrix product, and the
+    linear kind's are product rows of the sides' p_plus and p_minus rows.
 
     ``draws``, when given, is a mapping from (sampler_kind, dim, seed,
     start, count) to the range's (l0, l1, l2) columns: the draws are read
@@ -332,7 +330,7 @@ def reduce_pairs(kind, A, B, I, J, sampler_kind, dim, seed, start, count, draws=
     I = np.asarray(I, dtype=np.intp)
     J = np.asarray(J, dtype=np.intp)
     if count == 0:
-        return [(0.0, 0.0, inf, -inf, STATUS_OK, -1, 0.0)] * (4 * len(I) if joint else len(I))
+        return [(0.0, 0.0, inf, -inf)] * (4 * len(I) if joint else len(I))
     A = np.asarray(A, dtype=np.float64).reshape(-1, 3)
     B = np.asarray(B, dtype=np.float64).reshape(-1, 3)
     if kind == KIND_SIGN:
@@ -352,7 +350,7 @@ def reduce_pairs(kind, A, B, I, J, sampler_kind, dim, seed, start, count, draws=
         s = sigma * (h[:len(A)] @ h[len(A):].T)[I, J]
         c = float(count)
         if not joint:
-            return [(x, c, -1.0 if x < c else 1.0, 1.0 if x > -c else -1.0, STATUS_OK, -1, 0.0)
+            return [(x, c, -1.0 if x < c else 1.0, 1.0 if x > -c else -1.0)
                     for x in (0.0 + 4.0 * s).tolist()]
         # A side's outcome is + where its halved sign (times sigma_B on
         # side B) is +1/2, so it has n+ = (sum of halves) + count/2 of them,
@@ -362,7 +360,7 @@ def reduce_pairs(kind, A, B, I, J, sampler_kind, dim, seed, start, count, draws=
         na, nb = half[I] + c / 2, sigma * half[len(A) + J] + c / 2
         pp = s + (na + nb) / 2 - c / 4
         counts = np.stack((pp, c - na - nb + pp, na - pp, nb - pp), axis=1)
-        return [(k, k, 0.0 if k < c else 1.0, 1.0 if k else 0.0, STATUS_OK, -1, 0.0)
+        return [(k, k, 0.0 if k < c else 1.0, 1.0 if k else 0.0)
                 for k in counts.ravel().tolist()]
     fa, bad_a = _side_factors(A, l0, l1, l2, False, joint)
     fb, bad_b = _side_factors(B, l0, l1, l2, True, joint)
@@ -371,29 +369,23 @@ def reduce_pairs(kind, A, B, I, J, sampler_kind, dim, seed, start, count, draws=
         # (the latter len(A) rows on) by B's.
         I = (I[:, None] + len(A) * np.array([0, 1, 0, 1])).ravel()
         J = (J[:, None] + len(B) * np.array([0, 1, 1, 0])).ravel()
-    stops = _pair_stops(bad_a, bad_b, I, J, start, count)
     out = []
     for rows in _row_blocks(len(I), count, 4 if joint else 1):
         out.extend(fold_rows(fa[I[rows]] * fb[J[rows]]))
-    if stops is None:
-        return [acc + (STATUS_OK, -1, 0.0) for acc in out]
-    # A pair that stops early sums the draws before its first bad one.
-    return [
-        acc + tail if k == count else fold_rows(fa[i:i + 1, :k] * fb[j:j + 1, :k])[0] + tail
-        for acc, i, j, (k, tail) in zip(out, I, J, stops)
-    ]
+    bad = _first_bad_draws(bad_a, bad_b, I, J, start, count)
+    if bad is None:
+        return out
+    return [acc if first is None else first for acc, first in zip(out, bad)]
 
 
 def reduce_product(kind, params, ax, ay, az, bx, by, bz,
                    sampler_kind, dim, seed, start, count):
     """Reduction of per-sample outcome products over one index range.
 
-    Returns ``(sum, sum_sq, min, max, status, bad_index, bad_value)``.
-    ``status`` is nonzero when a stochastic model produced a probability
-    outside [0, 1] beyond PROB_SLACK; the offending sample index and value
-    are reported and the sums cover the draws before it. ``params`` is the
-    sign kind's (c_A, c_B, sigma_B), or ``()``. The one-pair case of
-    reduce_pairs.
+    Returns ``(sum, sum_sq, min, max)``, or ``(draw index, probability)``
+    at the first draw where a stochastic model's probability leaves [0, 1]
+    beyond PROB_SLACK. ``params`` is the sign kind's (c_A, c_B, sigma_B),
+    or ``()``. The one-pair case of reduce_pairs.
     """
     _check_args(kind, params, sampler_kind, dim)
     return reduce_pairs(kind, ((ax, ay, az),), ((bx, by, bz),), (0,), (0,),
@@ -408,14 +400,14 @@ def reduce_joint(kind, params, ax, ay, az, bx, by, bz,
     linear model, or a sign model seen as one, whose probabilities are 0
     or 1. The one-pair joint case of reduce_pairs.
 
-    Returns ``(sums, sum_sqs, mins, maxs, status, bad_index, bad_value)``
-    where the first four entries are 4-tuples ordered (pp, mm, pm, mp).
+    Returns ``(sums, sum_sqs, mins, maxs)``, each a 4-tuple ordered (pp,
+    mm, pm, mp), or reduce_product's ``(draw index, probability)``.
     """
     _check_args(kind, params, sampler_kind, dim)
     rows = reduce_pairs(kind, ((ax, ay, az),), ((bx, by, bz),), (0,), (0,),
                         sampler_kind, dim, seed, start, count, None,
                         params and ((params[0],), (params[1],), params[2]), joint=True)
-    return tuple(zip(*(row[:4] for row in rows))) + rows[0][4:]
+    return rows[0] if len(rows[0]) == 2 else tuple(zip(*rows))
 
 
 def series_powers(ax, ay, az, bx, by, bz):

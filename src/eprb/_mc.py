@@ -4,11 +4,12 @@ Sums are accumulated serially inside fixed-size chunks (by the kernels, or
 by ``_backend.fold_rows`` on per-draw values), and the one chunk driver,
 ``run_chunk_jobs``, folds each row's chunk sums into a running sum in chunk
 order: every bit of a result is fixed by ``n`` alone, and a row's memory
-does not depend on ``n``. Chunk jobs (numpy kernels, per-draw Python code,
-a Python integrand) hold the GIL for most of their time, so all run on the
-calling thread, where extra threads would add start-up cost and memory but
-no speed. The public ``workers`` arguments are checked by ``require_n`` and
-otherwise change nothing.
+does not depend on ``n``. The driver is also the one reader of a kernel
+row's first bad draw, which it raises after the last chunk. Chunk jobs
+(numpy kernels, per-draw Python code, a Python integrand) hold the GIL for
+most of their time, so all run on the calling thread, where extra threads
+would add start-up cost and memory but no speed. The public ``workers``
+arguments are checked by ``require_n`` and otherwise change nothing.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from __future__ import annotations
 import functools
 import math
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
+
+from .errors import ContractViolationError, whole_number
 
 # ThreadPoolExecutor is unused here. perfbench's tracer counts thread pools
 # by wrapping this name, until it reads a trace the program writes itself
@@ -26,14 +29,6 @@ CHUNK_SIZE = 4096
 # Largest draw count an estimate accepts: draw indices stay int64 values,
 # and the numpy kernels' uint64 index arithmetic stays exact.
 MAX_N = 2**63 - 1
-
-
-def whole_number(value, name=None):
-    """``value`` as an int. A bool, or a number int() would truncate, is
-    refused; a string goes through int(). ``name`` starts the error."""
-    if isinstance(value, bool) or not (isinstance(value, str) or int(value) == value):
-        raise ValueError(f"{name + ': ' if name else ''}expected a whole number, got {value!r}")
-    return int(value)
 
 
 def require_n(n, workers=1):
@@ -64,19 +59,27 @@ def chunk_ranges(n, first=0):
 
 def run_chunk_jobs(job, n):
     """Run ``job(start, count)`` over every chunk, in chunk order, on the
-    calling thread, and return one running accumulator per row.
+    calling thread, and return one running (sum, sum_sq, min, max) per row.
 
-    A job returns one part per row: (sum, sum_sq, min, max), optionally
-    followed by (status, bad_index, bad_value). Each row folds its parts
-    with ``fold_part`` until a part with a nonzero status replaces its
-    sums; the row then keeps that 7-field part and ignores its later ones.
-    The first failing chunk's exception propagates.
+    A job returns one part per row: the chunk's (sum, sum_sq, min, max),
+    or (draw index, probability) when the row's first probability outside
+    [0, 1] falls in the chunk. Each row folds its sums with ``fold_part``
+    until its first bad draw, and keeps that one. After the last chunk the
+    first row with a bad draw raises it as a ContractViolationError: the
+    error names the first row asked, however late its chunk. The first
+    failing chunk's exception propagates.
     """
     accs = []
     for start, count in chunk_ranges(n):
         parts = job(start, count)
-        accs = [acc if len(acc) > 4 else part if any(part[4:5]) else fold_part(acc, part[:4])
+        accs = [acc if len(acc) == 2 else part if len(part) == 2 else fold_part(acc, part)
                 for acc, part in zip(accs or [NO_SUMS] * len(parts), parts)]
+    for acc in accs:
+        if len(acc) == 2:
+            raise ContractViolationError(
+                f"stochastic model produced probability {acc[1]!r} outside [0, 1] "
+                f"at draw {acc[0]}"
+            )
     return accs
 
 

@@ -29,8 +29,8 @@ from typing import Callable
 
 import numpy as np
 
-from ._mc import whole_number
 from .catalog import DEFAULT_H
+from .errors import whole_number
 from .geometry import RiemannPoint, quantum_correlation_complex
 
 __all__ = [

@@ -18,9 +18,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import _backend as _k
-from ._mc import combine_scalar, require_n, run_chunk_jobs, whole_number
+from ._mc import combine_scalar, require_n, run_chunk_jobs
 from ._mc import combine_vec4  # noqa: F401  (unused: perfbench's tracer wraps it here)
-from .errors import ContractViolationError
+from .errors import whole_number
 from .geometry import UnitVector3, Z_AXIS, quantum_correlation_complex, unit_from_plane_angle
 from .hidden_variables import LambdaSampler, fold_draws
 from .models import (
@@ -125,19 +125,6 @@ class JointTable:
             "p_mp": {"value": self.p_mp, "stderr": self.stderr_mp},
             "n": self.n,
         }
-
-
-def _checked_sums(accs, n):
-    """(mean, stderr) of each row's ``run_chunk_jobs`` accumulator over ``n``
-    draws, after raising the first row's bad probability: a row keeps its
-    first bad part, and a kernel chunk stops at its first bad draw."""
-    for acc in accs:
-        if len(acc) > 4:
-            raise ContractViolationError(
-                f"stochastic model produced probability {acc[6]!r} outside [0, 1] "
-                f"at draw {acc[5]}"
-            )
-    return [combine_scalar((acc,), n) for acc in accs]
 
 
 # The estimator families, each with the word that names it in errors.
@@ -253,7 +240,7 @@ def _estimate_pairs(m, pairs, s, n, draws=None, joint=False):
                 for part in _k.reduce_pairs(m.kernel_kind, A, B, I, J, s.kind_code, s.dim,
                                             s.seed, start, count, chunk, params, joint)]
 
-    return _checked_sums(run_chunk_jobs(job, n), n)
+    return [combine_scalar((acc,), n) for acc in run_chunk_jobs(job, n)]
 
 
 def estimate_correlation(

@@ -30,9 +30,7 @@ __all__ = [
     "vector_to_list",
     "vector_from_list",
     "parse_vector_text",
-    "format_vector_text",
     "riemann_to_obj",
-    "riemann_from_obj",
     "parse_riemann_text",
 ]
 
@@ -265,23 +263,11 @@ def parse_vector_text(text: str) -> UnitVector3:
     return UnitVector3(nums[0], nums[1], nums[2])
 
 
-def format_vector_text(v: UnitVector3) -> str:
-    return f"{v.x!r},{v.y!r},{v.z!r}"
-
-
 def riemann_to_obj(p: RiemannPoint):
     """JSON form: {'re': ..., 'im': ...} for finite points, 'inf' otherwise."""
     if p.is_infinite:
         return "inf"
     return {"re": p.re, "im": p.im}
-
-
-def riemann_from_obj(obj) -> RiemannPoint:
-    if obj == "inf":
-        return INFINITY
-    if isinstance(obj, dict) and set(obj) == {"re", "im"}:
-        return RiemannPoint.finite(float(obj["re"]), float(obj["im"]))
-    raise ValueError(f"expected {{'re':..., 'im':...}} or 'inf', got {obj!r}")
 
 
 def parse_riemann_text(text: str) -> RiemannPoint:

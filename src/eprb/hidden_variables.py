@@ -15,8 +15,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import _backend as _k
-from ._mc import combine_scalar, require_n, run_chunk_jobs, whole_number
+from ._mc import combine_scalar, require_n, run_chunk_jobs
 from .catalog import SAMPLER_KINDS
+from .errors import whole_number
 
 __all__ = [
     "SAMPLER_KINDS",

@@ -18,8 +18,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._mc import whole_number
 from .correlation import CorrelationEstimate, ask_pairs
+from .errors import whole_number
 from .geometry import UnitVector3, unit_from_angles, unit_from_plane_angle, vector_to_list
 from .models import DeterministicModel, evaluate_deterministic
 

@@ -28,9 +28,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import _backend as _k
-from ._mc import whole_number
 from .catalog import MODEL_NAMES, zoo
-from .errors import ContractViolationError
+from .errors import ContractViolationError, whole_number
 from .geometry import UnitVector3, vector_from_list
 
 __all__ = [

@@ -92,7 +92,8 @@ def _ref_linear_probabilities(lam, a, b):
 def ref_reduce_product(kind, params, ax, ay, az, bx, by, bz,
                        sampler_kind, dim, seed, start, count):
     """The reduce_product kernel written as a loop over draws: same
-    arguments, same result tuple (argument checks left out)."""
+    arguments, same result tuple (argument checks left out): the sums, or
+    (draw index, probability) at the first bad draw."""
     a, b = (ax, ay, az), (bx, by, bz)
     acc = [0.0, 0.0, math.inf, -math.inf]
     for i in range(start, start + count):
@@ -105,10 +106,10 @@ def ref_reduce_product(kind, params, ax, ay, az, bx, by, bz,
         else:
             (p1p, p1m, p2p, p2m), bad = _ref_linear_probabilities(lam, a, b)
             if bad is not None:
-                return tuple(acc) + (1, i, bad)
+                return (i, bad)
             x = (p1p - p1m) * (p2p - p2m)
         _ref_accumulate(acc, x)
-    return tuple(acc) + (0, -1, 0.0)
+    return tuple(acc)
 
 
 def _ref_sign_probabilities(lam, a, b, params):
@@ -127,10 +128,10 @@ def ref_reduce_joint(kind, params, ax, ay, az, bx, by, bz,
                      sampler_kind, dim, seed, start, count):
     """The reduce_joint kernel (entries ++, --, +-, -+) written as a loop
     over draws: the linear model, or the sign kind with its 0/1
-    probabilities."""
+    probabilities. The four columns' sums, or (draw index, probability)
+    at the first bad draw."""
     a, b = (ax, ay, az), (bx, by, bz)
     accs = [[0.0, 0.0, math.inf, -math.inf] for _ in range(4)]
-    status = (0, -1, 0.0)
     for i in range(start, start + count):
         lam = ref_draw3(sampler_kind, seed, i)
         if kind == KIND_SIGN:
@@ -138,11 +139,10 @@ def ref_reduce_joint(kind, params, ax, ay, az, bx, by, bz,
         else:
             (p1p, p1m, p2p, p2m), bad = _ref_linear_probabilities(lam, a, b)
         if bad is not None:
-            status = (1, i, bad)
-            break
+            return (i, bad)
         for acc, x in zip(accs, (p1p * p2p, p1m * p2m, p1p * p2m, p1m * p2p)):
             _ref_accumulate(acc, x)
-    return tuple(zip(*accs)) + status
+    return tuple(zip(*accs))
 
 
 def ref_sign_outcome_sums(outcomes, lams) -> tuple:

@@ -12,11 +12,9 @@ from eprb.geometry import (
     Y_AXIS,
     Z_AXIS,
     angle_between,
-    format_vector_text,
     inverse_project,
     parse_riemann_text,
     parse_vector_text,
-    riemann_from_obj,
     riemann_to_obj,
     stereographic_project,
     unit_from_angles,
@@ -136,7 +134,7 @@ def test_projection_survives_huge_coordinates():
 
 def test_vector_text_round_trip():
     v = UnitVector3(0.36, 0.48, 0.8)
-    assert parse_vector_text(format_vector_text(v)).as_tuple() == v.as_tuple()
+    assert parse_vector_text("0.36,0.48,0.8").as_tuple() == v.as_tuple()
     assert vector_from_list(vector_to_list(v)).as_tuple() == v.as_tuple()
 
 
@@ -148,15 +146,9 @@ def test_parse_vector_text_errors():
         vector_from_list([1.0, 0.0])
 
 
-def test_riemann_obj_round_trip():
-    p = RiemannPoint.finite(1.25, -0.5)
-    assert riemann_from_obj(riemann_to_obj(p)) == p
+def test_riemann_to_obj():
+    assert riemann_to_obj(RiemannPoint.finite(1.25, -0.5)) == {"re": 1.25, "im": -0.5}
     assert riemann_to_obj(INFINITY) == "inf"
-    assert riemann_from_obj("inf") is INFINITY
-    with pytest.raises(ValueError):
-        riemann_from_obj({"re": 1.0})
-    with pytest.raises(ValueError):
-        riemann_from_obj([1.0, 2.0])
 
 
 def test_parse_riemann_text():

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import threading
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from eprb import _mc, hidden_variables
 from eprb._mc import chunk_count, run_chunk_jobs
+from eprb.errors import ContractViolationError
 from eprb.hidden_variables import (
     LambdaSampler,
     MonteCarloEstimate,
@@ -225,32 +227,42 @@ def test_run_chunk_jobs_folds_each_row_as_its_chunks_come_on_the_calling_thread(
     n = 5 * 4096 + 7
     rng = random.Random(5)
     seen = []
-    rows = [[], [], []]
+    rows = [[], []]
+    bad = False
 
     def job(start, count):
         seen.append((start, count, threading.get_ident()))
         x = [rng.uniform(-1.0, 1.0) for _ in range(4)]
         # row 0: plain sums, the first a -0.0, and a NaN min in chunk 3;
-        # row 1: goes bad in chunks 2 and 4; row 2: status fields that stay OK
+        # row 1: plain sums; with ``bad``, row 2 goes bad in chunks 2 and 4
+        # and row 3 in chunk 1, sooner but later in row order
         parts = [(-0.0 if start == 0 else x[0], x[1] * x[1],
                   math.nan if start == 3 * 4096 else x[2], x[3]),
-                 (x[0], 1.0, x[2], x[3]) + ((1, start + 5, 1.5) if start in (8192, 16384)
-                                            else (0, -1, 0.0)),
-                 (x[1], x[1] * x[1], -1.0, 1.0, 0, -1, 0.0)]
+                 (x[1], x[1] * x[1], -1.0, 1.0)]
         for row, part in zip(rows, parts):
             row.append(part)
+        if bad:
+            parts += [(start + 5, 1.5) if start in (8192, 16384) else (x[0], 1.0, x[2], x[3]),
+                      (start + 9, -0.5) if start == 4096 else (x[0], 1.0, x[2], x[3])]
         return parts
 
     accs = run_chunk_jobs(job, n)
     # chunk order, on this thread
     assert [(start, count) for start, count, _ in seen] == list(_mc.chunk_ranges(n))
     assert {ident for _, _, ident in seen} == {caller}
-    # each good row ends with the bits of combine_scalar over its parts;
-    # row 1's first bad part replaced its sums and its later parts are ignored
-    assert len(accs) == 3 and accs[1] == rows[1][2]
-    for acc, row in ((accs[0], rows[0]), (accs[2], [part[:4] for part in rows[2]])):
+    # each row ends with the bits of combine_scalar over its parts
+    assert len(accs) == 2
+    for acc, row in zip(accs, rows):
         assert len(acc) == 4
         assert repr(_mc.combine_scalar((acc,), n)) == repr(_mc.combine_scalar(row, n))
+    # a row keeps its first bad draw and ignores its later parts; after the
+    # last chunk the first such row raises it
+    bad = True
+    seen.clear()
+    with pytest.raises(ContractViolationError, match=re.escape(
+            "stochastic model produced probability 1.5 outside [0, 1] at draw 8197")):
+        run_chunk_jobs(job, n)
+    assert len(seen) == chunk_count(n)
     assert run_chunk_jobs(job, 0) == []
 
 

@@ -147,7 +147,8 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
     analyticity = ("analyticity", "--w", "inf", "--grid", "3", "--output", "a.json")
     _, codes, modules = run_fresh(tmp_path, analyticity)
     assert codes == [0] and "eprb.analyticity" in modules
-    assert not modules.intersection({"eprb.inequalities", "eprb.correlation", "eprb._backend"})
+    assert not modules.intersection(
+        {"eprb.inequalities", "eprb.correlation", "eprb._backend", "eprb._mc"})
 
 
 def test_every_public_name_is_its_home_modules_object():
