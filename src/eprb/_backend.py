@@ -20,7 +20,10 @@ one-pair cases, which nothing else in eprb calls. Sign-kind products are
 +/-1, so their sums are exact integers in any order: ``reduce_pairs`` takes
 them all, and the joint counts, from one matrix product of the two sides'
 halved signs. Per-setting factors are computed in row blocks of at most
-_BLOCK elements, so a side with many settings stays in cache. The readable
+_BLOCK elements, so a side with many settings stays in cache. A caller
+that keeps one range's draws (``draw_columns``) can also keep each
+setting's row (``setting_rows``) and reduce pairs of kept rows
+(``pair_rows``) with the bits of ``reduce_pairs``. The readable
 per-draw loops they reproduce, and the tests that hold them to it, are in
 ``tests/oracles_ref.py`` and ``tests/test_backends.py``.
 
@@ -157,6 +160,22 @@ def _lambda_columns(sampler_kind, seed, start, count, ncomp):
     raise ValueError(f"unknown sampler kind code {sampler_kind}")
 
 
+def draw_columns(sampler_kind, dim, seed, start, count, draws=None):
+    """The three columns (l0, l1, l2) of draws start .. start + count - 1.
+
+    ``draws``, when given, is a mapping from (sampler_kind, dim, seed,
+    start, count) to a range's columns: they are read from it when present
+    and stored in it when made.
+    """
+    if draws is None:
+        return _lambda_columns(sampler_kind, seed, start, count, 3)
+    key = (sampler_kind, dim, seed, start, count)
+    cols = draws.get(key)
+    if cols is None:
+        cols = draws[key] = _lambda_columns(sampler_kind, seed, start, count, 3)
+    return cols
+
+
 def fold_rows(x):
     """(sum, sum_sq, min, max) of each row of the 2-D float64 array ``x``,
     one tuple per row, with the bits of a loop that starts from (0.0, 0.0,
@@ -276,6 +295,46 @@ def _side_factors(S, l0, l1, l2, flip, joint=False):
     return f.reshape(len(f) * g, count), bad
 
 
+def _sign_sums(s, count):
+    """Sign-kind rows, one per float of the list ``s``: sigma_B times a
+    pair's sum of products of halved signs over ``count`` draws.
+
+    A product of halves is +/-1/4, so every partial sum is a multiple of 1/4
+    far below 2**53, and any summation order gives it exactly; 4 s, exact
+    too, is the loop's integer sum of +/-1 products (0.0 + turns a -0.0 into
+    the loop's +0.0). Then sum_sq = count, and a -1 (+1) product exists when
+    4 s < count (4 s > -count).
+    """
+    c = float(count)
+    return [(x, c, -1.0 if x < c else 1.0, 1.0 if x > -c else -1.0)
+            for x in [0.0 + 4.0 * v for v in s]]
+
+
+def setting_rows(kind, S, c, flip, l0, l1, l2):
+    """One side's row for each setting of the (k, 3) array ``S`` on one
+    range's draws, as reduce_pairs computes it, for ``pair_rows``: the sign
+    kind's halved signs with the offsets ``c`` added (see _sign_halves), or
+    the linear kind's factor row (``flip`` on side B, see _side_factors),
+    which is None when the setting's probabilities leave [0, 1] in the
+    range. The rows are views of one array."""
+    if kind == KIND_SIGN:
+        return list(_sign_halves(S, c, l0, l1, l2))
+    rows, bad = _side_factors(S, l0, l1, l2, flip)
+    if bad is None:
+        return list(rows)
+    return [None if k < len(l0) else row for row, k in zip(rows, bad[0].tolist())]
+
+
+def pair_rows(kind, RA, RB, sigma):
+    """reduce_pairs's row for each pair of settings whose rows from
+    ``setting_rows`` are RA[p] and RB[p], none of them None, bit for bit:
+    the sign kind's sums (``sigma`` is sigma_B), or ``fold_rows`` of the
+    linear kind's products."""
+    if kind == KIND_SIGN:
+        return _sign_sums([sigma * float(ra @ rb) for ra, rb in zip(RA, RB)], len(RA[0]))
+    return fold_rows(np.array(RA) * np.array(RB))
+
+
 def _first_bad_draws(bad_a, bad_b, I, J, start, count):
     """Per pair (A[I[p]], B[J[p]]): (draw index, probability) of its first
     bad draw in the range, or None when it has none; None for the whole
@@ -312,21 +371,12 @@ def reduce_pairs(kind, A, B, I, J, sampler_kind, dim, seed, start, count, draws=
     sign kind's are counts taken from the same matrix product, and the
     linear kind's are product rows of the sides' p_plus and p_minus rows.
 
-    ``draws``, when given, is a mapping from (sampler_kind, dim, seed,
-    start, count) to the range's (l0, l1, l2) columns: the draws are read
-    from it when present and stored in it when made. ``params`` is the sign
-    kind's (c_A, c_B, sigma_B) with one offset per row of ``A`` and one per
-    row of ``B``, or empty.
+    ``draws`` is the mapping of ``draw_columns``, or None. ``params`` is the
+    sign kind's (c_A, c_B, sigma_B) with one offset per row of ``A`` and one
+    per row of ``B``, or empty.
     """
     _check_args(kind, params, sampler_kind, dim)
-    if draws is None:
-        l0, l1, l2 = _lambda_columns(sampler_kind, seed, start, count, 3)
-    else:
-        key = (sampler_kind, dim, seed, start, count)
-        cols = draws.get(key)
-        if cols is None:
-            cols = draws[key] = _lambda_columns(sampler_kind, seed, start, count, 3)
-        l0, l1, l2 = cols
+    l0, l1, l2 = draw_columns(sampler_kind, dim, seed, start, count, draws)
     I = np.asarray(I, dtype=np.intp)
     J = np.asarray(J, dtype=np.intp)
     if count == 0:
@@ -335,23 +385,17 @@ def reduce_pairs(kind, A, B, I, J, sampler_kind, dim, seed, start, count, draws=
     B = np.asarray(B, dtype=np.float64).reshape(-1, 3)
     if kind == KIND_SIGN:
         # sign(a . lam + c_A) * sigma_B * sign(b . lam + c_B). h holds half
-        # of each side's sign, both sides in one pass, so a product of
-        # halves is +/-1/4: every partial sum is a multiple of 1/4 far below
-        # 2**53, and any summation order, the matrix product's included,
-        # gives it exactly. s is sigma_B times that sum, and 4 s, exact too,
-        # is the loop's integer sum (0.0 + turns a -0.0 into the loop's
-        # +0.0). Then sum_sq = count, and a -1 (+1) product exists when
-        # 4 s < count (4 s > -count).
+        # of each side's sign, both sides in one pass; every pair's sum of
+        # products is an entry of one matrix product (see _sign_sums).
         offsets, sigma = None, -1.0
         if params:
             offsets = np.concatenate((params[0], params[1]))
             sigma = float(params[2])
         h = _sign_halves(np.concatenate((A, B)), offsets, l0, l1, l2)
         s = sigma * (h[:len(A)] @ h[len(A):].T)[I, J]
-        c = float(count)
         if not joint:
-            return [(x, c, -1.0 if x < c else 1.0, 1.0 if x > -c else -1.0)
-                    for x in (0.0 + 4.0 * s).tolist()]
+            return _sign_sums(s.tolist(), count)
+        c = float(count)
         # A side's outcome is + where its halved sign (times sigma_B on
         # side B) is +1/2, so it has n+ = (sum of halves) + count/2 of them,
         # and pp, the sum of (h_A + 1/2)(h_B + 1/2), is s + (n+_A + n+_B)/2

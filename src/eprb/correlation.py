@@ -18,7 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import _backend as _k
-from ._mc import combine_scalar, require_n, run_chunk_jobs
+from ._mc import CHUNK_SIZE, combine_scalar, require_n, run_chunk_jobs
 from ._mc import combine_vec4  # noqa: F401  (unused: perfbench's tracer wraps it here)
 from .errors import whole_number
 from .geometry import UnitVector3, Z_AXIS, quantum_correlation_complex, unit_from_plane_angle
@@ -63,8 +63,10 @@ _BATCH_SETTINGS = 64
 # to degree 3, and 227 draws at a time at degree 16.
 _SERIES_BLOCK = 1 << 19
 
-# A batched oracle keeps its chunks' draws, three doubles a draw, only
-# while they take at most this many bytes (n up to about 1.4 million).
+# A batched oracle keeps its chunks' draws, three doubles a draw, and an
+# oracle of one chunk its setting rows, one double a draw each, only while
+# they take at most this many bytes together (draws for n up to about 1.4
+# million; at n = 512, 8,189 rows besides the draws).
 _DRAW_CACHE_BYTES = 32 << 20
 
 
@@ -294,7 +296,8 @@ def quantum_correlation(a: UnitVector3, b: UnitVector3) -> CorrelationEstimate:
     perfect-(anti)correlation limits hold exactly even when the float dot
     product of a renormalized vector with itself is off by an ulp.
     """
-    if a == b:
+    # The dataclass __eq__ of a and b, component by component.
+    if a.__class__ is b.__class__ and a.x == b.x and a.y == b.y and a.z == b.z:
         return CorrelationEstimate(value=-1.0, stderr=0.0, n=0)
     if a.x == -b.x and a.y == -b.y and a.z == -b.z:
         return CorrelationEstimate(value=1.0, stderr=0.0, n=0)
@@ -395,7 +398,12 @@ def make_correlation_oracle(
 
     Routes to the matching estimator; the closed-form models ignore the
     sampler entirely. ``n`` and ``workers`` are checked at construction,
-    for every model, the closed-form ones too.
+    for every model, the closed-form ones too. The closure of a kernel
+    model that depends on the draw also has a ``pairs`` method
+    (``_KernelPairs``), which estimates a list of setting pairs in one pass
+    over the draws; from its second batch on it keeps the draws and, when
+    n <= CHUNK_SIZE, each setting's kernel row, and serves small requests,
+    such as a pattern trial's, from the kept rows.
     """
     n = require_n(n, workers)
     if isinstance(model, QuantumCorrelationModel):
@@ -421,26 +429,88 @@ def make_correlation_oracle(
                      else estimate_stochastic_correlation)
         return estimator(model, a, b, s, n, workers=workers)
 
-    # A kernel model that depends on the draw gets a ``pairs`` method: it
-    # estimates a list of setting pairs in one pass over the draws. From its
-    # second batch on, it keeps each chunk's draws while the oracle lives, so
-    # a settings search makes them at most twice and a one-batch caller
-    # (``chsh`` at one quad, ``bell``, a sweep) none; past _DRAW_CACHE_BYTES
-    # it keeps none.
     if model.kernel_kind is not None and not model.draw_independent:
-        draws = None
-        batches = 0
-
-        def pairs(request):
-            nonlocal draws, batches
-            batches += 1
-            if batches == 2 and 24 * n <= _DRAW_CACHE_BYTES:
-                draws = {}
-            return [CorrelationEstimate(*est, n=n)
-                    for est in _estimate_pairs(model, request, s, n, draws)]
-
-        oracle.pairs = pairs
+        oracle.pairs = _KernelPairs(model, s, n)
     return oracle
+
+
+class _KernelPairs:
+    """The ``pairs`` method of an oracle for a kernel model that depends on
+    the draw: estimates for a list of setting pairs, in one pass over the
+    draws.
+
+    From its second batch on it keeps each chunk's draws in ``draws``, so a
+    settings search makes them at most twice and a one-batch caller
+    (``chsh`` at one quad, ``bell``, a sweep) none. An oracle of one chunk
+    (n <= CHUNK_SIZE) also keeps each setting's row in ``rows``, keyed by
+    side and kernel row (x, y, z, offset), and serves a request whose
+    products fit in one _BLOCK from them (``_from_rows``), so a pattern
+    trial computes only the rows its moved setting changes. Draws and rows
+    together take at most _DRAW_CACHE_BYTES, the oldest rows going first;
+    past it the oracle keeps neither.
+    """
+
+    def __init__(self, model, s, n):
+        self._model, self._s, self._n = model, s, n
+        self._batches = 0
+        self.draws = None
+        self.rows = {}
+        self._row_cap = 0
+
+    def __call__(self, request):
+        n = self._n
+        self._batches += 1
+        if self._batches == 2 and 24 * n <= _DRAW_CACHE_BYTES:
+            self.draws = {}
+            # Every row, a None one too, counts 8 n bytes.
+            self._row_cap = (_DRAW_CACHE_BYTES - 24 * n) // (8 * n)
+        ests = None
+        if self.draws is not None and n <= CHUNK_SIZE and len(request) * n <= _k._BLOCK:
+            ests = self._from_rows(request)
+        if ests is None:
+            ests = _estimate_pairs(self._model, request, self._s, n, self.draws)
+        return [CorrelationEstimate(*est, n=n) for est in ests]
+
+    def _from_rows(self, request):
+        """(mean, stderr) of each pair of ``request`` from the kept rows of
+        the one chunk, computing only the missing rows: the bits of
+        ``_estimate_pairs``. None when the request needs the batch path,
+        which raises the errors: a pair with a bad draw, a second sigma_B,
+        or kernel rows the kernel refuses."""
+        m, s, n, rows = self._model, self._s, self._n, self.rows
+        kind = m.kernel_kind
+        keys, sigma = [], None
+        for a, b in request:
+            (u, c_a), (v, c_b), sigma_b = m.kernel_rows(a, b)
+            if keys and sigma_b != sigma:
+                return None
+            sigma = sigma_b
+            # Keys that differ only in a zero's sign share a row, as in
+            # _pair_groups.
+            keys.append(((0, u.x, u.y, u.z, c_a), (1, v.x, v.y, v.z, c_b)))
+        # The params reduce_pairs's _check_args refuses.
+        if sigma not in (1.0, -1.0) or kind == _k.KIND_LINEAR and (
+                sigma != -1.0 or any(ka[4] or kb[4] for ka, kb in keys)):
+            return None
+        todo = {k: None for pair in keys for k in pair if k not in rows}
+        if todo:
+            cols = _k.draw_columns(s.kind_code, s.dim, s.seed, 0, n, self.draws)
+            for side in (0, 1):
+                ks = [k for k in todo if k[0] == side]
+                if ks:
+                    c = [k[4] for k in ks]
+                    rows.update(zip(ks, _k.setting_rows(
+                        kind, np.array([k[1:4] for k in ks]), np.array(c) if any(c) else None,
+                        side, *cols)))
+        RA = [rows[ka] for ka, _ in keys]
+        RB = [rows[kb] for _, kb in keys]
+        # The rows of one setting_rows call share one array and sit next to
+        # each other here, so at most one array outlives some of its rows.
+        while len(rows) > self._row_cap:
+            del rows[next(iter(rows))]
+        if any(r is None for r in RA + RB):
+            return None
+        return [combine_scalar((part,), n) for part in _k.pair_rows(kind, RA, RB, sigma)]
 
 
 def ask_pairs(P, pairs) -> list[CorrelationEstimate]:

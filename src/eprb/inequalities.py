@@ -222,16 +222,20 @@ class _BudgetedOracle:
         self._cache: dict = {}
         self.evaluations = 0
 
-    def pairs(self, pairs) -> list[CorrelationEstimate]:
+    def pairs(self, pairs, keys=None) -> list[CorrelationEstimate]:
         """Estimates for ``pairs``, in order.
 
-        The distinct uncached pairs are charged and evaluated in request
-        order, as one batch through ``ask_pairs``. When they outrun the
-        budget, the ones that fit are evaluated and cached and the request
-        raises, so the oracle sees the same pairs in the same order as when
-        they are asked one at a time.
+        ``keys`` holds each pair's (a.x, a.y, a.z, b.x, b.y, b.z), built
+        from the pairs when not given; a caller that keeps each setting's
+        (x, y, z) passes them, so that no key is read back from the
+        vectors. The distinct uncached pairs are charged and evaluated in
+        request order, as one batch through ``ask_pairs``. When they outrun
+        the budget, the ones that fit are evaluated and cached and the
+        request raises, so the oracle sees the same pairs in the same order
+        as when they are asked one at a time.
         """
-        keys = [(a.x, a.y, a.z, b.x, b.y, b.z) for a, b in pairs]
+        if keys is None:
+            keys = [(a.x, a.y, a.z, b.x, b.y, b.z) for a, b in pairs]
         todo: dict = {}
         for key, pair in zip(keys, pairs):
             if key not in self._cache:
@@ -281,7 +285,9 @@ def _grid_scan(P: _BudgetedOracle, points: list[UnitVector3]):
     """Best statistic over all quads drawn from ``points``, asking the
     oracle for every pair of points in one batch."""
     g = len(points)
-    ests = ask_pairs(P, [(pa, pb) for pa in points for pb in points])
+    xyz = [(p.x, p.y, p.z) for p in points]
+    ests = P.pairs([(pa, pb) for pa in points for pb in points],
+                   [ka + kb for ka in xyz for kb in xyz])
     return _scan_values(np.array([e.value for e in ests], dtype=np.float64).reshape(g, g))
 
 
@@ -331,13 +337,25 @@ def _pattern_search(
 
     Only strict improvements move; the step halves after any sweep with no
     accepted move and the search ends below 1e-7 or when the oracle budget
-    runs out. A trial moves one coordinate, so it rebuilds only the setting
-    that coordinate belongs to.
+    runs out. Each setting is kept as its vector and (x, y, z), built once
+    per coordinate tuple, and a trial asks ``P.pairs`` for its quad's pairs
+    with their keys: it moves one coordinate, so it builds at most the one
+    vector that coordinate belongs to, and no quad.
     """
     d = _ANGLES[mode]
+    built: dict = {}
+
+    def setting(coords):
+        # Coordinates are never -0.0 (the grid's are >= 0, and x - x rounds
+        # to +0.0), so equal tuples build equal vectors.
+        got = built.get(coords)
+        if got is None:
+            v = _vector(coords, mode)
+            got = built[coords] = (v, (v.x, v.y, v.z))
+        return got
+
     current = list(angles)
-    q = _quad_from_angles(current, mode)
-    settings = [q.a, q.b, q.a_prime, q.b_prime]
+    settings = [setting(tuple(current[d * j:d * (j + 1)])) for j in range(4)]
     s_current = s_start
     try:
         while step >= 1e-7:
@@ -348,8 +366,12 @@ def _pattern_search(
                     trial = list(current)
                     trial[k] = trial[k] + direction * step
                     moved = list(settings)
-                    moved[j] = _vector(trial[d * j:d * (j + 1)], mode)
-                    s_trial = sum(_chsh_terms(ask_pairs(P, _quad_pairs(SettingsQuad(*moved)))))
+                    moved[j] = setting(tuple(trial[d * j:d * (j + 1)]))
+                    # The _quad_pairs pairs of the quad (a, b, a', b').
+                    (a, ka), (b, kb), (a_p, ka_p), (b_p, kb_p) = moved
+                    ests = P.pairs([(a, b), (a, b_p), (a_p, b_p), (a_p, b)],
+                                   [ka + kb, ka + kb_p, ka_p + kb_p, ka_p + kb])
+                    s_trial = sum(_chsh_terms(ests))
                     if s_trial > s_current:
                         current = trial
                         settings = moved

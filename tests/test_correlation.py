@@ -918,8 +918,11 @@ def test_oracle_pairs_give_the_per_pair_estimates(monkeypatch):
             assert [repr(e) for e in ask_pairs(oracle, pairs)] == want
             with monkeypatch.context() as m:
                 m.setattr(correlation_module, "_BATCH_SETTINGS", 3)
-                passes.clear()
                 assert [repr(e) for e in oracle.pairs(pairs)] == want
+                # a first batch takes the batch path at any n
+                passes.clear()
+                fresh = make_correlation_oracle(model, sphere_sampler(seed=4), n, workers=workers)
+                assert [repr(e) for e in fresh.pairs(pairs)] == want
                 assert max(max(a, b) for a, b, _ in passes) == 3
 
 
@@ -1131,6 +1134,90 @@ def test_a_kept_chunk_raises_the_uncached_bad_probability(monkeypatch):
     oracle.pairs([(a, b)])
     assert message(lambda: oracle.pairs([(a, b), (a, b_prime)])) == want
     assert isinstance(seen[-1], dict) and seen[-1] is seen[-2]
+
+
+# x-z plane settings, and two whose dots with X_AXIS are 0.0 and -0.0: the
+# nonlocal sign model's side-A offsets at (X_AXIS, b) for these b
+_ZERO_DOT_B = (Z_AXIS, UnitVector3(-0.0, -1.0, -0.0))
+
+
+def _trial_requests(n):
+    """Requests of 1 pair, 2 pairs and the most pairs whose products fit one
+    _BLOCK at n draws, with settings repeated within and across them."""
+    rng = random.Random(n)
+    pool = [unit_from_plane_angle(rng.uniform(0.0, 2.0 * math.pi)) for _ in range(9)]
+    pool += [X_AXIS, *_ZERO_DOT_B]
+    largest = _k._BLOCK // n
+    requests = [[(X_AXIS, _ZERO_DOT_B[0])], [(X_AXIS, _ZERO_DOT_B[1]), (pool[0], pool[1])]]
+    for size in (1, 2, largest, 1, 2):
+        requests.append([(rng.choice(pool), rng.choice(pool)) for _ in range(size)])
+    return requests
+
+
+@pytest.mark.parametrize("n", [2, 511, 512, 4096])
+def test_kept_rows_give_the_batch_estimates(n, monkeypatch):
+    # every request after the first batch is served from the kept rows,
+    # with the bits a fresh oracle's batch path gives it
+    s = sphere_sampler(seed=9)
+    models = [LocalSignModel(), LinearStochasticModel(), SettingBiasedSignModel(),
+              ConstantNonlocalModel(), DeterministicEmbedding(LocalSignModel())]
+    passes = []
+    reduce_pairs = _k.reduce_pairs
+
+    def recording(*args, **kwargs):
+        passes.append(len(args[3]))
+        return reduce_pairs(*args, **kwargs)
+
+    monkeypatch.setattr(_k, "reduce_pairs", recording)
+    requests = _trial_requests(n)
+    assert max(map(len, requests)) * n <= _k._BLOCK < (max(map(len, requests)) + 1) * n
+    for model in models:
+        want = [[(e.value, e.stderr, e.n) for e in make_correlation_oracle(model, s, n).pairs(r)]
+                for r in requests]
+        oracle = make_correlation_oracle(model, s, n)
+        oracle.pairs(_pair_requests(1, 30))
+        passes.clear()
+        got = [[(e.value, e.stderr, e.n) for e in oracle.pairs(r)] for r in requests]
+        assert got == want, type(model).__name__
+        assert passes == [] and oracle.pairs.rows, type(model).__name__
+
+
+def test_a_trial_setting_that_goes_bad_raises_the_batch_paths_error():
+    # the linear model on a cube stream is valid at (Z, Y) and goes bad
+    # first at the trial's new setting a, alone or after a valid pair
+    s = cube_sampler(dim=3, seed=0)
+    a = UnitVector3(0.6, 0.0, 0.8)
+
+    def message(fn):
+        with pytest.raises(ContractViolationError) as info:
+            fn()
+        return str(info.value)
+
+    for request in ([(a, Y_AXIS)], [(Z_AXIS, Y_AXIS), (a, Y_AXIS)]):
+        want = message(lambda: make_correlation_oracle(
+            LinearStochasticModel(), s, 512).pairs(request))
+        oracle = make_correlation_oracle(LinearStochasticModel(), s, 512)
+        oracle.pairs([(Z_AXIS, Y_AXIS)])
+        oracle.pairs([(Z_AXIS, Y_AXIS)])
+        assert message(lambda: oracle.pairs(request)) == want
+        assert "outside [0, 1] at draw" in want
+
+
+def test_kernel_rows_the_kernel_refuses_raise_after_the_draws_are_kept_too():
+    class HalfSigma(LocalSignModel):
+        def kernel_rows(self, a, b):
+            return (a, 0.0), (b, 0.0), 0.5
+
+    class LinearWithOffset(LinearStochasticModel):
+        def kernel_rows(self, a, b):
+            return (a, 0.25), (b, 0.0), -1.0
+
+    s = sphere_sampler(seed=3)
+    for model in (HalfSigma(), LinearWithOffset()):
+        oracle = make_correlation_oracle(model, s, 512)
+        for _ in range(3):
+            with pytest.raises(ValueError, match="do not fit model kind code"):
+                oracle.pairs([(Z_AXIS, X_AXIS)])
 
 
 def test_only_models_with_a_kernel_on_their_settings_answer_batches():

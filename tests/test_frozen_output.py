@@ -181,3 +181,56 @@ LONG_SWEEP_DIGESTS = {
 def test_long_sweep_output_matches_frozen_digest(argv, workers, tmp_path):
     got = output_digest(["sweep", *argv, "--workers", str(workers)], tmp_path / "sweep")
     assert got == LONG_SWEEP_DIGESTS[argv], " ".join(argv)
+
+
+# sha256 of `eprb chsh --maximize` output, recorded in a fresh interpreter
+# from the implementation whose pattern trials recomputed every row of a
+# request from the kept draws. The same rule holds: never re-record these.
+MAXIMIZE_DIGESTS = {
+    ("--model", "local_sign", "--n", "2", "--seed", "11"):
+        "71be7bd373862511280d96380e075bfd212367506d0b9942d1533603dda79d1d",
+    ("--model", "local_sign", "--n", "512", "--seed", "11"):
+        "7440afa1b8668b1683dfebb4b5fa1da70dc9d1b25212d1fc3de6726e36b1b629",
+    ("--model", "local_sign", "--n", "4096", "--seed", "11"):
+        "bc18ef2f8fc0185ac5a3f29f93e6915e51e528b13006c5035149a05453be2a55",
+    ("--model", "linear", "--n", "2", "--seed", "11"):
+        "893b33e0bcc0684bc17b54574a0fd30acd18c21b2a7d63a40f012c30a049c467",
+    ("--model", "linear", "--n", "512", "--seed", "11"):
+        "bc3e6a7836850f895cc0d74031850584d514510c2a6a1cf719f881541e8926a9",
+    ("--model", "linear", "--n", "4096", "--seed", "11"):
+        "e2140bd702266be0e333b7180907b950ae075d119605527c62334416db593c64",
+    ("--model", "nonlocal_sign", "--n", "2", "--seed", "11"):
+        "854b566cf302fd3aea2ae55758e19a88aede7c969bee36a2c137c2a32af64679",
+    ("--model", "nonlocal_sign", "--n", "512", "--seed", "11"):
+        "319b830b4ce068adf94958d8a220cff732deca34d1dd88d41990149a8d2672eb",
+    ("--model", "nonlocal_sign", "--n", "4096", "--seed", "11"):
+        "07d84e93c6d55c58e16e214efd3ec2a3a00211d5ceab7c63bbcffef5b1294b17",
+    ("--model", "constant", "--n", "2", "--seed", "11"):
+        "d23649550bd788c5a428399d340ee0f9ab3b8563167bf97240d04e2ee270ba7e",
+    ("--model", "constant", "--n", "512", "--seed", "11"):
+        "2349c02cc498bc44005699a9d9ebb5f8e38eab003dac3fefcbb0acc13cfbeaa3",
+    ("--model", "constant", "--n", "4096", "--seed", "11"):
+        "2737c041d7220792af812a5ac5bfeed702f24f8ce5571235d0987c6c76eebfab",
+    ("--model", "quantum"):
+        "2876ffa40d3e2d8225bb4b75ac928575c182395e63993a6011247948e7959218",
+    ("--model", "quantum", "--mode", "full"):
+        "783b440b5db7439d5cd72d076ee7bf3717c05597a51ee744186a9e4aeac0ad2a",
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("argv", list(MAXIMIZE_DIGESTS), ids=" ".join)
+def test_maximize_output_matches_frozen_digest(argv, workers, tmp_path):
+    got = output_digest(["chsh", "--maximize", *argv, "--workers", str(workers)],
+                        tmp_path / "maximize")
+    assert got == MAXIMIZE_DIGESTS[argv], " ".join(argv)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_maximize_contract_violation_is_frozen(workers, capsys):
+    code = run(["chsh", "--maximize", "--model", "linear", "--sampler", "uniform_cube",
+                "--n", "512", "--workers", str(workers)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err == ("contract violation: stochastic model produced probability "
+                   "-0.02875252434110409 outside [0, 1] at draw 4\n")

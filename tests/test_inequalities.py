@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import eprb
 import eprb.cli
-from eprb import _backend
+from eprb import _backend, correlation
 from eprb import (
     AntipodalContrast,
     BellReport,
@@ -525,6 +525,72 @@ def test_cli_search_makes_each_chunks_draws_at_most_twice(monkeypatch, capsys):
     assert eprb.cli.run(["chsh", "--maximize", "--model", "linear", "--n", "512"]) == 0
     assert json.loads(capsys.readouterr().out)["evaluations"] > 500
     assert made == {(0, 512): 2}
+
+
+def _search_rows(monkeypatch):
+    """Record, per batch an oracle's ``pairs`` serves, the (side, kernel
+    row) keys it was asked for and the number of rows ``_dots`` computed,
+    and after it the bytes of the draws and rows the oracle keeps."""
+    asked, made, kept = [], [], []
+    call, dots = correlation._KernelPairs.__call__, _backend._dots
+
+    def recording(self, request):
+        keys = set()
+        for a, b in request:
+            (u, c_a), (v, c_b), _ = self._model.kernel_rows(a, b)
+            keys |= {(0, u.x, u.y, u.z, c_a), (1, v.x, v.y, v.z, c_b)}
+        asked.append(keys)
+        made.append(0)
+        try:
+            return call(self, request)
+        finally:
+            kept.append(sum(c.nbytes for cols in (self.draws or {}).values() for c in cols)
+                        + sum(r.nbytes for r in self.rows.values() if r is not None))
+
+    def counting(S, *cols):
+        made[-1] += len(S)
+        return dots(S, *cols)
+
+    monkeypatch.setattr(correlation._KernelPairs, "__call__", recording)
+    monkeypatch.setattr(_backend, "_dots", counting)
+    return asked, made, kept
+
+
+@pytest.mark.parametrize("model", ["linear", "local_sign"])
+def test_cli_search_computes_each_setting_row_once_after_the_draws_are_kept(
+        model, monkeypatch, capsys):
+    # from the second batch on, a trial computes only the rows no earlier
+    # trial did: at most one per (side, setting)
+    asked, made, _ = _search_rows(monkeypatch)
+    assert eprb.cli.run(["chsh", "--maximize", "--model", model, "--n", "512"]) == 0
+    assert json.loads(capsys.readouterr().out)["evaluations"] > 600
+    assert len(asked) > 50
+    assert sum(made[1:]) == len(set().union(*asked[1:]))
+
+
+@pytest.mark.parametrize("model", ["linear", "local_sign", "nonlocal_sign"])
+def test_a_search_under_a_byte_cap_prints_the_same_bytes(model, monkeypatch, tmp_path):
+    # the oldest rows are dropped to keep the draws and rows within the
+    # cap; below the draws' 24 n bytes neither is kept
+    n = 512
+    argv = ["chsh", "--maximize", "--model", model, "--n", str(n), "--seed", "5"]
+
+    def output(cap):
+        monkeypatch.setattr(correlation, "_DRAW_CACHE_BYTES", cap)
+        path = tmp_path / str(cap)
+        assert eprb.cli.run(argv + ["--output", str(path)]) == 0
+        return path.read_bytes()
+
+    want = output(1 << 40)
+    _, _, kept = _search_rows(monkeypatch)
+    for cap in (24 * n + 3 * 8 * n, 24 * n + 8 * n, 24 * n, 24 * n - 1):
+        kept.clear()
+        assert output(cap) == want, cap
+        assert len(kept) > 50 and max(kept) <= cap, cap
+        if cap < 24 * n:
+            assert kept == [0] * len(kept)
+        else:
+            assert max(kept) == cap - (cap - 24 * n) % (8 * n), cap
 
 
 def _budget_requests():
