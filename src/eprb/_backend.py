@@ -12,19 +12,19 @@ chunk values into (sum, sum_sq, min, max): sums run left to right.
 ``series_values`` evaluates many series of one degree at one pair of
 settings, one term at a time over all of them, with the bits of the scalar
 loop per series.
-``reduce_pairs`` is the one kernel body: it serves many setting pairs from
-one set of draws, which a caller may keep in a mapping it passes back, with
-one row per pair for the outcome product or, with ``joint``, four for the
-joint-outcome probabilities. ``reduce_product`` and ``reduce_joint`` are its
-one-pair cases, which nothing else in eprb calls. Sign-kind products are
-+/-1, so their sums are exact integers in any order: ``reduce_pairs`` takes
-them all, and the joint counts, from one matrix product of the two sides'
-halved signs. Per-setting factors are computed in row blocks of at most
-_BLOCK elements, so a side with many settings stays in cache. A caller
-that keeps one range's draws (``draw_columns``) can also keep each
-setting's row (``setting_rows``) and reduce pairs of kept rows
-(``pair_rows``) with the bits of ``reduce_pairs``. The readable
-per-draw loops they reproduce, and the tests that hold them to it, are in
+A chunk's kernel rows for many setting pairs come from one pair of steps,
+which every kernel estimate takes: ``setting_rows`` computes each side's
+row for each distinct setting, in row blocks of at most _BLOCK elements so
+a side with many settings stays in cache, and ``pair_rows`` reduces each
+pair from its two rows, to one row for the outcome product or, with
+``joint``, four for the joint-outcome probabilities. A caller may keep a
+range's draws (``draw_columns``) and its setting rows, and reuse them.
+Sign-kind products are +/-1, so their sums are exact integers in any
+order: ``pair_rows`` takes them all, and the joint counts, from one matrix
+product of the two sides' halved signs. ``reduce_pairs`` is the two steps
+on one range's draws, and ``reduce_product`` and ``reduce_joint`` are its
+one-pair cases, which nothing else in eprb calls. The readable per-draw
+loops they reproduce, and the tests that hold them to it, are in
 ``tests/oracles_ref.py`` and ``tests/test_backends.py``.
 
 There are two model kernels. KIND_SIGN is the product of
@@ -187,21 +187,22 @@ def fold_rows(x):
     the leading 0.0 + is the loop's starting value, which turns an all
     -0.0 sum into +0.0. argmin/argmax pick the first extreme like the
     loop's strict comparisons; a NaN, which no comparison keeps, reads as
-    +inf (-inf) there, so a row of NaNs keeps the starting inf (-inf).
+    +inf (-inf) there, so a row of NaNs keeps the starting inf (-inf). A
+    NaN makes its row's sum NaN, so NaNs are looked for only then.
     Overflow and inf - inf give their IEEE values without a warning.
     """
     if x.shape[1] == 0:
         return [(0.0, 0.0, inf, -inf)] * len(x)
-    r = np.arange(len(x))
-    nan = np.isnan(x)
-    lo, hi = (np.where(nan, inf, x), np.where(nan, -inf, x)) if nan.any() else (x, x)
     with np.errstate(over="ignore", invalid="ignore"):
-        return list(zip(
-            (0.0 + np.cumsum(x, axis=1)[:, -1]).tolist(),
-            (0.0 + np.cumsum(x * x, axis=1)[:, -1]).tolist(),
-            lo[r, lo.argmin(axis=1)].tolist(),
-            hi[r, hi.argmax(axis=1)].tolist(),
-        ))
+        sums = (0.0 + x.cumsum(axis=1)[:, -1]).tolist()
+        sums_sq = (0.0 + (x * x).cumsum(axis=1)[:, -1]).tolist()
+    lo = hi = x
+    if any(v != v for v in sums):
+        nan = np.isnan(x)
+        lo, hi = np.where(nan, inf, x), np.where(nan, -inf, x)
+    r = np.arange(len(x))
+    return list(zip(sums, sums_sq, lo[r, lo.argmin(axis=1)].tolist(),
+                    hi[r, hi.argmax(axis=1)].tolist()))
 
 
 def _check_args(kind, params, sampler_kind, dim):
@@ -239,37 +240,32 @@ def _dots(S, l0, l1, l2):
     return d
 
 
-def _sign_halves(S, c, l0, l1, l2):
-    """Half of sign(s . lam + c) for every row s of ``S`` and every draw,
-    with sign(0) = +1: 0.5 or -0.5, one row per setting. ``c`` holds one
-    offset per row, or is None when every offset is 0 (nothing is added)."""
-    h = np.empty((len(S), len(l0)))
-    for rows in _row_blocks(len(S), len(l0)):
-        d = _dots(S[rows], l0, l1, l2)
-        if c is not None:
-            d += c[rows, None]
-        np.subtract(d >= 0.0, 0.5, out=h[rows])
-    return h
+def setting_rows(kind, S, c, flip, l0, l1, l2, joint=False):
+    """One side's rows for the settings, the rows of the (g, 3) array ``S``,
+    on one range's draws, computed in row blocks, and where the linear
+    kind's probabilities first leave [0, 1].
 
-
-def _side_factors(S, l0, l1, l2, flip, joint=False):
-    """The linear model's factor rows of one side, computed in row blocks,
-    and where its probabilities first leave [0, 1].
-
-    Row r is p_plus - p_minus at row r of ``S``; with ``joint`` the rows
-    are p_plus for each row of ``S`` and then p_minus for each. ``flip``
-    marks side B, whose outcome is negated: p_plus = (1 - d) / 2 there.
-    The second item is None when no probability can leave [0, 1], and
-    otherwise (first, values), one entry per factor row: its setting's
-    first draw with a probability outside [0, 1] beyond PROB_SLACK (the
-    count when it has none) and the first offending probability there,
-    p_plus before p_minus.
+    The sign kind's row is half of sign(s . lam + c), with sign(0) = +1:
+    0.5 or -0.5 at each draw. ``c`` holds one offset per row, or is None
+    when every offset is 0 (nothing is added). The linear kind's row is
+    p_plus - p_minus; with ``joint`` the rows are p_plus for each setting
+    and then p_minus for each. ``flip`` marks side B, whose outcome is
+    negated: p_plus = (1 - d) / 2 there. The second item maps each setting
+    with a probability outside [0, 1] beyond PROB_SLACK in the range to
+    its first such draw, counted from the range's start, and the first
+    offending probability there, p_plus before p_minus.
     """
     g, count = len(S), len(l0)
-    f = np.empty((1 + joint, g, count))
-    bad = None
+    f = np.empty((1 + (joint and kind == KIND_LINEAR), g, count))
+    c = None if c is None else np.asarray(c, dtype=np.float64)
+    bad = {}
     for rows in _row_blocks(g, count):
         d = _dots(S[rows], l0, l1, l2)
+        if kind == KIND_SIGN:
+            if c is not None:
+                d += c[rows, None]
+            np.subtract(d >= 0.0, 0.5, out=f[0, rows])
+            continue
         hi_side, lo_side = 0.5 * (1.0 + d), 0.5 * (1.0 - d)
         plus, minus = (lo_side, hi_side) if flip else (hi_side, lo_side)
         if joint:
@@ -284,14 +280,9 @@ def _side_factors(S, l0, l1, l2, flip, joint=False):
         ok_plus = (plus >= -PROB_SLACK) & (plus <= 1.0 + PROB_SLACK)
         ok_minus = (minus >= -PROB_SLACK) & (minus <= 1.0 + PROB_SLACK)
         is_bad = ~(ok_plus & ok_minus)
-        if bad is None:
-            bad = np.full(g, count), [0.0] * g
-        first = bad[0][rows] = np.where(is_bad.any(axis=1), is_bad.argmax(axis=1), count)
-        for r in np.flatnonzero(first < count).tolist():
-            k = first[r]
-            bad[1][rows.start + r] = float(plus[r, k] if not ok_plus[r, k] else minus[r, k])
-    if joint and bad is not None:
-        bad = np.tile(bad[0], 2), bad[1] * 2
+        for r in np.flatnonzero(is_bad.any(axis=1)).tolist():
+            k = int(is_bad[r].argmax())
+            bad[rows.start + r] = k, float(plus[r, k] if not ok_plus[r, k] else minus[r, k])
     return f.reshape(len(f) * g, count), bad
 
 
@@ -310,46 +301,76 @@ def _sign_sums(s, count):
             for x in [0.0 + 4.0 * v for v in s]]
 
 
-def setting_rows(kind, S, c, flip, l0, l1, l2):
-    """One side's row for each setting of the (k, 3) array ``S`` on one
-    range's draws, as reduce_pairs computes it, for ``pair_rows``: the sign
-    kind's halved signs with the offsets ``c`` added (see _sign_halves), or
-    the linear kind's factor row (``flip`` on side B, see _side_factors),
-    which is None when the setting's probabilities leave [0, 1] in the
-    range. The rows are views of one array."""
-    if kind == KIND_SIGN:
-        return list(_sign_halves(S, c, l0, l1, l2))
-    rows, bad = _side_factors(S, l0, l1, l2, flip)
-    if bad is None:
-        return list(rows)
-    return [None if k < len(l0) else row for row, k in zip(rows, bad[0].tolist())]
-
-
-def pair_rows(kind, RA, RB, sigma):
-    """reduce_pairs's row for each pair of settings whose rows from
-    ``setting_rows`` are RA[p] and RB[p], none of them None, bit for bit:
-    the sign kind's sums (``sigma`` is sigma_B), or ``fold_rows`` of the
-    linear kind's products."""
-    if kind == KIND_SIGN:
-        return _sign_sums([sigma * float(ra @ rb) for ra, rb in zip(RA, RB)], len(RA[0]))
-    return fold_rows(np.array(RA) * np.array(RB))
-
-
-def _first_bad_draws(bad_a, bad_b, I, J, start, count):
+def _first_bad_draws(bad_a, bad_b, I, J, start):
     """Per pair (A[I[p]], B[J[p]]): (draw index, probability) of its first
-    bad draw in the range, or None when it has none; None for the whole
+    bad draw in the range that starts at draw ``start``, or None when it
+    has none, from the sides' maps of ``setting_rows``; None for the whole
     list when neither side has a bad draw.
 
     A pair's first bad draw is the earlier of its sides' and reports side
     A's probability when A is bad there, because p1_plus and p1_minus are
     tested before p2_plus and p2_minus.
     """
-    if bad_a is None and bad_b is None:
+    if not bad_a and not bad_b:
         return None
-    ka = bad_a[0][I] if bad_a else np.full(len(I), count)
-    kb = bad_b[0][J] if bad_b else np.full(len(J), count)
-    return [None if k == count else (start + k, bad_a[1][i] if a == k else bad_b[1][j])
-            for i, j, a, k in zip(I, J, ka.tolist(), np.minimum(ka, kb).tolist())]
+    out = []
+    for i, j in zip(I, J):
+        a, b = bad_a.get(i), bad_b.get(j)
+        first = a if b is None or a is not None and a[0] <= b[0] else b
+        out.append(first and (start + first[0], first[1]))
+    return out
+
+
+def pair_rows(kind, RA, RB, I, J, sigma, start, bad_a, bad_b, joint=False):
+    """One kernel row per pair (A[I[p]], B[J[p]]) of settings, from the
+    sides' rows ``RA`` and ``RB`` and bad-draw maps of ``setting_rows`` on
+    the range that starts at draw ``start``: ``(sum, sum_sq, min, max)``,
+    or ``(draw index, probability)`` when one of the pair's probabilities
+    first leaves [0, 1] beyond PROB_SLACK in the range. With ``joint`` a
+    pair gives four rows, the sums of its joint-outcome probabilities
+    ordered (pp, mm, pm, mp), or four copies of its first bad draw.
+    ``sigma`` is the sign kind's sigma_B.
+
+    The sign kind's pair sums are entries of one matrix product of the two
+    sides' halved signs (see _sign_sums), and its joint counts follow from
+    them. The linear kind's pair products, and its joint entries, products
+    of the sides' p_plus and p_minus rows, are reduced in blocks of at most
+    _BLOCK elements, every row left to right along the draws.
+    """
+    count = RA.shape[1]
+    if kind == KIND_SIGN:
+        # sign(a . lam + c_A) * sigma_B * sign(b . lam + c_B), each pair's
+        # entry taken from the matrix product by its flat index.
+        P = RA.dot(RB.T)
+        s = [sigma * v for v in P.take([i * len(RB) + j for i, j in zip(I, J)]).tolist()]
+        if not joint:
+            return _sign_sums(s, count)
+        c = float(count)
+        # A side's outcome is + where its halved sign (times sigma_B on
+        # side B) is +1/2, so it has n+ = (sum of halves) + count/2 of them,
+        # and pp, the sum of (h_A + 1/2)(h_B + 1/2), is s + (n+_A + n+_B)/2
+        # - count/4. Every term is a multiple of 1/4: the counts are exact.
+        s = np.array(s)
+        na = RA.sum(axis=1)[I] + c / 2
+        nb = sigma * RB.sum(axis=1)[J] + c / 2
+        pp = s + (na + nb) / 2 - c / 4
+        counts = np.stack((pp, c - na - nb + pp, na - pp, nb - pp), axis=1)
+        return [(k, k, 0.0 if k < c else 1.0, 1.0 if k else 0.0)
+                for k in counts.ravel().tolist()]
+    bad = _first_bad_draws(bad_a, bad_b, I, J, start)
+    if joint:
+        # Rows pp, mm, pm, mp of a pair multiply A's p_plus or p_minus row
+        # (the latter len(RA) / 2 rows on) by B's.
+        ga, gb = len(RA) // 2, len(RB) // 2
+        I = [i + d for i in I for d in (0, ga, 0, ga)]
+        J = [j + d for j in J for d in (0, gb, gb, 0)]
+        bad = bad and [first for first in bad for _ in range(4)]
+    out = []
+    for rows in _row_blocks(len(I), count, 4 if joint else 1):
+        out.extend(fold_rows(RA.take(I[rows], axis=0) * RB.take(J[rows], axis=0)))
+    if bad is None:
+        return out
+    return [acc if first is None else first for acc, first in zip(out, bad)]
 
 
 def reduce_pairs(kind, A, B, I, J, sampler_kind, dim, seed, start, count, draws=None,
@@ -358,68 +379,26 @@ def reduce_pairs(kind, A, B, I, J, sampler_kind, dim, seed, start, count, draws=
     draws made once; with ``joint``, reduce_joint's four sums for each.
 
     ``A`` and ``B`` hold the distinct settings of each side as (g, 3)
-    arrays and pair ``p`` is (A[I[p]], B[J[p]]). Each side's factor is
-    computed once per setting. The sign kind's pair sums are the entries
-    of one matrix product of the two sides' halved signs; the linear kind's
-    pair products are reduced in blocks of at most _BLOCK elements, every
-    row left to right along the draws. Returns one row per pair,
-    bit-identical to the single-pair call: ``(sum, sum_sq, min, max)``, or
-    ``(draw index, probability)`` when one of the pair's probabilities
-    first leaves [0, 1] beyond PROB_SLACK in the range. With ``joint`` a
-    pair gives four rows, the sums of its joint-outcome probabilities
-    ordered (pp, mm, pm, mp), or four copies of its first bad draw: the
-    sign kind's are counts taken from the same matrix product, and the
-    linear kind's are product rows of the sides' p_plus and p_minus rows.
+    arrays and pair ``p`` is (A[I[p]], B[J[p]]). Each side's rows are
+    computed once per setting (``setting_rows``) and the pairs reduced
+    from them (``pair_rows``), the path of every kernel estimate. Returns
+    one row per pair, bit-identical to the single-pair call, as
+    ``pair_rows`` gives them.
 
     ``draws`` is the mapping of ``draw_columns``, or None. ``params`` is the
     sign kind's (c_A, c_B, sigma_B) with one offset per row of ``A`` and one
     per row of ``B``, or empty.
     """
     _check_args(kind, params, sampler_kind, dim)
-    l0, l1, l2 = draw_columns(sampler_kind, dim, seed, start, count, draws)
-    I = np.asarray(I, dtype=np.intp)
-    J = np.asarray(J, dtype=np.intp)
+    cols = draw_columns(sampler_kind, dim, seed, start, count, draws)
     if count == 0:
         return [(0.0, 0.0, inf, -inf)] * (4 * len(I) if joint else len(I))
-    A = np.asarray(A, dtype=np.float64).reshape(-1, 3)
-    B = np.asarray(B, dtype=np.float64).reshape(-1, 3)
-    if kind == KIND_SIGN:
-        # sign(a . lam + c_A) * sigma_B * sign(b . lam + c_B). h holds half
-        # of each side's sign, both sides in one pass; every pair's sum of
-        # products is an entry of one matrix product (see _sign_sums).
-        offsets, sigma = None, -1.0
-        if params:
-            offsets = np.concatenate((params[0], params[1]))
-            sigma = float(params[2])
-        h = _sign_halves(np.concatenate((A, B)), offsets, l0, l1, l2)
-        s = sigma * (h[:len(A)] @ h[len(A):].T)[I, J]
-        if not joint:
-            return _sign_sums(s.tolist(), count)
-        c = float(count)
-        # A side's outcome is + where its halved sign (times sigma_B on
-        # side B) is +1/2, so it has n+ = (sum of halves) + count/2 of them,
-        # and pp, the sum of (h_A + 1/2)(h_B + 1/2), is s + (n+_A + n+_B)/2
-        # - count/4. Every term is a multiple of 1/4: the counts are exact.
-        half = h.sum(axis=1)
-        na, nb = half[I] + c / 2, sigma * half[len(A) + J] + c / 2
-        pp = s + (na + nb) / 2 - c / 4
-        counts = np.stack((pp, c - na - nb + pp, na - pp, nb - pp), axis=1)
-        return [(k, k, 0.0 if k < c else 1.0, 1.0 if k else 0.0)
-                for k in counts.ravel().tolist()]
-    fa, bad_a = _side_factors(A, l0, l1, l2, False, joint)
-    fb, bad_b = _side_factors(B, l0, l1, l2, True, joint)
-    if joint:
-        # Rows pp, mm, pm, mp of a pair multiply A's p_plus or p_minus row
-        # (the latter len(A) rows on) by B's.
-        I = (I[:, None] + len(A) * np.array([0, 1, 0, 1])).ravel()
-        J = (J[:, None] + len(B) * np.array([0, 1, 1, 0])).ravel()
-    out = []
-    for rows in _row_blocks(len(I), count, 4 if joint else 1):
-        out.extend(fold_rows(fa[I[rows]] * fb[J[rows]]))
-    bad = _first_bad_draws(bad_a, bad_b, I, J, start, count)
-    if bad is None:
-        return out
-    return [acc if first is None else first for acc, first in zip(out, bad)]
+    c_a, c_b, sigma = params or (None, None, -1.0)
+    RA, bad_a = setting_rows(kind, np.asarray(A, dtype=np.float64).reshape(-1, 3), c_a, False,
+                             *cols, joint)
+    RB, bad_b = setting_rows(kind, np.asarray(B, dtype=np.float64).reshape(-1, 3), c_b, True,
+                             *cols, joint)
+    return pair_rows(kind, RA, RB, I, J, float(sigma), start, bad_a, bad_b, joint)
 
 
 def reduce_product(kind, params, ax, ay, az, bx, by, bz,

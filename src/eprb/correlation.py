@@ -65,8 +65,8 @@ _SERIES_BLOCK = 1 << 19
 
 # A batched oracle keeps its chunks' draws, three doubles a draw, and an
 # oracle of one chunk its setting rows, one double a draw each, only while
-# they take at most this many bytes together (draws for n up to about 1.4
-# million; at n = 512, 8,189 rows besides the draws).
+# they take at most this many bytes together, during a batch too (draws
+# for n up to about 1.4 million; at n = 512, 8,189 rows besides the draws).
 _DRAW_CACHE_BYTES = 32 << 20
 
 
@@ -82,8 +82,10 @@ class CorrelationEstimate:
     n: int
     exact: bool = field(init=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "exact", self.n == 0)
+    def __init__(self, value: float, stderr: float, n: int) -> None:
+        # One write of the instance dict costs less than the frozen
+        # dataclass __init__, which sets each field by object.__setattr__.
+        self.__dict__.update(value=value, stderr=stderr, n=n, exact=n == 0)
 
     def to_json(self) -> dict:
         return {
@@ -193,37 +195,29 @@ def _estimate(m, family, a, b, s, n, joint=False):
 
 def _pair_groups(m, pairs):
     """Split ``pairs`` in order into runs with at most _BATCH_SETTINGS
-    distinct kernel rows a side and one sigma_B; each run as (A, B, I, J,
-    params), the kernel's distinct settings, pair indices and params."""
-    A, B, I, J, sigma = {}, {}, [], [], None
+    distinct kernel rows a side and one sigma_B. Each run is (A, B, I, J,
+    sigma_B): A and B map each side's distinct kernel rows, keyed (side B,
+    x, y, z, offset), to their indices, and pair p is (A's row I[p], B's
+    row J[p])."""
+    groups = []
     for a, b in pairs:
         (u, c_a), (v, c_b), sigma_b = m.kernel_rows(a, b)
-        ka, kb = (u.x, u.y, u.z, c_a), (v.x, v.y, v.z, c_b)
-        if I and (sigma_b != sigma
-                  or (ka not in A and len(A) == _BATCH_SETTINGS)
-                  or (kb not in B and len(B) == _BATCH_SETTINGS)):
-            yield _kernel_group(A, B, I, J, sigma)
-            A, B, I, J = {}, {}, [], []
-        sigma = sigma_b
+        ka, kb = (False, u.x, u.y, u.z, c_a), (True, v.x, v.y, v.z, c_b)
+        if (not groups or sigma_b != sigma
+                or (ka not in A and len(A) == _BATCH_SETTINGS)
+                or (kb not in B and len(B) == _BATCH_SETTINGS)):
+            A, B, I, J, sigma = {}, {}, [], [], sigma_b
+            groups.append((A, B, I, J, sigma))
         # Keys that differ only in a zero's sign share a row: the kernels
         # read a row only through sign(d + c) and 1 +/- d, for the dot d of
         # its setting with the draw and its offset c, which a zero's sign
         # cannot change.
         I.append(A.setdefault(ka, len(A)))
         J.append(B.setdefault(kb, len(B)))
-    if I:
-        yield _kernel_group(A, B, I, J, sigma)
+    return groups
 
 
-def _kernel_group(A, B, I, J, sigma_b):
-    """(A, B, I, J, params) for reduce_pairs from the distinct rows ``A``
-    and ``B`` of a run, keyed by (x, y, z, offset)."""
-    c_a, c_b = [k[3] for k in A], [k[3] for k in B]
-    params = (c_a, c_b, sigma_b) if any(c_a) or any(c_b) or sigma_b != -1.0 else ()
-    return [k[:3] for k in A], [k[:3] for k in B], I, J, params
-
-
-def _estimate_pairs(m, pairs, s, n, draws=None, joint=False):
+def _estimate_pairs(m, pairs, s, n, draws=None, rows=None, joint=False):
     """The kernel path of ``_estimate`` for every (a, b) of ``pairs`` at
     once, in one pass of ``run_chunk_jobs``: each chunk's draws are made
     once for all the pairs, kept in ``draws`` when given and otherwise only
@@ -233,14 +227,53 @@ def _estimate_pairs(m, pairs, s, n, draws=None, joint=False):
     the memory held does not depend on ``n``. Returns one (mean, stderr)
     per row. The bad probability raised is that of the earliest pair that
     has one, as when the pairs are asked one at a time. ``n`` is a draw
-    count already checked by ``require_n``."""
-    groups = list(_pair_groups(m, pairs))
+    count already checked by ``require_n``.
+
+    In each chunk each group of ``_pair_groups`` takes its sides' rows
+    (``setting_rows``) and reduces its pairs from them (``pair_rows``).
+    ``rows``, for an estimate of one chunk without ``joint``, is a
+    ``_Rows`` store by (side, kernel row) of the rows without a bad draw:
+    a group computes and stores only the rows it lacks."""
+    kind, code = m.kernel_kind, s.kind_code
+    groups = _pair_groups(m, pairs)
+    # Every group's kernel rows are checked before any draw is made.
+    for A, B, _, _, sigma in groups:
+        c_a, c_b = [k[4] for k in A], [k[4] for k in B]
+        params = (c_a, c_b, sigma) if sigma != -1.0 or any(c_a) or any(c_b) else ()
+        _k._check_args(kind, params, code, s.dim)
+
+    def side(keys, flip, start, count, chunk):
+        """One side's rows for the kernel rows ``keys`` on a chunk's draws,
+        and the first bad draws of those computed (see ``setting_rows``)."""
+        have = {} if rows is None else {k: rows[k] for k in keys if k in rows}
+        if len(have) == len(keys):
+            return np.array(list(have.values())), {}
+        # The kept rows are read first: storing new ones can drop them.
+        todo = [k for k in keys if k not in have]
+        T = np.array(todo, dtype=np.float64)
+        R, bad = _k.setting_rows(
+            kind, T[:, 1:4], T[:, 4] if any(k[4] for k in todo) else None, flip,
+            *_k.draw_columns(code, s.dim, s.seed, start, count, chunk), joint)
+        if rows is not None:
+            # The rows of one array are stored next to each other and the
+            # oldest are dropped first, so at most one array outlives some
+            # of its rows.
+            for r, k in enumerate(todo):
+                if r not in bad:
+                    rows[k] = R[r]
+        if not have:
+            return R, bad
+        have.update(zip(todo, R))
+        return np.array([have[k] for k in keys]), {keys[todo[r]]: v for r, v in bad.items()}
 
     def job(start, count):
         chunk = {} if draws is None else draws
-        return [part for A, B, I, J, params in groups
-                for part in _k.reduce_pairs(m.kernel_kind, A, B, I, J, s.kind_code, s.dim,
-                                            s.seed, start, count, chunk, params, joint)]
+        parts = []
+        for A, B, I, J, sigma in groups:
+            RA, bad_a = side(A, False, start, count, chunk)
+            RB, bad_b = side(B, True, start, count, chunk)
+            parts += _k.pair_rows(kind, RA, RB, I, J, sigma, start, bad_a, bad_b, joint)
+        return parts
 
     return [combine_scalar((acc,), n) for acc in run_chunk_jobs(job, n)]
 
@@ -402,8 +435,8 @@ def make_correlation_oracle(
     model that depends on the draw also has a ``pairs`` method
     (``_KernelPairs``), which estimates a list of setting pairs in one pass
     over the draws; from its second batch on it keeps the draws and, when
-    n <= CHUNK_SIZE, each setting's kernel row, and serves small requests,
-    such as a pattern trial's, from the kept rows.
+    n <= CHUNK_SIZE, each setting's kernel row, so a request, such as a
+    pattern trial's, computes only the rows no earlier request did.
     """
     n = require_n(n, workers)
     if isinstance(model, QuantumCorrelationModel):
@@ -434,6 +467,19 @@ def make_correlation_oracle(
     return oracle
 
 
+class _Rows(dict):
+    """Setting rows by key, at most ``cap`` of them: storing one more first
+    drops the oldest. ``cap`` stays 0 until the oracle keeps rows, and only
+    a store with a cap is passed to ``_estimate_pairs``."""
+
+    cap = 0
+
+    def __setitem__(self, key, row):
+        while len(self) >= self.cap:
+            del self[next(iter(self))]
+        dict.__setitem__(self, key, row)
+
+
 class _KernelPairs:
     """The ``pairs`` method of an oracle for a kernel model that depends on
     the draw: estimates for a list of setting pairs, in one pass over the
@@ -442,75 +488,30 @@ class _KernelPairs:
     From its second batch on it keeps each chunk's draws in ``draws``, so a
     settings search makes them at most twice and a one-batch caller
     (``chsh`` at one quad, ``bell``, a sweep) none. An oracle of one chunk
-    (n <= CHUNK_SIZE) also keeps each setting's row in ``rows``, keyed by
-    side and kernel row (x, y, z, offset), and serves a request whose
-    products fit in one _BLOCK from them (``_from_rows``), so a pattern
-    trial computes only the rows its moved setting changes. Draws and rows
-    together take at most _DRAW_CACHE_BYTES, the oldest rows going first;
-    past it the oracle keeps neither.
+    (n <= CHUNK_SIZE) then also keeps each setting's row in ``rows``
+    (``_estimate_pairs``), so a pattern trial computes only the rows its
+    moved setting changes. Draws and rows together take at most
+    _DRAW_CACHE_BYTES, the oldest rows going first; past it the oracle
+    keeps neither.
     """
 
     def __init__(self, model, s, n):
         self._model, self._s, self._n = model, s, n
         self._batches = 0
         self.draws = None
-        self.rows = {}
-        self._row_cap = 0
+        self.rows = _Rows()
 
     def __call__(self, request):
         n = self._n
         self._batches += 1
         if self._batches == 2 and 24 * n <= _DRAW_CACHE_BYTES:
             self.draws = {}
-            # Every row, a None one too, counts 8 n bytes.
-            self._row_cap = (_DRAW_CACHE_BYTES - 24 * n) // (8 * n)
-        ests = None
-        if self.draws is not None and n <= CHUNK_SIZE and len(request) * n <= _k._BLOCK:
-            ests = self._from_rows(request)
-        if ests is None:
-            ests = _estimate_pairs(self._model, request, self._s, n, self.draws)
-        return [CorrelationEstimate(*est, n=n) for est in ests]
-
-    def _from_rows(self, request):
-        """(mean, stderr) of each pair of ``request`` from the kept rows of
-        the one chunk, computing only the missing rows: the bits of
-        ``_estimate_pairs``. None when the request needs the batch path,
-        which raises the errors: a pair with a bad draw, a second sigma_B,
-        or kernel rows the kernel refuses."""
-        m, s, n, rows = self._model, self._s, self._n, self.rows
-        kind = m.kernel_kind
-        keys, sigma = [], None
-        for a, b in request:
-            (u, c_a), (v, c_b), sigma_b = m.kernel_rows(a, b)
-            if keys and sigma_b != sigma:
-                return None
-            sigma = sigma_b
-            # Keys that differ only in a zero's sign share a row, as in
-            # _pair_groups.
-            keys.append(((0, u.x, u.y, u.z, c_a), (1, v.x, v.y, v.z, c_b)))
-        # The params reduce_pairs's _check_args refuses.
-        if sigma not in (1.0, -1.0) or kind == _k.KIND_LINEAR and (
-                sigma != -1.0 or any(ka[4] or kb[4] for ka, kb in keys)):
-            return None
-        todo = {k: None for pair in keys for k in pair if k not in rows}
-        if todo:
-            cols = _k.draw_columns(s.kind_code, s.dim, s.seed, 0, n, self.draws)
-            for side in (0, 1):
-                ks = [k for k in todo if k[0] == side]
-                if ks:
-                    c = [k[4] for k in ks]
-                    rows.update(zip(ks, _k.setting_rows(
-                        kind, np.array([k[1:4] for k in ks]), np.array(c) if any(c) else None,
-                        side, *cols)))
-        RA = [rows[ka] for ka, _ in keys]
-        RB = [rows[kb] for _, kb in keys]
-        # The rows of one setting_rows call share one array and sit next to
-        # each other here, so at most one array outlives some of its rows.
-        while len(rows) > self._row_cap:
-            del rows[next(iter(rows))]
-        if any(r is None for r in RA + RB):
-            return None
-        return [combine_scalar((part,), n) for part in _k.pair_rows(kind, RA, RB, sigma)]
+            if n <= CHUNK_SIZE:
+                # A row takes 8 n bytes.
+                self.rows.cap = (_DRAW_CACHE_BYTES - 24 * n) // (8 * n)
+        ests = _estimate_pairs(self._model, request, self._s, n, self.draws,
+                               self.rows if self.rows.cap else None)
+        return [CorrelationEstimate(mean, stderr, n) for mean, stderr in ests]
 
 
 def ask_pairs(P, pairs) -> list[CorrelationEstimate]:

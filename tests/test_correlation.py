@@ -3,6 +3,7 @@ import math
 import random
 import re
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -900,16 +901,9 @@ def _pair_requests(seed, count):
 
 def test_oracle_pairs_give_the_per_pair_estimates(monkeypatch):
     # repeated settings and pairs; whole and partial chunks; group bounds
-    # shrunk so one request splits into several kernel passes
+    # shrunk so one request splits into several groups of settings
     pairs = _pair_requests(3, 60)
-    passes = []
-    reduce_pairs = _k.reduce_pairs
-
-    def recording(kind, A, B, I, J, *rest):
-        passes.append((len(A), len(B), len(I)))
-        return reduce_pairs(kind, A, B, I, J, *rest)
-
-    monkeypatch.setattr(_k, "reduce_pairs", recording)
+    kernel = _record_kernel(monkeypatch)
     for model in (LocalSignModel(), LinearStochasticModel()):
         for n, workers in ((2, 1), (3 * 4096 + 5, 1), (3 * 4096 + 5, 2)):
             oracle = make_correlation_oracle(model, sphere_sampler(seed=4), n, workers=workers)
@@ -919,11 +913,12 @@ def test_oracle_pairs_give_the_per_pair_estimates(monkeypatch):
             with monkeypatch.context() as m:
                 m.setattr(correlation_module, "_BATCH_SETTINGS", 3)
                 assert [repr(e) for e in oracle.pairs(pairs)] == want
-                # a first batch takes the batch path at any n
-                passes.clear()
+                # a first batch keeps no rows, so each group computes every
+                # row of its sides, at most three a side
+                kernel.rows.clear()
                 fresh = make_correlation_oracle(model, sphere_sampler(seed=4), n, workers=workers)
                 assert [repr(e) for e in fresh.pairs(pairs)] == want
-                assert max(max(a, b) for a, b, _ in passes) == 3
+                assert max(kernel.rows) == 3
 
 
 def _peak_bytes(call):
@@ -1025,27 +1020,35 @@ def test_every_chunked_path_makes_one_driver_call(monkeypatch):
         assert calls == want
 
 
-def _record_draws(monkeypatch):
-    """Record the ``draws`` mapping of every reduce_pairs call and every
-    (start, count) whose draws are made."""
-    seen, made = [], []
-    reduce_pairs, columns = _k.reduce_pairs, _k._lambda_columns
+def _record_kernel(monkeypatch):
+    """Record the work of the one kernel path: the ``draws`` mapping of
+    every ``draw_columns`` call (``seen``), every (start, count) whose draws
+    are made (``made``) and the number of settings of every
+    ``setting_rows`` call (``rows``)."""
+    kernel = types.SimpleNamespace(seen=[], made=[], rows=[])
+    draw_columns, columns, setting_rows = _k.draw_columns, _k._lambda_columns, _k.setting_rows
 
-    def recording(kind, A, B, I, J, sampler_kind, dim, seed, start, count, draws=None, *rest):
-        seen.append(draws)
-        return reduce_pairs(kind, A, B, I, J, sampler_kind, dim, seed, start, count, draws, *rest)
+    def reading(sampler_kind, dim, seed, start, count, draws=None):
+        kernel.seen.append(draws)
+        return draw_columns(sampler_kind, dim, seed, start, count, draws)
 
     def making(sampler_kind, seed, start, count, ncomp):
-        made.append((start, count))
+        kernel.made.append((start, count))
         return columns(sampler_kind, seed, start, count, ncomp)
 
-    monkeypatch.setattr(_k, "reduce_pairs", recording)
+    def computing(kind, S, *rest):
+        kernel.rows.append(len(S))
+        return setting_rows(kind, S, *rest)
+
+    monkeypatch.setattr(_k, "draw_columns", reading)
     monkeypatch.setattr(_k, "_lambda_columns", making)
-    return seen, made
+    monkeypatch.setattr(_k, "setting_rows", computing)
+    return kernel
 
 
 def test_later_batches_read_the_draws_the_second_one_kept(monkeypatch):
-    seen, made = _record_draws(monkeypatch)
+    kernel = _record_kernel(monkeypatch)
+    seen, made = kernel.seen, kernel.made
     batches = [_pair_requests(seed, 7) for seed in range(5)]
     n = 3 * 4096 + 5
     for model in (LocalSignModel(), LinearStochasticModel()):
@@ -1057,18 +1060,18 @@ def test_later_batches_read_the_draws_the_second_one_kept(monkeypatch):
             made.clear()
             oracle = make_correlation_oracle(model, sphere_sampler(seed=8), n, workers=workers)
             assert [[repr(e) for e in oracle.pairs(batch)] for batch in batches] == want
-            # the first batch keeps each chunk's draws only for that chunk,
-            # the second keeps every chunk, and no chunk's draws are made a
-            # third time
-            kept = seen[4]
-            assert all(len(d) == 1 and d is not kept for d in seen[:4])
-            assert len({id(d) for d in seen[4:]}) == 1
+            # the first batch keeps each chunk's draws only for that chunk
+            # (both sides of its one group read them), the second keeps
+            # every chunk, and no chunk's draws are made a third time
+            kept = seen[2 * 4]
+            assert all(len(d) == 1 and d is not kept for d in seen[:2 * 4])
+            assert len({id(d) for d in seen[2 * 4:]}) == 1
             assert len(kept) == 4
             assert sorted(made) == sorted(list(_mc.chunk_ranges(n)) * 2)
 
 
 def test_a_one_batch_oracle_keeps_no_draws(monkeypatch):
-    seen, _ = _record_draws(monkeypatch)
+    seen = _record_kernel(monkeypatch).seen
     s = sphere_sampler(seed=2)
     correlation_sweep(LocalSignModel(), 9, s, n=5000)
     chsh_statistic(make_correlation_oracle(LinearStochasticModel(), s, 5000),
@@ -1085,15 +1088,17 @@ def test_a_one_batch_sweep_makes_each_chunks_draws_once(monkeypatch):
                 correlation_sweep(LocalSignModel(), 9, sphere_sampler(seed=4), n)]
 
     want = sweep()
-    seen, made = _record_draws(monkeypatch)
+    kernel = _record_kernel(monkeypatch)
     monkeypatch.setattr(correlation_module, "_BATCH_SETTINGS", 3)
     assert sweep() == want
-    assert len(seen) == 3 * 3
-    assert sorted(made) == sorted(_mc.chunk_ranges(n))
+    # each side of each group reads the chunk's draws
+    assert len(kernel.seen) == 3 * 3 * 2
+    assert sorted(kernel.made) == sorted(_mc.chunk_ranges(n))
 
 
 def test_an_oracle_past_the_byte_cap_keeps_no_draws(monkeypatch):
-    seen, made = _record_draws(monkeypatch)
+    kernel = _record_kernel(monkeypatch)
+    seen, made = kernel.seen, kernel.made
     n = 2 * 4096 + 3
     monkeypatch.setattr(correlation_module, "_DRAW_CACHE_BYTES", 24 * n - 1)
     batches = [_pair_requests(seed, 5) for seed in range(4)]
@@ -1103,7 +1108,8 @@ def test_an_oracle_past_the_byte_cap_keeps_no_draws(monkeypatch):
         seen.clear()
         made.clear()
         assert [[repr(e) for e in oracle.pairs(batch)] for batch in batches] == want
-        assert len(seen) == 3 * len(batches) and all(len(d) == 1 for d in seen)
+        # two sides a chunk, each batch one group
+        assert len(seen) == 2 * 3 * len(batches) and all(len(d) == 1 for d in seen)
         assert len(made) == 3 * len(batches)
     # at the cap itself the draws are kept
     monkeypatch.setattr(correlation_module, "_DRAW_CACHE_BYTES", 24 * n)
@@ -1111,14 +1117,14 @@ def test_an_oracle_past_the_byte_cap_keeps_no_draws(monkeypatch):
     seen.clear()
     for batch in batches:
         oracle.pairs(batch)
-    kept = seen[3]
-    assert all(d is kept for d in seen[3:]) and len(kept) == 3
+    kept = seen[2 * 3]
+    assert all(d is kept for d in seen[2 * 3:]) and len(kept) == 3
 
 
 def test_a_kept_chunk_raises_the_uncached_bad_probability(monkeypatch):
     # the linear model on a cube stream is valid at (a, b) and goes bad at
     # (a, b') a few draws in; the third batch reads the chunk the second kept
-    seen, _ = _record_draws(monkeypatch)
+    seen = _record_kernel(monkeypatch).seen
     s = cube_sampler(dim=3, seed=0)
     a, b, b_prime = Z_AXIS, UnitVector3(0.0, 1.0, 0.0), UnitVector3(0.6, 0.0, 0.8)
 
@@ -1133,7 +1139,8 @@ def test_a_kept_chunk_raises_the_uncached_bad_probability(monkeypatch):
     oracle.pairs([(a, b)])
     oracle.pairs([(a, b)])
     assert message(lambda: oracle.pairs([(a, b), (a, b_prime)])) == want
-    assert isinstance(seen[-1], dict) and seen[-1] is seen[-2]
+    # the third batch's three chunks, two sides each, read the kept draws
+    assert isinstance(seen[-1], dict) and all(d is seen[-1] for d in seen[-2 * 3:])
 
 
 # x-z plane settings, and two whose dots with X_AXIS are 0.0 and -0.0: the
@@ -1142,8 +1149,9 @@ _ZERO_DOT_B = (Z_AXIS, UnitVector3(-0.0, -1.0, -0.0))
 
 
 def _trial_requests(n):
-    """Requests of 1 pair, 2 pairs and the most pairs whose products fit one
-    _BLOCK at n draws, with settings repeated within and across them."""
+    """Requests of 1 pair, 2 pairs and the most pairs whose linear products
+    fit one _BLOCK at n draws, with settings repeated within and across
+    them, and last a pair off the x-z plane after one on it."""
     rng = random.Random(n)
     pool = [unit_from_plane_angle(rng.uniform(0.0, 2.0 * math.pi)) for _ in range(9)]
     pool += [X_AXIS, *_ZERO_DOT_B]
@@ -1151,40 +1159,93 @@ def _trial_requests(n):
     requests = [[(X_AXIS, _ZERO_DOT_B[0])], [(X_AXIS, _ZERO_DOT_B[1]), (pool[0], pool[1])]]
     for size in (1, 2, largest, 1, 2):
         requests.append([(rng.choice(pool), rng.choice(pool)) for _ in range(size)])
+    requests.append([(X_AXIS, _ZERO_DOT_B[0]), (X_AXIS, _ZERO_DOT_B[1])])
     return requests
+
+
+class _FlippingSigmaSign(LocalSignModel):
+    """The sign kernel with a sigma_B that flips with the settings, so one
+    request can hold groups of both signs."""
+
+    def kernel_rows(self, a, b):
+        return (a, 0.0), (b, 0.0), 1.0 if a.x * b.x < 0.0 else -1.0
+
+
+class _HalfSigmaOffPlane(LocalSignModel):
+    """The sign kernel, with a sigma_B of 0.5, which the kernel refuses,
+    where b leaves the x-z plane."""
+
+    def kernel_rows(self, a, b):
+        return (a, 0.0), (b, 0.0), 0.5 if b.y else -1.0
 
 
 @pytest.mark.parametrize("n", [2, 511, 512, 4096])
 def test_kept_rows_give_the_batch_estimates(n, monkeypatch):
-    # every request after the first batch is served from the kept rows,
-    # with the bits a fresh oracle's batch path gives it
+    # every request after the first batch computes only the rows no earlier
+    # request did and gives the bits a fresh oracle's first batch gives it;
+    # a request with rows the kernel refuses raises the same error either
+    # way, before any draw is made
     s = sphere_sampler(seed=9)
     models = [LocalSignModel(), LinearStochasticModel(), SettingBiasedSignModel(),
-              ConstantNonlocalModel(), DeterministicEmbedding(LocalSignModel())]
-    passes = []
-    reduce_pairs = _k.reduce_pairs
-
-    def recording(*args, **kwargs):
-        passes.append(len(args[3]))
-        return reduce_pairs(*args, **kwargs)
-
-    monkeypatch.setattr(_k, "reduce_pairs", recording)
+              ConstantNonlocalModel(), DeterministicEmbedding(LocalSignModel()),
+              _FlippingSigmaSign(), _HalfSigmaOffPlane()]
+    kernel = _record_kernel(monkeypatch)
     requests = _trial_requests(n)
     assert max(map(len, requests)) * n <= _k._BLOCK < (max(map(len, requests)) + 1) * n
+
+    def outcome(oracle, request):
+        try:
+            return [(e.value, e.stderr, e.n) for e in oracle.pairs(request)]
+        except ValueError as error:
+            return str(error)
+
     for model in models:
-        want = [[(e.value, e.stderr, e.n) for e in make_correlation_oracle(model, s, n).pairs(r)]
-                for r in requests]
+        name = type(model).__name__
+        want = []
+        for r in requests:
+            kernel.made.clear()
+            want.append(outcome(make_correlation_oracle(model, s, n), r))
+            assert isinstance(want[-1], list) or kernel.made == [], name
+        # refused groups: first in the second request, after a valid one
+        # in the last
+        refused = {k for k, w in enumerate(want) if isinstance(w, str)}
+        assert {1, len(requests) - 1} <= refused if name == "_HalfSigmaOffPlane" else not refused
         oracle = make_correlation_oracle(model, s, n)
         oracle.pairs(_pair_requests(1, 30))
-        passes.clear()
-        got = [[(e.value, e.stderr, e.n) for e in oracle.pairs(r)] for r in requests]
-        assert got == want, type(model).__name__
-        assert passes == [] and oracle.pairs.rows, type(model).__name__
+        kernel.rows.clear()
+        assert [outcome(oracle, r) for r in requests] == want, name
+        asked = set()
+        for k, r in enumerate(requests):
+            if k not in refused:
+                asked |= {(side, v.x, v.y, v.z, c) for a, b in r
+                          for side, (v, c) in enumerate(model.kernel_rows(a, b)[:2])}
+        assert sum(kernel.rows) == len(asked) and oracle.pairs.rows, name
+
+
+def test_a_batch_past_the_row_cap_stays_within_it_while_it_runs(monkeypatch):
+    # a third batch of 20,000 distinct settings on an oracle that keeps its
+    # draws and nine rows (48 KiB at n = 512): the rows are dropped as new
+    # ones come, so the batch holds about one group's rows at a time
+    n = 512
+    monkeypatch.setattr(correlation_module, "_DRAW_CACHE_BYTES", 48 << 10)
+    rng = random.Random(20)
+    pairs = [(unit_from_plane_angle(rng.uniform(0.0, 2.0 * math.pi)),
+              unit_from_plane_angle(rng.uniform(0.0, 2.0 * math.pi))) for _ in range(10000)]
+    s = sphere_sampler(seed=5)
+    for model in (LocalSignModel(), LinearStochasticModel()):
+        want = make_correlation_oracle(model, s, n).pairs(pairs)
+        oracle = make_correlation_oracle(model, s, n)
+        oracle.pairs(pairs[:2])
+        oracle.pairs(pairs[:2])
+        got = []
+        assert _peak_bytes(lambda: got.extend(oracle.pairs(pairs))) < 16 << 20
+        assert got == want and len(oracle.pairs.rows) == oracle.pairs.rows.cap == 9
 
 
 def test_a_trial_setting_that_goes_bad_raises_the_batch_paths_error():
     # the linear model on a cube stream is valid at (Z, Y) and goes bad
-    # first at the trial's new setting a, alone or after a valid pair
+    # first at the trial's new setting a, alone or after a valid pair; its
+    # row is not kept, so asking again raises again
     s = cube_sampler(dim=3, seed=0)
     a = UnitVector3(0.6, 0.0, 0.8)
 
@@ -1199,7 +1260,8 @@ def test_a_trial_setting_that_goes_bad_raises_the_batch_paths_error():
         oracle = make_correlation_oracle(LinearStochasticModel(), s, 512)
         oracle.pairs([(Z_AXIS, Y_AXIS)])
         oracle.pairs([(Z_AXIS, Y_AXIS)])
-        assert message(lambda: oracle.pairs(request)) == want
+        for _ in range(2):
+            assert message(lambda: oracle.pairs(request)) == want
         assert "outside [0, 1] at draw" in want
 
 
